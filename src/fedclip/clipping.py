@@ -8,18 +8,33 @@ import numpy as np
 AUTO = "auto"
 
 
-def clip_factor(v, c: float) -> float:
+def norms(v):
+    """Euclidean norm of a vector, or of each row of a stack of vectors.
+
+    ``sqrt(vecdot(v, v))`` rounds each row exactly like ``np.linalg.norm``
+    of that row alone; ``np.linalg.norm(v, axis=-1)`` sums pairwise and can
+    differ in the last bit.
+    """
+    return np.sqrt(np.vecdot(v, v))
+
+
+def clip_factor(v, c: float):
     """Shrink factor c / max(c, ||v||), always in (0, 1].
 
     The max form is total: a zero vector (and any ||v|| <= c, including the
-    tie ||v|| = c) gets factor exactly 1.
+    tie ||v|| = c) gets factor exactly 1. For a stack of vectors (the rows
+    of ``v``) the result holds one factor per row.
     """
     if c <= 0:
         raise ValueError("clipping threshold must be positive")
     if not math.isfinite(c):
-        return 1.0
-    n = float(np.linalg.norm(v))
-    return c / max(c, n)
+        return _unit_factors(v)
+    return c / np.maximum(c, norms(v))
+
+
+def _unit_factors(v):
+    """Factor 1 for every vector in ``v``: a scalar for one vector."""
+    return np.ones(np.shape(v)[:-1])[()]
 
 
 def clip(v, c: float):
@@ -79,18 +94,17 @@ def apply_policy(policy: ClippingPolicy, x_local_final, x_round_start):
 
     "difference" clips the update x_final - x_start; "model" clips the final
     model itself (the server later subtracts x_start); "none" transmits the
-    raw difference with factor 1.
+    raw difference with factor 1. ``x_local_final`` may also be an (N, d)
+    stack of client results from one shared start; the result is then an
+    (N, d) stack and N factors, each row as the single-vector call gives it.
     """
-    if x_local_final.shape != x_round_start.shape:
+    if x_local_final.shape[-1:] != x_round_start.shape:
         raise ValueError("vector dimensions do not match")
     if policy.mode == "none":
-        return x_local_final - x_round_start, 1.0
+        delta = x_local_final - x_round_start
+        return delta, _unit_factors(delta)
     if policy.is_auto:
         raise ValueError("auto threshold has not been resolved")
-    c = float(policy.threshold)
-    if policy.mode == "model":
-        f = clip_factor(x_local_final, c)
-        return clip(x_local_final, c), f
-    delta = x_local_final - x_round_start
-    f = clip_factor(delta, c)
-    return clip(delta, c), f
+    v = x_local_final if policy.mode == "model" else x_local_final - x_round_start
+    f = clip_factor(v, float(policy.threshold))
+    return v * np.expand_dims(f, -1), f

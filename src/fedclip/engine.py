@@ -3,20 +3,21 @@
 One parameterized round implements plain FedAvg (mode "none", no noise),
 its difference-clipped variant, and the differentially private variant
 (clipping plus per-client Gaussian perturbation). Rounds are strictly
-sequential; per-client work inside a round may run on a thread pool, and
-the aggregation is a fixed-order reduction so worker count never changes
-the result.
+sequential. Within a round, all N clients run their local phases together
+as one (N, d) stack of iterates; every row is computed exactly as a
+single-client phase would compute it, and the aggregate is a fixed-order
+sum over the sampled slots, so the result is the same bit for bit.
 """
 
+import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import clipping, privacy, rng as rngmod
-from .problems import GradientOracle, ProblemInstance
+from .problems import ProblemInstance, StackedOracle
 
 Q_INF = math.inf
 
@@ -27,10 +28,21 @@ _LOCAL_MAX_STEPS = 10 ** 6
 
 class DivergenceError(RuntimeError):
     def __init__(self, round_index, norm):
-        super().__init__(f"iterate norm {norm:.3e} exceeded {_DIVERGENCE_NORM:.0e} "
-                         f"at round {round_index}")
+        what = ("iterate has a NaN entry" if math.isnan(norm) else
+                f"iterate norm {norm:.3e} exceeded {_DIVERGENCE_NORM:.0e}")
+        super().__init__(f"{what} at round {round_index}")
         self.round_index = round_index
         self.norm = norm
+
+
+def _check_finite(v, round_index):
+    """Raise DivergenceError when ``v`` (a vector, or any row of a stack) has
+    a norm above the divergence limit or a non-finite entry; NaN fails every
+    comparison, so the test is written to fail on it."""
+    n = clipping.norms(v)
+    if not (n <= _DIVERGENCE_NORM).all():
+        n = np.atleast_1d(n)
+        raise DivergenceError(round_index, float(n[~(n <= _DIVERGENCE_NORM)][0]))
 
 
 @dataclass(frozen=True)
@@ -85,8 +97,6 @@ class RoundData:
     record: RoundRecord
     x_start: np.ndarray
     x_next: np.ndarray
-    grad_sums: np.ndarray      # (N, d) summed sampled gradients per client
-    deltas_raw: np.ndarray     # (N, d) pre-clip local updates
     mean_transmitted: np.ndarray
 
 
@@ -107,10 +117,13 @@ class Trace:
 
 
 def local_update(objective, oracle, x_start, Q, eta_l):
-    """Run Q local SGD steps; return the final iterate and the gradient sum.
+    """Run Q local SGD steps of one client; return the final iterate and the
+    gradient sum.
 
     With Q = Q_INF, iterate until the step norm falls below 1e-12 (capped at
-    1e6 steps). For finite Q, x_final - x_start == -eta_l * grad_sum.
+    1e6 steps). For finite Q, x_final - x_start == -eta_l * grad_sum. The
+    engine runs all clients at once (``local_phase``); this single-client
+    form is the reference that the batched one must match bit for bit.
     """
     x = np.array(x_start, dtype=float, copy=True)
     gsum = np.zeros_like(x)
@@ -120,8 +133,7 @@ def local_update(objective, oracle, x_start, Q, eta_l):
             step = eta_l * g
             x -= step
             gsum += g
-            if np.linalg.norm(x) > _DIVERGENCE_NORM:
-                raise DivergenceError(-1, float(np.linalg.norm(x)))
+            _check_finite(x, -1)
             if np.linalg.norm(step) <= _LOCAL_TOL:
                 break
     else:
@@ -129,9 +141,44 @@ def local_update(objective, oracle, x_start, Q, eta_l):
             g = oracle.sample(x)
             x -= eta_l * g
             gsum += g
-        if np.linalg.norm(x) > _DIVERGENCE_NORM:
-            raise DivergenceError(-1, float(np.linalg.norm(x)))
+        _check_finite(x, -1)
     return x, gsum
+
+
+def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
+    """Local phases of all N clients from ``x_start``, as one (N, d) stack.
+
+    Returns the final iterates and the gradient sums, row i for client i,
+    each bit-identical to ``local_update`` of that client with the same
+    oracle stream. With Q = Q_INF each row stops on the step where its own
+    step norm falls below 1e-12 (or after 1e6 steps) and is masked out of
+    later updates. A row that diverges raises DivergenceError with
+    ``round_index``.
+    """
+    N = oracle.problem.n_clients
+    X = np.tile(np.asarray(x_start, dtype=float), (N, 1))
+    gsum = np.zeros_like(X)
+    # overflow and NaN are reported by _check_finite, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if Q == Q_INF:
+            active = np.ones(N, dtype=bool)
+            running = active[:, None]  # a view: follows the in-place updates of active
+            for _ in range(_LOCAL_MAX_STEPS):
+                G = oracle.sample(X, active)
+                step = eta_l * G
+                np.subtract(X, step, out=X, where=running)
+                np.add(gsum, G, out=gsum, where=running)
+                _check_finite(X, round_index)
+                active &= clipping.norms(step) > _LOCAL_TOL
+                if not active.any():
+                    break
+        else:
+            for _ in range(int(Q)):
+                G = oracle.sample(X)
+                X -= eta_l * G
+                gsum += G
+            _check_finite(X, round_index)
+    return X, gsum
 
 
 def sample_clients(N, P, rng):
@@ -141,107 +188,90 @@ def sample_clients(N, P, rng):
     return np.sort(rng.integers(0, N, size=P))
 
 
-def _make_oracle(config, problem, obj, stream):
-    return GradientOracle(
-        obj, noise_mode=config.noise_mode, sigma_l=problem.sigma_l,
-        batch_size=config.batch_size, rng=stream, grad_bound=problem.G)
-
-
-def _client_pass(config, problem, i, t, x):
-    """Local phase for one client: realized trajectory plus expected-path factor."""
-    obj = problem.clients[i]
-    oracle = _make_oracle(config, problem, obj,
-                          rngmod.stream(config.seed, "grad", t, i))
-    x_fin, gsum = local_update(obj, oracle, x, config.local_steps, config.eta_l)
-    transmitted, alpha = clipping.apply_policy(config.policy, x_fin, x)
-    delta_raw = x_fin - x
-    if config.policy.mode == "difference" and config.noise_mode != "deterministic":
-        # estimate E[sum of sampled gradients] by replaying the local phase
-        acc = np.zeros_like(gsum)
-        for r in range(config.replay_count):
-            rep = _make_oracle(config, problem, obj,
-                               rngmod.stream(config.seed, "replay", t, i, r))
-            _, gs = local_update(obj, rep, x, config.local_steps, config.eta_l)
-            acc += gs
-        acc /= config.replay_count
-        alpha_tilde = clipping.clip_factor(config.eta_l * acc,
-                                           float(config.policy.threshold))
-    else:
-        # deterministic trajectory: the expectation equals the realized sum
-        alpha_tilde = alpha
-    return x_fin, gsum, delta_raw, transmitted, alpha, alpha_tilde, oracle.violations
+def _oracle(config, problem, tag, t, *replay):
+    """Stacked oracle whose row i draws from stream (seed, tag, t, i, *replay)."""
+    rngs = None
+    if config.noise_mode != "deterministic":
+        rngs = [rngmod.stream(config.seed, tag, t, i, *replay)
+                for i in range(problem.n_clients)]
+    return StackedOracle(problem, noise_mode=config.noise_mode,
+                         sigma_l=problem.sigma_l, batch_size=config.batch_size,
+                         rngs=rngs, grad_bound=problem.G)
 
 
 def run_round(x, t, config: RunConfig, problem: ProblemInstance,
-              noise_spec=None, prev_update=None, executor=None):
+              noise_spec=None, prev_update=None):
     """Execute one round; returns (x_next, RoundData, violation_count).
 
     All N clients are evaluated (diagnostics average over the full
     federation); only the sampled multiset contributes to the aggregate.
     """
-    N = config.n_clients
-    if executor is not None:
-        results = list(executor.map(
-            lambda i: _client_pass(config, problem, i, t, x), range(N)))
+    oracle = _oracle(config, problem, "grad", t)
+    X, _ = local_phase(oracle, x, config.local_steps, config.eta_l, t)
+    deltas = X - x
+    transmitted, alphas = clipping.apply_policy(config.policy, X, x)
+    alphas = alphas.tolist()
+    if config.policy.mode == "difference" and config.noise_mode != "deterministic":
+        # estimate E[sum of sampled gradients] by replaying the local phase
+        acc = np.zeros_like(X)
+        for r in range(config.replay_count):
+            rep = _oracle(config, problem, "replay", t, r)
+            acc += local_phase(rep, x, config.local_steps, config.eta_l, t)[1]
+        acc /= config.replay_count
+        alpha_tildes = clipping.clip_factor(config.eta_l * acc,
+                                            float(config.policy.threshold)).tolist()
     else:
-        results = [_client_pass(config, problem, i, t, x) for i in range(N)]
+        # deterministic trajectory: the expectation equals the realized sum
+        alpha_tildes = alphas
 
-    grad_sums = np.stack([r[1] for r in results])
-    deltas_raw = np.stack([r[2] for r in results])
-    transmitted = [r[3] for r in results]
-    alphas = [r[4] for r in results]
-    alpha_tildes = [r[5] for r in results]
-    violations = sum(r[6] for r in results)
-
+    N = config.n_clients
     if config.sampled_per_round == N:
         # full participation: every client exactly once
         sampled = np.arange(N)
     else:
         sampled = sample_clients(N, config.sampled_per_round,
                                  rngmod.stream(config.seed, "sample", t))
-    P = config.sampled_per_round
+    if config.policy.mode == "model":
+        transmitted = transmitted - x
     agg = np.zeros_like(x)
     for slot, i in enumerate(sampled):
         v = transmitted[i]
-        if config.policy.mode == "model":
-            v = v - x
         if noise_spec is not None and noise_spec.sigma2 > 0:
             # the aggregate only ever sees clipped-update-plus-noise
             v = v + privacy.draw_noise(noise_spec,
                                        rngmod.stream(config.seed, "noise", t, slot))
         agg += v
-    agg /= P
+    agg /= config.sampled_per_round
     x_next = x + config.eta_g * agg
-    if np.linalg.norm(x_next) > _DIVERGENCE_NORM:
-        raise DivergenceError(t, float(np.linalg.norm(x_next)))
+    _check_finite(x_next, t)
 
-    angles = []
-    for i in range(N):
-        if prev_update is None:
-            angles.append(None)
-        else:
-            angles.append(_angle_degrees(deltas_raw[i], prev_update))
-    grad_norm = float(np.linalg.norm(problem.grad_mean(x)))
+    delta_norms = clipping.norms(deltas)
+    if prev_update is None:
+        angles = [None] * N
+    else:
+        angles = _angles_degrees(deltas, delta_norms, prev_update)
     record = RoundRecord(
-        t=t, x=[float(v) for v in x], sampled=[int(i) for i in sampled],
-        loss=float(problem.loss_mean(x)), global_grad_norm=grad_norm,
+        t=t, x=x.tolist(), sampled=sampled.tolist(),
+        loss=problem.loss_mean(x),
+        global_grad_norm=float(np.linalg.norm(problem.grad_mean(x))),
         alpha_bar=float(np.mean(alpha_tildes)),
-        delta_norms=[float(np.linalg.norm(d)) for d in deltas_raw],
-        alphas=[float(a) for a in alphas],
-        alpha_tildes=[float(a) for a in alpha_tildes],
-        angles=angles)
+        delta_norms=delta_norms.tolist(), alphas=alphas,
+        alpha_tildes=alpha_tildes, angles=angles)
     data = RoundData(record=record, x_start=np.array(x, copy=True), x_next=x_next,
-                     grad_sums=grad_sums, deltas_raw=deltas_raw,
                      mean_transmitted=agg)
-    return x_next, data, violations
+    return x_next, data, oracle.violations
 
 
-def _angle_degrees(u, v):
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return None
-    cosv = float(np.dot(u, v) / (nu * nv))
-    return float(np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0))))
+def _angles_degrees(deltas, delta_norms, ref):
+    """Angle in degrees between each row of ``deltas`` and ``ref``; None
+    where either vector is zero."""
+    ref_norm = clipping.norms(ref)
+    if ref_norm == 0.0:
+        return [None] * len(deltas)
+    with np.errstate(invalid="ignore"):  # a zero row gives 0/0, reported as None
+        cos = np.vecdot(deltas, ref) / (delta_norms * ref_norm)
+    deg = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).tolist()
+    return [None if n == 0.0 else a for n, a in zip(delta_norms.tolist(), deg)]
 
 
 def run_experiment(config: RunConfig, problem: ProblemInstance,
@@ -250,30 +280,15 @@ def run_experiment(config: RunConfig, problem: ProblemInstance,
 
     The phase-1 pass runs the same configuration unclipped, records all
     pre-clip update magnitudes, resolves c = rho * mean, then restarts from
-    x0 with the resolved policy.
+    x0 with the resolved policy. ``threads`` is accepted for compatibility
+    and unused: a round is one batched pass over the client stack.
     """
     if config.n_clients != problem.n_clients:
         raise ValueError("config client count does not match problem")
     cfg = config
     if cfg.policy.is_auto:
-        phase1 = RunConfig(
-            rounds=cfg.rounds, local_steps=cfg.local_steps,
-            n_clients=cfg.n_clients, sampled_per_round=cfg.sampled_per_round,
-            eta_l=cfg.eta_l, eta_g=cfg.eta_g,
-            policy=clipping.ClippingPolicy(mode="none"),
-            privacy=privacy.PrivacyConfig(enabled=False),
-            seed=cfg.seed, x0=cfg.x0, noise_mode=cfg.noise_mode,
-            batch_size=cfg.batch_size, replay_count=cfg.replay_count)
-        pre = run_experiment(phase1, problem, threads=threads)
-        norms = [n for rd in pre.rounds for n in rd.record.delta_norms]
-        c = clipping.resolve_auto_threshold(norms, cfg.policy.rho)
-        cfg = RunConfig(
-            rounds=cfg.rounds, local_steps=cfg.local_steps,
-            n_clients=cfg.n_clients, sampled_per_round=cfg.sampled_per_round,
-            eta_l=cfg.eta_l, eta_g=cfg.eta_g, policy=cfg.policy.resolved(c),
-            privacy=cfg.privacy, seed=cfg.seed, x0=cfg.x0,
-            noise_mode=cfg.noise_mode, batch_size=cfg.batch_size,
-            replay_count=cfg.replay_count)
+        cfg = dataclasses.replace(
+            cfg, policy=cfg.policy.resolved(_auto_threshold(cfg, problem)))
 
     noise_spec = None
     metadata = {}
@@ -289,24 +304,29 @@ def run_experiment(config: RunConfig, problem: ProblemInstance,
     if cfg.policy.mode != "none":
         metadata["threshold"] = float(cfg.policy.threshold)
 
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        x = np.array(cfg.x0, dtype=float, copy=True)
-        rounds = []
-        prev_update = None
-        total_violations = 0
-        for t in range(cfg.rounds):
-            x, data, viol = run_round(x, t, cfg, problem, noise_spec=noise_spec,
-                                      prev_update=prev_update, executor=executor)
-            total_violations += viol
-            prev_update = data.mean_transmitted
-            rounds.append(data)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    x = np.array(cfg.x0, dtype=float, copy=True)
+    rounds = []
+    prev_update = None
+    total_violations = 0
+    for t in range(cfg.rounds):
+        x, data, viol = run_round(x, t, cfg, problem, noise_spec=noise_spec,
+                                  prev_update=prev_update)
+        total_violations += viol
+        prev_update = data.mean_transmitted
+        rounds.append(data)
     metadata["oracle_violations"] = total_violations
     return Trace(config=cfg, problem=problem, rounds=rounds,
                  noise_spec=noise_spec, metadata=metadata)
+
+
+def _auto_threshold(config, problem):
+    """c = rho * mean pre-clip update norm of an unclipped, noise-free
+    phase-1 run of the same configuration (its trace is dropped here)."""
+    phase1 = dataclasses.replace(config, policy=clipping.ClippingPolicy(mode="none"),
+                                 privacy=privacy.PrivacyConfig(enabled=False))
+    pre = run_experiment(phase1, problem)
+    norms = [n for rd in pre.rounds for n in rd.record.delta_norms]
+    return clipping.resolve_auto_threshold(norms, config.policy.rho)
 
 
 def record_to_json(record: RoundRecord) -> str:

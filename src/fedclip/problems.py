@@ -8,10 +8,12 @@ obtained in ``ProblemInstance.constant_methods``.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import rng as rngmod
+from .clipping import norms
 
 
 def softplus(z):
@@ -209,11 +211,53 @@ class ProblemInstance:
     def n_clients(self) -> int:
         return len(self.clients)
 
+    @cached_property
+    def _stacked(self):
+        """Client data on a leading client axis for ``grad_stack``: the
+        quadratics' b as (N, 1); or, when every client is a linear regression
+        with the same row count n, A as (N, n, d) and b as (N, n, 1); else
+        None, and clients are evaluated one by one."""
+        cl = self.clients
+        if all(isinstance(c, ScalarQuadratic) for c in cl):
+            return "quadratic", np.array([[c.b] for c in cl])
+        if (all(isinstance(c, LinearRegressionObjective) for c in cl)
+                and len({c.n_samples for c in cl}) == 1):
+            return ("linear", np.stack([c.A for c in cl]),
+                    np.stack([c.b for c in cl])[:, :, None])
+        return None
+
+    def grad_stack(self, X, indices=None):
+        """Gradient of client i at row i of the (N, d) stack ``X``, for all i.
+
+        With ``indices`` (one array of sample indices per client) each row
+        is its client's minibatch gradient instead. Quadratic clients, and
+        linear-regression clients with equal row counts, are evaluated in
+        one batched pass whose rows are bit-identical to the per-client
+        ``grad`` / ``grad_batch``; other federations loop over clients.
+        """
+        stacked = self._stacked
+        if stacked is None:
+            if indices is None:
+                return np.stack([c.grad(x) for c, x in zip(self.clients, X)])
+            return np.stack([c.grad_batch(x, idx)
+                             for c, x, idx in zip(self.clients, X, indices)])
+        kind, *data = stacked
+        if kind == "quadratic":
+            return X - data[0]
+        A, b = data
+        if indices is not None:
+            pick = (np.arange(len(A))[:, None], np.asarray(indices))
+            A, b = A[pick], b[pick]
+        g = np.matmul(A.transpose(0, 2, 1), np.matmul(A, X[:, :, None]) - b)[:, :, 0]
+        if indices is None:
+            return g
+        # grad_batch scales by n / batch size after the product
+        return g * (data[0].shape[1] / pick[1].shape[1])
+
     def grad_mean(self, x):
-        g = np.zeros(self.dim)
-        for obj in self.clients:
-            g += obj.grad(x)
-        return g / self.n_clients
+        G = self.grad_stack(np.tile(x, (self.n_clients, 1)))
+        # summed in client order: a pairwise np.sum would round differently
+        return np.add.accumulate(G, axis=0)[-1] / self.n_clients
 
     def grad_sum(self, x):
         return self.grad_mean(x) * self.n_clients
@@ -264,6 +308,58 @@ class GradientOracle:
         if self.grad_bound is not None and np.linalg.norm(g) > self.grad_bound:
             self.violations += 1
         return g
+
+
+class StackedOracle:
+    """``GradientOracle`` for every client of a problem at once.
+
+    ``sample`` takes an (N, d) stack of iterates, one row per client. Row i
+    draws from ``rngs[i]`` what a ``GradientOracle`` for client i would draw
+    from the same stream, in the same step order, so each row of a sample is
+    bit-identical to that per-client oracle's sample. The deterministic mode
+    needs no streams. ``violations`` counts rows over ``grad_bound``.
+    """
+
+    def __init__(self, problem, noise_mode="deterministic", sigma_l=0.0,
+                 batch_size=None, rngs=None, grad_bound=None):
+        if noise_mode not in ("deterministic", "gaussian", "minibatch"):
+            raise ValueError(f"unknown noise mode {noise_mode!r}")
+        if noise_mode != "deterministic" and rngs is None:
+            raise ValueError("stochastic oracle needs one rng stream per client")
+        if noise_mode == "minibatch" and not all(hasattr(c, "grad_batch")
+                                                 for c in problem.clients):
+            raise ValueError("objective does not support minibatch sampling")
+        self.problem = problem
+        self.noise_mode = noise_mode
+        self.sigma_l = float(sigma_l)
+        self.batch_size = batch_size
+        self.rngs = rngs
+        self.grad_bound = grad_bound
+        self.violations = 0
+
+    def sample(self, X, active=None):
+        """One gradient per row of ``X``, row i for client i.
+
+        ``active`` (a boolean mask over rows) limits the violation count to
+        the rows still running. Rows outside it are evaluated and draw from
+        their streams too, but their results are never used.
+        """
+        if self.noise_mode == "minibatch":
+            idx = [rng.integers(0, c.n_samples, size=self.batch_size)
+                   for rng, c in zip(self.rngs, self.problem.clients)]
+            G = self.problem.grad_stack(X, idx)
+        else:
+            G = self.problem.grad_stack(X)
+            if self.noise_mode == "gaussian" and self.sigma_l > 0:
+                d = G.shape[1]
+                G = G + np.stack([rng.normal(0.0, self.sigma_l / np.sqrt(d), size=d)
+                                  for rng in self.rngs])
+        if self.grad_bound is not None:
+            over = norms(G) > self.grad_bound
+            if active is not None:
+                over &= active
+            self.violations += int(np.count_nonzero(over))
+        return G
 
 
 def sample_gradient(oracle: GradientOracle, x):

@@ -1,10 +1,10 @@
-"""Counter-keyed random streams for bit-reproducible parallel simulation.
+"""Counter-keyed random streams for bit-reproducible simulation.
 
 Every source of randomness in a run is drawn from a stream keyed by the run
 seed plus a structured path (purpose tag, round, client, replay index, ...).
 Two calls with the same key always produce the same draws, independent of
-worker count or evaluation order, so parallelizing over clients cannot
-change results.
+evaluation order, so running all clients of a round as one batch draws
+exactly what a client-by-client loop would.
 """
 
 import hashlib

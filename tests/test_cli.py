@@ -196,3 +196,47 @@ def test_x0_dimension_mismatch(tmp_path):
     problem = cfg.build_problem()
     with pytest.raises(ConfigError, match="x0"):
         cfg.build_run_config(problem)
+
+
+def run_cli_error(tmp_path, capsys, cfg):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return code, json.loads(err[0])
+
+
+def test_nan_iterate_is_divergence(tmp_path, capsys):
+    # the local phase overflows to inf and then NaN; a NaN norm passes
+    # "norm > limit", so the guard must reject non-finite values itself
+    A = [[1.0, -3.0], [2.0, 5.0]]
+    code, err = run_cli_error(tmp_path, capsys, {
+        "problem": {"kind": "linear_regression", "A": [A, A],
+                    "b_list": [[1.0, 0.0], [0.0, 1.0]]},
+        "run": {"rounds": 3, "local_steps": 400, "sampled_per_round": 2,
+                "eta_l": 1.0, "eta_g": 1.0, "x0": 0.0},
+    })
+    assert code == 3
+    assert err["error"] == "divergence" and err["round"] == 0
+
+
+def test_local_phase_divergence_reports_its_round(tmp_path, capsys):
+    # |1 - eta_l|^Q = 1.5^60: round 0 stays below the limit, round 1's
+    # local phase exceeds it
+    code, err = run_cli_error(tmp_path, capsys, {
+        "problem": {"kind": "quadratic", "b": [0.0, 0.0]},
+        "run": {"rounds": 3, "local_steps": 60, "sampled_per_round": 2,
+                "eta_l": 2.5, "eta_g": 1.0, "x0": 1.0},
+    })
+    assert code == 3
+    assert err["error"] == "divergence" and err["round"] == 1
+
+
+def test_malformed_yaml_exit_code(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("problem: {kind: quadratic, b: [0.0\nrun: [")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "cannot read config" in err["message"]

@@ -5,10 +5,12 @@ import pytest
 
 from fedclip import rng as rngmod
 from fedclip.clipping import ClippingPolicy, clip
-from fedclip.engine import (DivergenceError, Q_INF, RunConfig, local_update,
-                            record_to_json, run_experiment, sample_clients)
-from fedclip.privacy import PrivacyConfig
-from fedclip.problems import (GradientOracle, ScalarQuadratic,
+from fedclip.engine import (DivergenceError, Q_INF, RunConfig, local_phase,
+                            local_update, record_to_json, run_experiment,
+                            run_round, sample_clients)
+from fedclip.privacy import NoiseSpec, PrivacyConfig, draw_noise
+from fedclip.problems import (GradientOracle, ScalarQuadratic, StackedOracle,
+                              build_linear_regression_ensemble,
                               build_quadratic_ensemble)
 
 NO_PRIVACY = PrivacyConfig(enabled=False)
@@ -212,3 +214,135 @@ def test_record_json_is_stable():
     line = record_to_json(trace.records[0])
     assert line.startswith('{"t":0,"x":[1.0],"sampled":[0],')
     assert '"angles":[null]' in line
+
+
+def reference_round(problem, cfg, x, t, noise_spec=None):
+    """One difference-clipped round computed client by client from the
+    public single-client pieces, with the engine's stream keys."""
+    c = float(cfg.policy.threshold)
+
+    def oracle(obj, *key):
+        return GradientOracle(obj, noise_mode=cfg.noise_mode, sigma_l=problem.sigma_l,
+                              batch_size=cfg.batch_size, grad_bound=problem.G,
+                              rng=rngmod.stream(cfg.seed, *key))
+
+    deltas, norms, alphas, alpha_tildes, violations = [], [], [], [], 0
+    for i, obj in enumerate(problem.clients):
+        realized = oracle(obj, "grad", t, i)
+        x_fin, _ = local_update(obj, realized, x, cfg.local_steps, cfg.eta_l)
+        violations += realized.violations
+        delta = x_fin - x
+        norm = float(np.linalg.norm(delta))
+        alpha = c / max(c, norm)
+        deltas.append(delta if alpha == 1.0 else delta * alpha)
+        norms.append(norm)
+        alphas.append(alpha)
+        acc = np.zeros_like(x)
+        for r in range(cfg.replay_count):
+            acc += local_update(obj, oracle(obj, "replay", t, i, r), x,
+                                cfg.local_steps, cfg.eta_l)[1]
+        acc /= cfg.replay_count
+        alpha_tildes.append(c / max(c, float(np.linalg.norm(cfg.eta_l * acc))))
+    sampled = np.arange(problem.n_clients)
+    if cfg.sampled_per_round < problem.n_clients:
+        sampled = sample_clients(problem.n_clients, cfg.sampled_per_round,
+                                 rngmod.stream(cfg.seed, "sample", t))
+    agg = np.zeros_like(x)
+    for slot, i in enumerate(sampled):
+        agg += deltas[i] + draw_noise(noise_spec, rngmod.stream(cfg.seed, "noise", t, slot))
+    agg /= cfg.sampled_per_round
+    return agg, x + cfg.eta_g * agg, norms, alphas, alpha_tildes, violations
+
+
+def linreg_problem(rows, d, seed, consistent=False, g_bound=None, sigma_l=0.0):
+    g = rngmod.stream(seed, "batched-linreg")
+    A_list = [g.normal(size=(n, d)) for n in rows]
+    x_true = [g.normal(size=d) for _ in rows]
+    b_list = [A @ xt + (0.0 if consistent else g.normal(size=n))
+              for A, xt, n in zip(A_list, x_true, rows)]
+    return build_linear_regression_ensemble(A_list, b_list, g_bound=g_bound,
+                                            sigma_l=sigma_l)
+
+
+@pytest.mark.parametrize("rows, d, noise_mode, local_steps, consistent, P", [
+    ((6, 6, 6, 6, 6), 3, "minibatch", 3, False, 3),  # stacked matmul path
+    ((4, 7, 5, 9), 3, "minibatch", 3, False, 3),     # unequal rows: per-client loop
+    ((6, 6, 6, 6), 3, "gaussian", 4, False, 3),
+    ((3, 8, 5), 3, "gaussian", 2, False, 2),
+    ((8, 8, 8), 3, "minibatch", Q_INF, True, 3),     # rows stop on different steps
+    ((5, 9, 7), 3, "minibatch", Q_INF, True, 3),
+    ((5,) * 10, 1, "gaussian", 2, False, 9),         # a pairwise sum of slots would differ
+])
+def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
+                                                    local_steps, consistent, P):
+    """Every field of a batched round equals the client-by-client reference
+    bit for bit, including oracle-violation counts and replayed factors."""
+    problem = linreg_problem(rows, d, seed=len(rows), consistent=consistent,
+                             g_bound=2.0, sigma_l=0.7)
+    eta_l = 0.3 / problem.L if local_steps == Q_INF else 0.02
+    cfg = make_config(local_steps=local_steps, n_clients=len(rows),
+                      sampled_per_round=P, eta_l=eta_l, eta_g=0.9,
+                      policy=ClippingPolicy(mode="difference", threshold=0.05),
+                      seed=5, x0=np.zeros(d), noise_mode=noise_mode,
+                      batch_size=3, replay_count=3)
+    spec = NoiseSpec(sigma2=0.01, dim=d)
+    x = rngmod.stream(5, "batched-x").normal(size=d)
+    for t in range(3):  # fresh streams each round
+        x_next, data, violations = run_round(x, t, cfg, problem, noise_spec=spec)
+        ref_agg, ref_x, norms, alphas, alpha_tildes, ref_violations = reference_round(
+            problem, cfg, x, t, noise_spec=spec)
+        np.testing.assert_array_equal(data.mean_transmitted, ref_agg)
+        np.testing.assert_array_equal(x_next, ref_x)
+        assert data.record.delta_norms == norms
+        assert data.record.alphas == alphas
+        assert data.record.alpha_tildes == alpha_tildes
+        assert violations == ref_violations > 0
+
+
+class CountingOracle(GradientOracle):
+    steps = 0
+
+    def sample(self, x):
+        self.steps += 1
+        return super().sample(x)
+
+
+def test_exhaustive_local_phase_stops_each_row_on_its_own_step():
+    problem = linreg_problem((4, 4, 4), 2, seed=9, consistent=True)
+    x, eta_l = np.array([3.0, -2.0]), 0.1 / problem.L
+    X, gsum = local_phase(StackedOracle(problem), x, Q_INF, eta_l, 0)
+    steps = set()
+    for i, obj in enumerate(problem.clients):
+        oracle = CountingOracle(obj)
+        x_fin, ref_gsum = local_update(obj, oracle, x, Q_INF, eta_l)
+        np.testing.assert_array_equal(X[i], x_fin)
+        np.testing.assert_array_equal(gsum[i], ref_gsum)
+        steps.add(oracle.steps)
+    assert len(steps) == 3 and max(steps) < 10 ** 6
+
+
+def test_stopped_rows_do_not_count_violations():
+    """A row that stopped keeps drawing (unused) minibatches while others
+    run; those draws must not count as violations. Client 0 stops on its
+    first step when it draws its zero-residual row 0; its row 1 would give a
+    gradient over the bound."""
+    x = np.array([1.0, -1.0])
+    A = np.eye(2)
+    problem = build_linear_regression_ensemble(
+        [A, A], [np.array([1.0, 9.0]), np.array([3.0, 2.0])], g_bound=1.0)
+    seed = next(s for s in range(100)
+                if rngmod.stream(s, "grad", 0, 0).integers(0, 2, size=1)[0] == 0)
+    keys = [(seed, "grad", 0, i) for i in range(2)]
+    oracle = StackedOracle(problem, noise_mode="minibatch", batch_size=1,
+                           rngs=[rngmod.stream(*k) for k in keys], grad_bound=1.0)
+    X, _ = local_phase(oracle, x, Q_INF, 0.25, 0)
+    violations = 0
+    for i, (obj, key) in enumerate(zip(problem.clients, keys)):
+        ref = CountingOracle(obj, noise_mode="minibatch", batch_size=1,
+                             rng=rngmod.stream(*key), grad_bound=1.0)
+        x_fin, _ = local_update(obj, ref, x, Q_INF, 0.25)
+        np.testing.assert_array_equal(X[i], x_fin)
+        violations += ref.violations
+        if i == 0:
+            assert ref.steps == 1
+    assert oracle.violations == violations
