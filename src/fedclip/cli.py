@@ -193,7 +193,7 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
     bound.update({k: trace.metadata[k] for k in ("calibration_note",)
                   if k in trace.metadata})
     with open(outdir / "bound.json", "w") as fh:
-        json.dump(bound, fh, indent=2)
+        json.dump(bound, fh, indent=2, allow_nan=False)
 
     scatter = outdir / "scatter"
     scatter.mkdir(exist_ok=True)
@@ -237,7 +237,10 @@ def cmd_run(config_path, out=None, seed_override=None, threads=1) -> int:
             run_cfg = cfg.build_run_config(problem, seed=seed)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        trace = engine.run_experiment(run_cfg, problem, threads=threads)
+        try:
+            trace = engine.run_experiment(run_cfg, problem, threads=threads)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         dest = outdir if len(seeds) == 1 else outdir / f"rep_{seed}"
         summaries.append(write_artifacts(trace, dest))
     if len(seeds) > 1:
@@ -305,7 +308,7 @@ def cmd_compare(dir_a, dir_b, out=None) -> int:
         "final_loss_delta_mean": float(np.mean(final_loss_deltas)),
         "final_loss_delta_std": float(np.std(final_loss_deltas)),
     }
-    text = json.dumps(result, indent=2)
+    text = json.dumps(result, indent=2, allow_nan=False)
     if out is not None:
         Path(out).write_text(text)
     else:

@@ -7,12 +7,14 @@ per-round (magnitude, angle) scatter data.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import Q_INF, Trace
-from .privacy import PrivacyConfig, calibrate_noise, noise_term_in_bound
+from .privacy import (NoiseSpec, PrivacyConfig, calibrate_noise,
+                      noise_term_in_bound)
+from .problems import client_sum
 
 
 @dataclass
@@ -101,7 +103,8 @@ def theorem1_bound(inputs: BoundInputs) -> dict:
     Terms: initial gap, client drift, sampling variance, privacy noise, and
     the first / second order clipping-bias terms. The result is marked
     not-certified when the stepsize regime fails or oracle bound violations
-    were recorded.
+    were recorded. At Q = Q_INF the terms that grow with Q, and the total,
+    are None, and ``null_reason`` says why.
     """
     if inputs.eta_g <= 0 or inputs.eta_l <= 0 or inputs.Q <= 0 or inputs.T <= 0:
         raise ValueError("nonpositive denominator in bound")
@@ -112,13 +115,19 @@ def theorem1_bound(inputs: BoundInputs) -> dict:
         "drift": 12.5 * el ** 2 * L * Q * (inputs.sigma_l ** 2
                                            + 6.0 * Q * inputs.sigma_g ** 2) * inputs.gamma1,
         "sampling_variance": 6.0 * eg * el * L * inputs.sigma_l ** 2 * inputs.gamma2 / P,
-        "privacy_noise": 2.0 * eg * L * inputs.d * inputs.sigma2 / (el * P * Q),
+        "privacy_noise": noise_term_in_bound(NoiseSpec(sigma2=inputs.sigma2, dim=inputs.d),
+                                             eg, el, P, Q, L),
         "clipping_bias_abs": 4.0 * G ** 2 * inputs.bias_abs_avg,
         "clipping_bias_sq": 6.0 * eg * el * L * Q * G ** 2 * inputs.bias_sq_sum / P,
     }
     regime = stepsize_regime(inputs)
     out = dict(terms)
-    out["total"] = sum(terms.values())
+    if Q == Q_INF:
+        # drift and the second-order bias term grow with Q: inf or 0 * inf
+        out.update(drift=None, clipping_bias_sq=None, total=None,
+                   null_reason="not applicable for Q=inf")
+    else:
+        out["total"] = sum(terms.values())
     out["regime"] = regime
     out["certified"] = inputs.certified and all(regime.values())
     return out
@@ -154,19 +163,15 @@ def measured_stationarity(trace: Trace) -> float:
 def corollary1_bound(eta_g, eta_l, Q, T, P, d, N, epsilon, delta,
                      L, f_gap, sigma_l, sigma_g, c_prime, v=2.0) -> dict:
     """Bound under the no-clipping-bias regime c = eta_l Q c' with calibrated
-    noise substituted in; also reports the sqrt(d)/(N eps) reference scale.
+    noise substituted in: ``theorem1_bound`` with gamma1 = gamma2 = 1 and
+    zero bias terms. Also reports the sqrt(d)/(N eps) reference scale.
     """
     c = eta_l * Q * c_prime
     spec = calibrate_noise(PrivacyConfig(enabled=True, epsilon=epsilon, delta=delta,
                                          v=v), c, P, N, T, dim=d)
-    terms = {
-        "initial_gap": 4.0 * f_gap / (eta_g * eta_l * Q * T),
-        "drift": 12.5 * eta_l ** 2 * L * Q * (sigma_l ** 2 + 6.0 * Q * sigma_g ** 2),
-        "sampling_variance": 6.0 * eta_g * eta_l * L * sigma_l ** 2 / P,
-        "privacy_noise": noise_term_in_bound(spec, eta_g, eta_l, P, Q, L, d=d),
-    }
-    out = dict(terms)
-    out["total"] = sum(terms.values())
+    out = theorem1_bound(BoundInputs(
+        f_gap=f_gap, L=L, sigma_l=sigma_l, sigma_g=sigma_g, G=0.0, d=d,
+        eta_l=eta_l, eta_g=eta_g, Q=Q, T=T, P=P, N=N, sigma2=spec.sigma2))
     out["reference_scale"] = math.sqrt(d) / (N * epsilon)
     return out
 
@@ -190,22 +195,19 @@ def drift_check(trace: Trace, tol_factor: float = 1.0) -> dict:
     rows = []
     ok = True
     for rd in trace.rounds:
-        x0 = rd.x_start
+        x0 = np.asarray(rd.record.x)
         gn2 = rd.record.global_grad_norm ** 2
         rhs = (5.0 * Q * el ** 2 * (prob.sigma_l ** 2 + 6.0 * Q * prob.sigma_g ** 2)
                + 30.0 * Q ** 2 * el ** 2 * gn2)
-        sq = np.zeros(Q)
-        for obj in prob.clients:
-            x = np.array(x0, copy=True)
-            for q in range(Q):
-                sq[q] += float(np.dot(x - x0, x - x0))
-                x = x - el * obj.grad(x)
-        sq /= prob.n_clients
+        X = np.tile(x0, (prob.n_clients, 1))
         for q in range(Q):
-            passed = sq[q] <= rhs * tol_factor + 1e-15
+            D = X - x0
+            lhs = float(client_sum(np.vecdot(D, D))) / prob.n_clients
+            passed = lhs <= rhs * tol_factor + 1e-15
             ok = ok and passed
-            rows.append({"t": rd.record.t, "q": q, "lhs": float(sq[q]),
+            rows.append({"t": rd.record.t, "q": q, "lhs": lhs,
                          "rhs": rhs, "pass": passed})
+            X = X - el * prob.grad_stack(X)
     return {"rows": rows, "pass": ok}
 
 

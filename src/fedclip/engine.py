@@ -71,6 +71,12 @@ class RunConfig:
             raise ValueError("need 1 <= P <= N")
         if self.eta_l <= 0 or self.eta_g <= 0:
             raise ValueError("stepsizes must be positive")
+        if self.noise_mode not in ("deterministic", "gaussian", "minibatch"):
+            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
+        b = self.batch_size
+        if self.noise_mode == "minibatch" and (
+                isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1):
+            raise ValueError("minibatch noise needs a positive integer batch_size")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
@@ -95,7 +101,6 @@ class RoundData:
     """Round record plus in-memory internals needed by diagnostics."""
 
     record: RoundRecord
-    x_start: np.ndarray
     x_next: np.ndarray
     mean_transmitted: np.ndarray
 
@@ -257,8 +262,7 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
         alpha_bar=float(np.mean(alpha_tildes)),
         delta_norms=delta_norms.tolist(), alphas=alphas,
         alpha_tildes=alpha_tildes, angles=angles)
-    data = RoundData(record=record, x_start=np.array(x, copy=True), x_next=x_next,
-                     mean_transmitted=agg)
+    data = RoundData(record=record, x_next=x_next, mean_transmitted=agg)
     return x_next, data, oracle.violations
 
 
@@ -330,17 +334,10 @@ def _auto_threshold(config, problem):
 
 
 def record_to_json(record: RoundRecord) -> str:
-    """Stable JSONL encoding of one round record."""
-    obj = {
-        "t": record.t,
-        "x": record.x,
-        "sampled": record.sampled,
-        "loss": record.loss,
-        "global_grad_norm": record.global_grad_norm,
-        "alpha_bar": record.alpha_bar,
-        "delta_norms": record.delta_norms,
-        "alphas": record.alphas,
-        "alpha_tildes": record.alpha_tildes,
-        "angles": record.angles,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    """Stable JSONL encoding of one round record, keys in field order.
+
+    The fields are read shallowly: ``dataclasses.asdict`` would deep-copy
+    every list entry, several times slower for a 100-client record.
+    """
+    obj = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)

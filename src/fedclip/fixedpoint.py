@@ -5,18 +5,20 @@ quadratic ensembles: model clipping averages clipped local models
 (lambda-map), difference clipping is a clipped preconditioned gradient
 step (Lambda-map), and the stationary-point grid for the three-client
 example problem is obtained by solving each map's fixed-point condition.
+The ``make_*`` functions return plain callables x -> map(x). Each map
+stacks its per-client vectors, scales them row by row by their clip
+factors and sums them in client order, as the engine does.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import clip
+from .clipping import ClippingPolicy, clip_factor
+from .engine import Q_INF, RunConfig, run_experiment
+from .privacy import PrivacyConfig
 from .problems import (LinearRegressionObjective, ScalarQuadratic,
-                       build_linear_regression_ensemble)
-
-Q_INF = math.inf
+                       build_linear_regression_ensemble, client_sum)
 
 
 class FixedPointError(RuntimeError):
@@ -26,37 +28,24 @@ class FixedPointError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class OneRoundMap:
-    """A one-round update map x -> map(x) with a named construction."""
-
-    kind: str
-    fn: object
-
-    def __call__(self, x):
-        return self.fn(x)
+def _clipped_sum(V, c):
+    """Client-order sum of the rows of ``V``, each clipped to norm ``c``."""
+    return client_sum(V * clip_factor(V, c)[:, None])
 
 
 def model_clip_map(x, b_values, lam, c):
     """Mean of clip(lam * x + (1 - lam) * b_i, c) over scalar quadratic clients."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
-    vals = [clip(np.array([lam * x + (1.0 - lam) * bi]), c)[0] for bi in b_values]
-    return float(np.mean(vals))
+    v = lam * x + (1.0 - lam) * np.asarray(b_values, dtype=float)
+    return float(np.mean(v * clip_factor(v[:, None], c)))
 
 
-def make_model_clip_map(b_values, eta_l, Q, c) -> OneRoundMap:
+def make_model_clip_map(b_values, eta_l, Q, c):
     if not 0.0 < eta_l < 1.0:
         raise ValueError("lambda = (1 - eta_l)^Q in (0, 1) requires eta_l in (0, 1)")
     lam = (1.0 - eta_l) ** Q
-    return OneRoundMap("model-clip-lambda",
-                       lambda x: np.array([model_clip_map(float(x[0]), b_values, lam, c)]))
-
-
-def _gram(obj):
-    if isinstance(obj, ScalarQuadratic):
-        return np.eye(1)
-    return obj.A.T @ obj.A
+    return lambda x: np.array([model_clip_map(float(x[0]), b_values, lam, c)])
 
 
 def lambda_map_matrix(A, eta_l, Q):
@@ -95,45 +84,40 @@ def difference_clip_map(x, ensemble, eta_l, Q, c):
     """One closed-form round of difference-clipped averaging (eta_g = 1):
     x - mean_i clip(Lambda_i grad f_i(x), c).
     """
-    lams = _client_preconditioners(ensemble, eta_l, Q)
-    step = np.zeros_like(np.asarray(x, dtype=float))
-    for obj, lam in zip(ensemble.clients, lams):
-        step = step + clip(lam @ obj.grad(x), c)
-    return x - step / ensemble.n_clients
+    return make_difference_clip_map(ensemble, eta_l, Q, c)(x)
 
 
-def make_difference_clip_map(ensemble, eta_l, Q, c) -> OneRoundMap:
-    return OneRoundMap("difference-clip-Lambda",
-                       lambda x: difference_clip_map(x, ensemble, eta_l, Q, c))
+def make_difference_clip_map(ensemble, eta_l, Q, c):
+    lams = np.stack(_client_preconditioners(ensemble, eta_l, Q))
+
+    def fn(x):
+        V = np.matmul(lams, ensemble.client_grads(x)[:, :, None])[:, :, 0]
+        return x - _clipped_sum(V, c) / ensemble.n_clients
+    return fn
 
 
-def make_gradient_clip_map(ensemble, c, step=0.01) -> OneRoundMap:
+def make_gradient_clip_map(ensemble, c, step=0.01):
     """Single-local-step stationarity map: fixed points satisfy
     sum_i clip(grad f_i(x), c) = 0. The threshold applies to the raw
     per-client gradient, before any stepsize scaling.
     """
     def fn(x):
-        s = np.zeros_like(np.asarray(x, dtype=float))
-        for obj in ensemble.clients:
-            s = s + clip(obj.grad(x), c)
-        return x - step * s / ensemble.n_clients
-    return OneRoundMap("gradient-clip", fn)
+        return x - step * _clipped_sum(ensemble.client_grads(x), c) / ensemble.n_clients
+    return fn
 
 
-def make_local_min_clip_map(ensemble, c, step=0.2) -> OneRoundMap:
+def make_local_min_clip_map(ensemble, c, step=0.2):
     """Exhaustive-local-phase stationarity map: fixed points satisfy
     sum_i clip(x - x_i^*, c) = 0, with x_i^* the client minimizers.
     """
     minimizers = [obj.local_minimizer for obj in ensemble.clients]
     if any(m is None for m in minimizers):
         raise ValueError("all clients need closed-form local minimizers")
+    M = np.stack(minimizers)
 
     def fn(x):
-        s = np.zeros_like(np.asarray(x, dtype=float))
-        for m in minimizers:
-            s = s + clip(x - m, c)
-        return x - step * s / ensemble.n_clients
-    return OneRoundMap("local-min-clip", fn)
+        return x - step * _clipped_sum(x - M, c) / ensemble.n_clients
+    return fn
 
 
 def solve_fixed_point(map_fn, x_init, tol=1e-10, max_iter=10 ** 6, beta=0.5):
@@ -208,10 +192,6 @@ def table1_grid(solver_tol=1e-10):
     scaling, so the Q = 1 simulation clips at eta_l * c while the
     exhaustive-local-phase cells clip the update difference at c directly.
     """
-    from . import engine
-    from .clipping import ClippingPolicy
-    from .privacy import PrivacyConfig
-
     ens = eq7_ensemble()
     x_init = np.array([0.9])
     maps = {
@@ -233,11 +213,11 @@ def table1_grid(solver_tol=1e-10):
     out = {}
     for key, m in maps.items():
         x_inf, res = solve_fixed_point(m, x_init, tol=solver_tol)
-        cfg = engine.RunConfig(
+        cfg = RunConfig(
             n_clients=3, sampled_per_round=3, eta_g=1.0,
             privacy=PrivacyConfig(enabled=False), seed=0, x0=np.array([1.0]),
             **sims[key])
-        trace = engine.run_experiment(cfg, ens)
+        trace = run_experiment(cfg, ens)
         out[key] = {"solver": float(x_inf[0]), "solver_residual": res,
                     "simulation": float(trace.rounds[-1].x_next[0])}
     return out

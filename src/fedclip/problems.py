@@ -4,16 +4,28 @@ The global objective is the *average* of the client losses,
 f(x) = (1/N) sum_i f_i(x); all bound quantities use this convention.
 Builders compute smoothness / heterogeneity constants from the data rather
 than trusting caller-supplied values, and record how each constant was
-obtained in ``ProblemInstance.constant_methods``.
+obtained in ``ProblemInstance.constant_methods``. The estimates evaluate
+every client at once on the (N, d) client stack (``grad_stack``) and sum
+clients in a fixed order (``client_sum``), so they equal, bit for bit, a
+client-by-client evaluation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import rng as rngmod
 from .clipping import norms
+
+
+def client_sum(V):
+    """Sum over the leading (client) axis of ``V`` in client order.
+
+    ``np.sum`` reduces pairwise and rounds differently once there are eight
+    or more clients; the running sum matches a client-by-client loop.
+    """
+    return np.add.accumulate(V, axis=0)[-1]
 
 
 def softplus(z):
@@ -206,6 +218,8 @@ class ProblemInstance:
             raise ValueError("need at least one client and one dimension")
         if self.L <= 0 or self.sigma_l < 0 or self.sigma_g < 0:
             raise ValueError("invalid constants: require L > 0, sigma_l >= 0, sigma_g >= 0")
+        if not np.isfinite([self.L, self.G, self.sigma_l, self.sigma_g]).all():
+            raise ValueError("invalid constants: L, G, sigma_l and sigma_g must be finite")
 
     @property
     def n_clients(self) -> int:
@@ -254,10 +268,12 @@ class ProblemInstance:
         # grad_batch scales by n / batch size after the product
         return g * (data[0].shape[1] / pick[1].shape[1])
 
+    def client_grads(self, x):
+        """Every client's gradient at the one point ``x``, as an (N, d) stack."""
+        return self.grad_stack(np.tile(x, (self.n_clients, 1)))
+
     def grad_mean(self, x):
-        G = self.grad_stack(np.tile(x, (self.n_clients, 1)))
-        # summed in client order: a pairwise np.sum would round differently
-        return np.add.accumulate(G, axis=0)[-1] / self.n_clients
+        return client_sum(self.client_grads(x)) / self.n_clients
 
     def grad_sum(self, x):
         return self.grad_mean(x) * self.n_clients
@@ -373,18 +389,24 @@ def _probe_grid(center, radius, dim, n_points=64, seed=12345):
     return np.vstack([pts, center.reshape(1, -1)])
 
 
-def _probe_constants(clients, dim, center, radius):
-    """Max gradient norm and max client-vs-mean gradient gap on a probe grid."""
-    pts = _probe_grid(center, radius, dim)
+def _probe_constants(problem, pts):
+    """Max gradient norm and max client-vs-mean gradient gap over the points
+    ``pts``, one client-stack evaluation per point."""
     gmax = 0.0
     divmax = 0.0
     for x in pts:
-        grads = [obj.grad(x) for obj in clients]
-        mean = sum(grads) / len(grads)
-        for g in grads:
-            gmax = max(gmax, float(np.linalg.norm(g)))
-            divmax = max(divmax, float(np.linalg.norm(g - mean)))
+        G = problem.client_grads(x)
+        gap = G - client_sum(G) / problem.n_clients
+        gmax = max(gmax, float(norms(G).max()))
+        divmax = max(divmax, float(norms(gap).max()))
     return gmax, divmax
+
+
+def _provisional(clients, dim, L=1.0):
+    """An instance to evaluate ``grad_stack`` on while a builder estimates its
+    constants; the builder fills them in with ``dataclasses.replace``."""
+    return ProblemInstance(clients=clients, dim=dim, L=L, G=0.0, sigma_l=0.0,
+                           sigma_g=0.0)
 
 
 def build_quadratic_ensemble(b_values, g_bound=None) -> ProblemInstance:
@@ -398,14 +420,14 @@ def build_quadratic_ensemble(b_values, g_bound=None) -> ProblemInstance:
     # gradient gaps are constant in x for unit-curvature quadratics
     sigma_g = float(np.max(np.abs(b - b.mean()))) if len(b) > 1 else 0.0
     radius = max(2.0, 2.0 * float(np.max(np.abs(b - b.mean()))) + 1.0)
-    gmax, _ = _probe_constants(clients, 1, opt, radius)
+    prob = _provisional(clients, 1)
+    gmax, _ = _probe_constants(prob, _probe_grid(opt, radius, 1))
     methods = {"L": "max eigenvalue (exact, unit curvature)",
                "sigma_g": "closed form (constant gradient gaps)",
                "G": "declared" if g_bound is not None else "probe-grid estimate"}
-    return ProblemInstance(
-        clients=clients, dim=1, L=1.0,
-        G=float(g_bound) if g_bound is not None else gmax,
-        sigma_l=0.0, sigma_g=sigma_g, f_star=f_star, global_optimum=opt,
+    return replace(
+        prob, G=float(g_bound) if g_bound is not None else gmax,
+        sigma_g=sigma_g, f_star=f_star, global_optimum=opt,
         constant_methods=methods)
 
 
@@ -429,13 +451,13 @@ def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
     center = opt if opt is not None else np.zeros(dim)
     spans = [np.linalg.norm(c.local_minimizer - center) for c in clients]
     radius = max(2.0, 2.0 * max(spans) + 1.0)
-    gmax, divmax = _probe_constants(clients, dim, center, radius)
+    prob = _provisional(clients, dim, L=L)
+    gmax, divmax = _probe_constants(prob, _probe_grid(center, radius, dim))
     methods = {"L": "max eigenvalue of A_i^T A_i over clients",
                "sigma_g": "probe-grid estimate",
                "G": "declared" if g_bound is not None else "probe-grid estimate"}
-    return ProblemInstance(
-        clients=clients, dim=dim, L=L,
-        G=float(g_bound) if g_bound is not None else gmax,
+    return replace(
+        prob, G=float(g_bound) if g_bound is not None else gmax,
         sigma_l=float(sigma_l), sigma_g=divmax, f_star=f_star,
         global_optimum=opt, constant_methods=methods)
 
@@ -471,29 +493,20 @@ def build_mlp_synthetic_ensemble(hidden_width, N, samples_per_client,
         clients.append(MLPObjective(X=X, y=y, hidden=hidden_width, n_classes=n_classes))
     clients = tuple(clients)
     dim = clients[0].dim
+    prob = _provisional(clients, dim)
     # sampled estimates: random pairs for L, random points for G / sigma_g
     est = rngmod.stream(seed, "mlp-constants")
     L = 0.0
     for _ in range(200):
         x1 = est.normal(0.0, 1.0, size=dim)
         x2 = x1 + est.normal(0.0, 0.3, size=dim)
-        for obj in clients:
-            num = np.linalg.norm(obj.grad(x1) - obj.grad(x2))
-            L = max(L, num / np.linalg.norm(x1 - x2))
+        num = norms(prob.client_grads(x1) - prob.client_grads(x2))
+        L = max(L, float(num.max()) / np.linalg.norm(x1 - x2))
     L *= 1.5
-    gmax, divmax = 0.0, 0.0
-    for _ in range(50):
-        x = est.normal(0.0, 1.0, size=dim)
-        grads = [obj.grad(x) for obj in clients]
-        mean = sum(grads) / len(grads)
-        for gr in grads:
-            gmax = max(gmax, float(np.linalg.norm(gr)))
-            divmax = max(divmax, float(np.linalg.norm(gr - mean)))
+    gmax, divmax = _probe_constants(prob, est.normal(0.0, 1.0, size=(50, dim)))
     methods = {"L": "sampled pair estimate (x1.5 margin)",
                "sigma_g": "sampled estimate",
                "G": "declared" if g_bound is not None else "sampled estimate"}
-    return ProblemInstance(
-        clients=clients, dim=dim, L=float(L),
-        G=float(g_bound) if g_bound is not None else 2.0 * gmax,
-        sigma_l=0.0, sigma_g=divmax, f_star=None, global_optimum=None,
-        constant_methods=methods)
+    return replace(
+        prob, L=float(L), G=float(g_bound) if g_bound is not None else 2.0 * gmax,
+        sigma_g=divmax, constant_methods=methods)

@@ -240,3 +240,47 @@ def test_malformed_yaml_exit_code(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config" and "cannot read config" in err["message"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"run": {"noise_mode": "minibatch", "batch_size": 2}},
+     "does not support minibatch"),
+    ({"privacy": {"enabled": True}, "clipping": {"mode": "none", "threshold": None}},
+     "finite clipping threshold"),
+    ({"run": {"noise_mode": "minibatch"}}, "batch_size"),
+    ({"problem": {"g_bound": float("inf")}}, "must be finite"),
+])
+def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["problem"]["b"] = [-1.0, 1.0]
+    cfg["run"]["sampled_per_round"] = 2
+    for section, values in overrides.items():
+        cfg.setdefault(section, {}).update(values)
+    code, err = run_cli_error(tmp_path, capsys, cfg)
+    assert code == 2
+    assert err["error"] == "config" and message in err["message"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_exhaustive_local_phase_artifacts_are_strict_json(tmp_path):
+    path = write_config(tmp_path, {"problem": {"b": [-1.0, 1.0]},
+                                   "run": {"local_steps": "inf",
+                                           "sampled_per_round": 2}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    for line in (out / "rounds.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+    bound = json.loads((out / "bound.json").read_text(),
+                       parse_constant=_reject_constant)
+    assert bound["drift"] is None and bound["clipping_bias_sq"] is None
+    assert bound["total"] is None
+    assert bound["null_reason"] == "not applicable for Q=inf"
+    assert bound["initial_gap"] == 0.0 and not bound["certified"]
+    main(["run", "--config", str(path), "--out", str(tmp_path / "again")])
+    result = tmp_path / "compare.json"
+    assert main(["compare", str(out), str(tmp_path / "again"),
+                 "--out", str(result)]) == 0
+    json.loads(result.read_text(), parse_constant=_reject_constant)

@@ -13,8 +13,10 @@ from fedclip.diagnostics import (BoundInputs, bound_inputs_from_trace,
                                  stepsize_regime, theorem1_bound,
                                  update_distribution)
 from fedclip.engine import RunConfig, run_experiment
-from fedclip.privacy import PrivacyConfig
-from fedclip.problems import build_quadratic_ensemble
+from fedclip.privacy import (PrivacyConfig, calibrate_noise,
+                             noise_term_in_bound)
+from fedclip.problems import (build_linear_regression_ensemble,
+                              build_quadratic_ensemble)
 
 NO_PRIVACY = PrivacyConfig(enabled=False)
 
@@ -141,6 +143,37 @@ def test_corollary_bound_terms_and_reference_scale():
                               N=64, epsilon=1.0, delta=1e-5, L=1.0, f_gap=1.0,
                               sigma_l=1.0, sigma_g=0.5, c_prime=4.0)
     assert bigger["privacy_noise"] == pytest.approx(4.0 * out["privacy_noise"])
+    # the shared terms are theorem1_bound's with gamma = 1 and no bias, and
+    # equal the corollary's own closed forms bit for bit
+    eta_g, eta_l, Q, T, P, d, L = 1.0, 0.01, 2, 100, 8, 4, 1.0
+    spec = calibrate_noise(PrivacyConfig(enabled=True, epsilon=1.0, delta=1e-5),
+                           eta_l * Q * 2.0, P, 64, T, dim=d)
+    th = theorem1_bound(BoundInputs(f_gap=1.0, L=L, sigma_l=1.0, sigma_g=0.5,
+                                    G=3.0, d=d, eta_l=eta_l, eta_g=eta_g, Q=Q,
+                                    T=T, P=P, N=64, sigma2=spec.sigma2))
+    closed = {
+        "initial_gap": 4.0 * 1.0 / (eta_g * eta_l * Q * T),
+        "drift": 12.5 * eta_l ** 2 * L * Q * (1.0 ** 2 + 6.0 * Q * 0.5 ** 2),
+        "sampling_variance": 6.0 * eta_g * eta_l * L * 1.0 ** 2 / P,
+        "privacy_noise": noise_term_in_bound(spec, eta_g, eta_l, P, Q, L, d=d),
+    }
+    for k, v in closed.items():
+        assert out[k] == th[k] == v, k
+    assert out["clipping_bias_abs"] == out["clipping_bias_sq"] == 0.0
+
+
+def test_bound_terms_growing_with_q_are_null_at_q_inf():
+    inputs = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.5, G=1.0,
+                         d=1, eta_l=0.1, eta_g=1.0, Q=math.inf, T=10, P=2, N=2,
+                         bias_sq_sum=0.0)
+    out = theorem1_bound(inputs)
+    assert out["drift"] is None and out["clipping_bias_sq"] is None
+    assert out["total"] is None
+    assert out["null_reason"] == "not applicable for Q=inf"
+    assert out["initial_gap"] == 0.0 and out["privacy_noise"] == 0.0
+    assert not out["certified"]
+    finite = theorem1_bound(BoundInputs(**{**vars(inputs), "Q": 2}))
+    assert "null_reason" not in finite and finite["total"] > 0
 
 
 def test_drift_lemma_holds_on_deterministic_runs():
@@ -149,6 +182,42 @@ def test_drift_lemma_holds_on_deterministic_runs():
     assert out["pass"]
     assert len(out["rows"]) == 6 * 4
     assert all(r["lhs"] <= r["rhs"] + 1e-15 for r in out["rows"])
+
+
+def reference_drift_rows(trace):
+    """The drift lemma's left side, client by client and step by step."""
+    cfg, prob = trace.config, trace.problem
+    Q, el = int(cfg.local_steps), cfg.eta_l
+    out = []
+    for rd in trace.rounds:
+        x0 = np.asarray(rd.record.x)
+        sq = np.zeros(Q)
+        for obj in prob.clients:
+            x = np.array(x0, copy=True)
+            for q in range(Q):
+                sq[q] += float(np.dot(x - x0, x - x0))
+                x = x - el * obj.grad(x)
+        sq /= prob.n_clients
+        out.extend((rd.record.t, q, float(sq[q])) for q in range(Q))
+    return out
+
+
+def test_drift_check_matches_client_by_client_reference():
+    traces = [run([-3.0, -1.0, 0.5, 1.0, 2.0, 2.5, 4.0, 5.0, 7.0], rounds=4,
+                  local_steps=5, eta_l=0.03,
+                  policy=ClippingPolicy(mode="difference", threshold=0.05))]
+    g = rngmod.stream(6, "drift-reference")
+    for rows in ((6,) * 9, (4, 7, 5)):  # equal, unequal row counts
+        A = [g.normal(size=(n, 3)) for n in rows]
+        b = [g.normal(size=n) for n in rows]
+        cfg = RunConfig(rounds=3, local_steps=4, n_clients=len(rows),
+                        sampled_per_round=2, eta_l=0.01, eta_g=1.0,
+                        policy=ClippingPolicy(mode="none"), privacy=NO_PRIVACY,
+                        seed=2, x0=g.normal(size=3))
+        traces.append(run_experiment(cfg, build_linear_regression_ensemble(A, b)))
+    for trace in traces:
+        got = [(r["t"], r["q"], r["lhs"]) for r in drift_check(trace)["rows"]]
+        assert got == reference_drift_rows(trace)
 
 
 def test_drift_check_rejects_stochastic_or_exhaustive_runs():

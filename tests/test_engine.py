@@ -206,6 +206,12 @@ def test_config_validation():
         make_config(sampled_per_round=2)  # exceeds n_clients
     with pytest.raises(ValueError):
         make_config(eta_l=0.0)
+    with pytest.raises(ValueError, match="noise mode"):
+        make_config(noise_mode="laplace")
+    for batch_size in (None, 0, 2.5, True):
+        with pytest.raises(ValueError, match="batch_size"):
+            make_config(noise_mode="minibatch", batch_size=batch_size)
+    assert make_config(noise_mode="minibatch", batch_size=np.int64(3)).batch_size == 3
 
 
 def test_record_json_is_stable():

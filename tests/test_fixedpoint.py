@@ -175,3 +175,51 @@ def test_eq7_ensemble_shape():
     assert ens.n_clients == 3
     np.testing.assert_allclose(ens.global_optimum, [0.0], atol=1e-14)
     np.testing.assert_allclose(ens.grad_sum(np.array([2.0])), [82.0])
+
+
+def reference_clipped_mean_step(vectors, c):
+    s = np.zeros_like(vectors[0])
+    for v in vectors:
+        s = s + clip(v, c)
+    return s
+
+
+def test_maps_match_client_by_client_reference():
+    g = rngmod.stream(11, "map-reference")
+    A = [np.diag(g.uniform(0.5, 1.5, size=2)) + 0.1 * g.normal(size=(2, 2))
+         for _ in range(9)]
+    b = [g.normal(size=2) for _ in range(9)]
+    ensembles = [eq7_ensemble(), build_linear_regression_ensemble(A, b)]
+    for ens in ensembles:
+        N, d = ens.n_clients, ens.dim
+        minimizers = [obj.local_minimizer for obj in ens.clients]
+        for c in (math.inf, 1.0, 0.05):
+            grad_map = make_gradient_clip_map(ens, c, step=0.01)
+            min_map = make_local_min_clip_map(ens, c, step=0.2)
+            for Q in (1, 3, Q_INF):
+                diff_map = make_difference_clip_map(ens, 0.05, Q, c)
+                lams = [lambda_map_matrix(obj.A, 0.05, Q) for obj in ens.clients]
+                for _ in range(40):
+                    x = g.normal(0.0, 3.0, size=d)
+                    grads = [obj.grad(x) for obj in ens.clients]
+                    ref = x - reference_clipped_mean_step(
+                        [lam @ gr for lam, gr in zip(lams, grads)], c) / N
+                    assert np.array_equal(diff_map(x), ref)
+                    assert np.array_equal(difference_clip_map(x, ens, 0.05, Q, c), ref)
+            for _ in range(40):
+                x = g.normal(0.0, 3.0, size=d)
+                grads = [obj.grad(x) for obj in ens.clients]
+                ref = x - 0.01 * reference_clipped_mean_step(grads, c) / N
+                assert np.array_equal(grad_map(x), ref)
+                ref = x - 0.2 * reference_clipped_mean_step(
+                    [x - m for m in minimizers], c) / N
+                assert np.array_equal(min_map(x), ref)
+
+
+def test_model_clip_map_matches_client_by_client_reference():
+    g = rngmod.stream(12, "model-map-reference")
+    b = g.normal(0.0, 3.0, size=10).tolist()
+    for x in g.normal(0.0, 3.0, size=200):
+        ref = float(np.mean([clip(np.array([0.6 * x + (1.0 - 0.6) * bi]), 1.0)[0]
+                             for bi in b]))
+        assert model_clip_map(float(x), b, 0.6, 1.0) == ref

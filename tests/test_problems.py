@@ -8,7 +8,8 @@ from fedclip.problems import (GradientOracle, LinearRegressionObjective,
                               MLPObjective, ScalarQuadratic,
                               build_linear_regression_ensemble,
                               build_mlp_synthetic_ensemble,
-                              build_quadratic_ensemble, sample_gradient)
+                              build_quadratic_ensemble, sample_gradient,
+                              _probe_grid)
 
 
 def central_diff(fn, x, h=1e-6):
@@ -84,6 +85,15 @@ def test_ensemble_builder_validation():
         build_quadratic_ensemble([])
     with pytest.raises(ValueError):
         build_linear_regression_ensemble([np.eye(2)], [])
+
+
+def test_non_finite_constants_are_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        build_quadratic_ensemble([0.0, 1.0], g_bound=float("inf"))
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        # L = A^2 overflows to inf
+        build_linear_regression_ensemble([np.array([[1e155]]), np.eye(1)],
+                                         [np.zeros(1), np.zeros(1)])
 
 
 def test_declared_g_bound_is_recorded():
@@ -162,3 +172,55 @@ def test_rng_streams_are_reproducible_and_distinct():
     c = rngmod.stream(1, "grad", 0, 1).normal(size=4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def reference_probe(clients, pts):
+    """Max gradient norm and max gap to the client mean, client by client."""
+    gmax = divmax = 0.0
+    for x in pts:
+        grads = [obj.grad(x) for obj in clients]
+        mean = sum(grads) / len(grads)
+        for g in grads:
+            gmax = max(gmax, float(np.linalg.norm(g)))
+            divmax = max(divmax, float(np.linalg.norm(g - mean)))
+    return gmax, divmax
+
+
+def test_quadratic_constants_match_client_by_client_reference():
+    b = rngmod.stream(2, "ref-quad").normal(0.0, 2.0, size=11)
+    ens = build_quadratic_ensemble(b.tolist())
+    radius = max(2.0, 2.0 * float(np.max(np.abs(b - b.mean()))) + 1.0)
+    gmax, _ = reference_probe(ens.clients, _probe_grid(ens.global_optimum, radius, 1))
+    assert (ens.L, ens.G) == (1.0, gmax)
+    assert ens.sigma_g == float(np.max(np.abs(b - b.mean())))
+
+
+@pytest.mark.parametrize("rows", [(7,) * 9, (4, 9, 6, 5)])
+def test_linear_regression_constants_match_client_by_client_reference(rows):
+    g = rngmod.stream(len(rows), "ref-linreg")
+    A = [g.normal(size=(n, 3)) for n in rows]
+    b = [g.normal(size=n) for n in rows]
+    ens = build_linear_regression_ensemble(A, b)
+    spans = [np.linalg.norm(c.local_minimizer - ens.global_optimum)
+             for c in ens.clients]
+    radius = max(2.0, 2.0 * max(spans) + 1.0)
+    gmax, divmax = reference_probe(ens.clients,
+                                   _probe_grid(ens.global_optimum, radius, 3))
+    L = max(float(np.linalg.eigvalsh(c.A.T @ c.A)[-1]) for c in ens.clients)
+    assert (ens.L, ens.G, ens.sigma_g) == (L, gmax, divmax)
+
+
+def test_mlp_constants_match_client_by_client_reference():
+    ens = build_mlp_synthetic_ensemble(hidden_width=4, N=9, samples_per_client=12,
+                                       heterogeneity=0.7, seed=5, n_classes=3)
+    est = rngmod.stream(5, "mlp-constants")
+    L = 0.0
+    for _ in range(200):
+        x1 = est.normal(0.0, 1.0, size=ens.dim)
+        x2 = x1 + est.normal(0.0, 0.3, size=ens.dim)
+        for obj in ens.clients:
+            num = np.linalg.norm(obj.grad(x1) - obj.grad(x2))
+            L = max(L, num / np.linalg.norm(x1 - x2))
+    pts = [est.normal(0.0, 1.0, size=ens.dim) for _ in range(50)]
+    gmax, divmax = reference_probe(ens.clients, pts)
+    assert (ens.L, ens.G, ens.sigma_g) == (float(L * 1.5), 2.0 * gmax, divmax)
