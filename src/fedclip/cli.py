@@ -143,7 +143,7 @@ class ExperimentConfig:
             seed=int(seed if seed is not None else r.get("seed", 0)), x0=x0,
             noise_mode=r.get("noise_mode", "deterministic"),
             batch_size=r.get("batch_size"),
-            replay_count=int(r.get("replay_count", 32)))
+            replay_count=r.get("replay_count", 32))
 
     def replicate_seeds(self):
         seeds = self.replicates.get("seeds")
@@ -190,6 +190,7 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
     bound["f_gap_method"] = f_gap_method
     bound["measured_stationarity"] = diagnostics.measured_stationarity(trace)
     bound["constant_methods"] = prob.constant_methods
+    bound["alpha_tilde_method"] = trace.metadata["alpha_tilde_method"]
     bound.update({k: trace.metadata[k] for k in ("calibration_note",)
                   if k in trace.metadata})
     with open(outdir / "bound.json", "w") as fh:

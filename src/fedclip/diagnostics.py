@@ -104,7 +104,8 @@ def theorem1_bound(inputs: BoundInputs) -> dict:
     the first / second order clipping-bias terms. The result is marked
     not-certified when the stepsize regime fails or oracle bound violations
     were recorded. At Q = Q_INF the terms that grow with Q, and the total,
-    are None, and ``null_reason`` says why.
+    are None, and ``null_reason`` says why; so is a term (and the total)
+    that overflows float64, as with very large problem constants.
     """
     if inputs.eta_g <= 0 or inputs.eta_l <= 0 or inputs.Q <= 0 or inputs.T <= 0:
         raise ValueError("nonpositive denominator in bound")
@@ -128,6 +129,12 @@ def theorem1_bound(inputs: BoundInputs) -> dict:
                    null_reason="not applicable for Q=inf")
     else:
         out["total"] = sum(terms.values())
+    overflow = [k for k in (*terms, "total")
+                if out[k] is not None and not math.isfinite(out[k])]
+    if overflow:
+        out.update(dict.fromkeys(overflow + ["total"]),
+                   null_reason="; ".join(filter(None, [out.get("null_reason"),
+                                                       "overflows float64"])))
     out["regime"] = regime
     out["certified"] = inputs.certified and all(regime.values())
     return out

@@ -27,9 +27,10 @@ _LOCAL_MAX_STEPS = 10 ** 6
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, round_index, norm):
-        what = ("iterate has a NaN entry" if math.isnan(norm) else
-                f"iterate norm {norm:.3e} exceeded {_DIVERGENCE_NORM:.0e}")
+    def __init__(self, round_index, norm, what=None):
+        if what is None:
+            what = ("iterate has a NaN entry" if math.isnan(norm) else
+                    f"iterate norm {norm:.3e} exceeded {_DIVERGENCE_NORM:.0e}")
         super().__init__(f"{what} at round {round_index}")
         self.round_index = round_index
         self.norm = norm
@@ -43,6 +44,10 @@ def _check_finite(v, round_index):
     if not (n <= _DIVERGENCE_NORM).all():
         n = np.atleast_1d(n)
         raise DivergenceError(round_index, float(n[~(n <= _DIVERGENCE_NORM)][0]))
+
+
+def _positive_int(v):
+    return not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,10 @@ class RunConfig:
     x0: np.ndarray
     noise_mode: str = "deterministic"
     batch_size: int | None = None
-    replay_count: int = 32  # local-trajectory replays for the expected-path factor
+    # local-phase replays averaged for the expected-path factor alpha~; used
+    # only where alpha~ has no exact form: the MLP, and Q_INF with a
+    # stochastic oracle (see alpha_tilde_method)
+    replay_count: int = 32
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -73,10 +81,10 @@ class RunConfig:
             raise ValueError("stepsizes must be positive")
         if self.noise_mode not in ("deterministic", "gaussian", "minibatch"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
-        b = self.batch_size
-        if self.noise_mode == "minibatch" and (
-                isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1):
+        if self.noise_mode == "minibatch" and not _positive_int(self.batch_size):
             raise ValueError("minibatch noise needs a positive integer batch_size")
+        if not _positive_int(self.replay_count):
+            raise ValueError("replay_count must be a positive integer")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
@@ -204,30 +212,60 @@ def _oracle(config, problem, tag, t, *replay):
                          rngs=rngs, grad_bound=problem.G)
 
 
+ALPHA_TILDE_REALIZED = "realized (deterministic oracle or no difference clipping)"
+ALPHA_TILDE_EXACT = "exact expected path (affine gradients)"
+
+
+def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
+    """How ``run_round`` obtains each client's expected-path clip factor
+    alpha~, the difference-clip factor of eta_l * E[gradient sum]:
+
+    - ``ALPHA_TILDE_REALIZED``: the realized factor, when the oracle is
+      deterministic (the expectation is the realized sum) or the policy is
+      not difference clipping;
+    - ``ALPHA_TILDE_EXACT``: one noise-free local phase, when every client's
+      gradient is affine and Q is finite, since then the expected path is the
+      noise-free path (``ProblemInstance.affine_grads``);
+    - "mean of R replays": otherwise (the MLP, or Q_INF, whose stopping step
+      depends on the draws), the mean gradient sum of R local phases
+      replayed on the ("replay", t, i, r) streams.
+    """
+    if config.policy.mode != "difference" or config.noise_mode == "deterministic":
+        return ALPHA_TILDE_REALIZED
+    if config.local_steps != Q_INF and problem.affine_grads:
+        return ALPHA_TILDE_EXACT
+    return f"mean of {config.replay_count} replays"
+
+
 def run_round(x, t, config: RunConfig, problem: ProblemInstance,
               noise_spec=None, prev_update=None):
     """Execute one round; returns (x_next, RoundData, violation_count).
 
     All N clients are evaluated (diagnostics average over the full
     federation); only the sampled multiset contributes to the aggregate.
+    The expected-path passes draw only from their own streams, so they never
+    change the realized trajectory, and their violations are not counted.
     """
     oracle = _oracle(config, problem, "grad", t)
     X, _ = local_phase(oracle, x, config.local_steps, config.eta_l, t)
     deltas = X - x
     transmitted, alphas = clipping.apply_policy(config.policy, X, x)
     alphas = alphas.tolist()
-    if config.policy.mode == "difference" and config.noise_mode != "deterministic":
-        # estimate E[sum of sampled gradients] by replaying the local phase
-        acc = np.zeros_like(X)
-        for r in range(config.replay_count):
-            rep = _oracle(config, problem, "replay", t, r)
-            acc += local_phase(rep, x, config.local_steps, config.eta_l, t)[1]
-        acc /= config.replay_count
-        alpha_tildes = clipping.clip_factor(config.eta_l * acc,
-                                            float(config.policy.threshold)).tolist()
-    else:
-        # deterministic trajectory: the expectation equals the realized sum
+    method = alpha_tilde_method(config, problem)
+    if method == ALPHA_TILDE_REALIZED:
         alpha_tildes = alphas
+    else:
+        if method == ALPHA_TILDE_EXACT:
+            gsum = local_phase(StackedOracle(problem), x, config.local_steps,
+                               config.eta_l, t)[1]
+        else:
+            gsum = np.zeros_like(X)
+            for r in range(config.replay_count):
+                rep = _oracle(config, problem, "replay", t, r)
+                gsum += local_phase(rep, x, config.local_steps, config.eta_l, t)[1]
+            gsum /= config.replay_count
+        alpha_tildes = clipping.clip_factor(config.eta_l * gsum,
+                                            float(config.policy.threshold)).tolist()
 
     N = config.n_clients
     if config.sampled_per_round == N:
@@ -250,6 +288,13 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
     x_next = x + config.eta_g * agg
     _check_finite(x_next, t)
 
+    # large data can overflow the loss or the gradient at a finite iterate
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = problem.loss_mean(x)
+        grad_norm = float(np.linalg.norm(problem.grad_mean(x)))
+    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+        raise DivergenceError(t, grad_norm, what="loss or gradient norm is not finite")
+
     delta_norms = clipping.norms(deltas)
     if prev_update is None:
         angles = [None] * N
@@ -257,8 +302,7 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
         angles = _angles_degrees(deltas, delta_norms, prev_update)
     record = RoundRecord(
         t=t, x=x.tolist(), sampled=sampled.tolist(),
-        loss=problem.loss_mean(x),
-        global_grad_norm=float(np.linalg.norm(problem.grad_mean(x))),
+        loss=loss, global_grad_norm=grad_norm,
         alpha_bar=float(np.mean(alpha_tildes)),
         delta_norms=delta_norms.tolist(), alphas=alphas,
         alpha_tildes=alpha_tildes, angles=angles)
@@ -295,7 +339,7 @@ def run_experiment(config: RunConfig, problem: ProblemInstance,
             cfg, policy=cfg.policy.resolved(_auto_threshold(cfg, problem)))
 
     noise_spec = None
-    metadata = {}
+    metadata = {"alpha_tilde_method": alpha_tilde_method(cfg, problem)}
     if cfg.privacy.enabled:
         if cfg.policy.mode == "none" or not math.isfinite(float(cfg.policy.threshold)):
             raise ValueError("privacy requires a finite clipping threshold")
@@ -305,7 +349,8 @@ def run_experiment(config: RunConfig, problem: ProblemInstance,
         metadata["noise_sigma2"] = noise_spec.sigma2
         metadata["noise_in_regime"] = noise_spec.in_regime
         metadata["calibration_note"] = privacy.CALIBRATION_NOTE
-    if cfg.policy.mode != "none":
+    if cfg.policy.mode != "none" and math.isfinite(float(cfg.policy.threshold)):
+        # an infinite threshold clips nothing and is left out, like mode none
         metadata["threshold"] = float(cfg.policy.threshold)
 
     x = np.array(cfg.x0, dtype=float, copy=True)

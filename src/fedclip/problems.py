@@ -48,6 +48,9 @@ class ScalarQuadratic:
 
     b: float
 
+    # the gradient is affine in x (see ProblemInstance.affine_grads)
+    affine_grad = True
+
     @property
     def dim(self) -> int:
         return 1
@@ -72,6 +75,8 @@ class LinearRegressionObjective:
 
     A: np.ndarray
     b: np.ndarray
+
+    affine_grad = True
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -124,6 +129,8 @@ class MLPObjective:
     y: np.ndarray
     hidden: int
     n_classes: int
+
+    affine_grad = False
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -220,10 +227,20 @@ class ProblemInstance:
             raise ValueError("invalid constants: require L > 0, sigma_l >= 0, sigma_g >= 0")
         if not np.isfinite([self.L, self.G, self.sigma_l, self.sigma_g]).all():
             raise ValueError("invalid constants: L, G, sigma_l and sigma_g must be finite")
+        if self.f_star is not None and not np.isfinite(self.f_star):
+            raise ValueError("invalid constants: f_star must be finite")
 
     @property
     def n_clients(self) -> int:
         return len(self.clients)
+
+    @property
+    def affine_grads(self) -> bool:
+        """Whether every client's gradient is affine in x. Then a stochastic
+        oracle's expected local path is the noise-free one: Gaussian noise has
+        zero mean, and a minibatch, drawn independently of the iterate, gives
+        an unbiased gradient, so E[grad(x_q)] = grad(E[x_q]) at every step."""
+        return all(getattr(c, "affine_grad", False) for c in self.clients)
 
     @cached_property
     def _stacked(self):
@@ -384,6 +401,8 @@ def sample_gradient(oracle: GradientOracle, x):
 
 
 def _probe_grid(center, radius, dim, n_points=64, seed=12345):
+    if not np.isfinite(radius):
+        raise ValueError("probe radius overflows: the client data is too large")
     g = rngmod.stream(seed, "probe")
     pts = center + g.uniform(-radius, radius, size=(n_points, dim))
     return np.vstack([pts, center.reshape(1, -1)])
@@ -409,6 +428,14 @@ def _provisional(clients, dim, L=1.0):
                            sigma_g=0.0)
 
 
+# The builders of user-supplied data run without numpy's overflow and
+# invalid-value warnings: a constant that overflows comes out non-finite, and
+# ProblemInstance rejects it. The MLP builder generates its own data and runs
+# without: under errstate a small ufunc call costs about twice as much.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def build_quadratic_ensemble(b_values, g_bound=None) -> ProblemInstance:
     """Ensemble of scalar quadratics 0.5 * (x - b_i)^2."""
     if len(b_values) == 0:
@@ -431,6 +458,7 @@ def build_quadratic_ensemble(b_values, g_bound=None) -> ProblemInstance:
         constant_methods=methods)
 
 
+@_quiet_overflow
 def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
                                      sigma_l=0.0) -> ProblemInstance:
     """Ensemble of least-squares clients 0.5 * ||A_i x - b_i||^2."""

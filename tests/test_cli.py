@@ -1,11 +1,22 @@
 """End-to-end tests for the config loader, runner, and artifact writers."""
 
 import csv
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import event, given, settings, strategies as st
 
+import fedclip
 from fedclip.cli import ConfigError, ExperimentConfig, load_config, main
 
 BASE_CONFIG = {
@@ -284,3 +295,204 @@ def test_exhaustive_local_phase_artifacts_are_strict_json(tmp_path):
     assert main(["compare", str(out), str(tmp_path / "again"),
                  "--out", str(result)]) == 0
     json.loads(result.read_text(), parse_constant=_reject_constant)
+
+
+LINREG_PROBLEM = {"kind": "linear_regression",
+                  "A": [[[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]] * 2,
+                  "b_list": [[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]]}
+
+
+@pytest.mark.parametrize("problem, run, method", [
+    ({}, {}, "realized (deterministic oracle or no difference clipping)"),
+    (LINREG_PROBLEM, {"noise_mode": "minibatch", "batch_size": 2},
+     "exact expected path (affine gradients)"),
+    ({"b": [-1.0, 1.0]}, {"noise_mode": "gaussian", "local_steps": "inf",
+                          "replay_count": 2}, "mean of 2 replays"),
+    ({"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_client": 6,
+      "seed": 3}, {"noise_mode": "minibatch", "batch_size": 2, "replay_count": 3,
+                   "x0": 0.1}, "mean of 3 replays"),
+])
+def test_bound_json_names_the_alpha_tilde_method(tmp_path, problem, run, method):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    if problem.get("kind", "quadratic") != "quadratic":
+        cfg["problem"] = {}
+    cfg["problem"].update(problem)
+    cfg["run"].update({"sampled_per_round": 2, **run})
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    bound = json.loads((out / "bound.json").read_text())
+    assert bound["alpha_tilde_method"] == method
+    assert list(bound).index("alpha_tilde_method") == list(bound).index(
+        "constant_methods") + 1
+
+
+@pytest.mark.parametrize("replay_count", [0, -1])
+def test_replay_count_below_one_exits_2(tmp_path, capsys, replay_count):
+    # minibatch linear regression no longer replays at finite Q, but the
+    # count is still checked; at 0 the replay mean used to divide by zero
+    code, err = run_cli_error(tmp_path, capsys, {
+        "problem": LINREG_PROBLEM,
+        "run": {"rounds": 2, "local_steps": 2, "sampled_per_round": 2,
+                "eta_l": 0.05, "eta_g": 1.0, "x0": 0.0, "noise_mode": "minibatch",
+                "batch_size": 2, "replay_count": replay_count},
+        "clipping": {"mode": "difference", "threshold": 0.1},
+    })
+    assert code == 2
+    assert err["error"] == "config" and "replay_count" in err["message"]
+
+
+def test_overflowing_constants_print_one_json_line(tmp_path):
+    # A^T A overflows: the constants are rejected as non-finite, and numpy's
+    # overflow warnings must not reach stderr ahead of the error line
+    cfg = {"problem": {"kind": "linear_regression",
+                       "A": [[[1e155, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+                       "b_list": [[1.0, 0.0], [0.0, 1.0]]},
+           "run": {"rounds": 2, "local_steps": 2, "sampled_per_round": 2,
+                   "eta_l": 0.1, "eta_g": 1.0, "x0": 0.0}}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(fedclip.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedclip.cli", "run", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "must be finite" in err["message"]
+
+
+@pytest.mark.parametrize("problem, code, message", [
+    # the probe radius around the optimum is inf
+    ({"A": [[[-2.0]], [[-2.0]]], "b_list": [[-2.0], [1e155]]}, 2,
+     "probe radius overflows"),
+    # the residual at the optimum overflows; the gradients do not
+    ({"A": [[[1.0], [1.0]]], "b_list": [[1e155, -1e155]]}, 2,
+     "f_star must be finite"),
+    # rank-deficient, so no f_star, and the loss is inf at every iterate
+    ({"A": [[[1.0, 0.0], [1.0, 0.0]]], "b_list": [[1e155, -1e155]]}, 3,
+     "loss or gradient norm is not finite at round 0"),
+])
+def test_overflowing_data_exits_cleanly(tmp_path, capsys, problem, code, message):
+    exit_code, err = run_cli_error(tmp_path, capsys, {
+        "problem": {"kind": "linear_regression", **problem},
+        "run": {"rounds": 2, "local_steps": 2, "sampled_per_round": 1,
+                "eta_l": 0.1, "eta_g": 1.0, "x0": 0.0}})
+    assert exit_code == code and message in err["message"]
+
+
+def test_overflowing_bound_terms_are_null(tmp_path):
+    # every constant is finite, but L * sigma_g^2 in the drift term is not
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({
+        "problem": {"kind": "linear_regression", "A": [[[1e60]], [[1.0]]],
+                    "b_list": [[0.0], [0.0]]},
+        "run": {"rounds": 2, "local_steps": 2, "sampled_per_round": 2,
+                "eta_l": 0.1, "eta_g": 1.0, "x0": 0.0}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    bound = json.loads((out / "bound.json").read_text(),
+                       parse_constant=_reject_constant)
+    assert bound["drift"] is None and bound["total"] is None
+    assert bound["null_reason"] == "overflows float64"
+
+
+def _finite_csv(path):
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), f"{path.name}: {cell!r}"
+
+
+_ENTRIES = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+# 1e60 keeps every problem constant finite but overflows bound terms;
+# 1e155 and -1e200 overflow A^T A, the probe radius or f_star
+_HUGE = st.sampled_from([1e60, 1e155, -1e200])
+
+
+@st.composite
+def small_configs(draw):
+    """Small `fedclip run` configs over every problem kind, oracle, clipping
+    mode and privacy switch, including replay counts below 1, overflowing
+    data and divergent stepsizes. Q = inf is drawn only for quadratics: a stochastic
+    linear regression never meets the 1e-12 stopping rule and would run its
+    1e6-step cap."""
+    kind = draw(st.sampled_from(["quadratic", "linear_regression", "mlp"]))
+    n = draw(st.integers(1, 3))
+
+    def entries(size):
+        return draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+
+    if kind == "quadratic":
+        problem = {"kind": kind, "b": entries(n)}
+        data = problem["b"]
+    elif kind == "linear_regression":
+        rows, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        problem = {"kind": kind, "A": [[entries(d) for _ in range(rows)]
+                                       for _ in range(n)],
+                   "b_list": [entries(rows) for _ in range(n)]}
+        data = problem["A"][-1][-1]
+    else:
+        problem = {"kind": kind, "hidden_width": draw(st.integers(1, 2)),
+                   "n_clients": n, "samples_per_client": draw(st.integers(2, 4)),
+                   "seed": draw(st.integers(0, 3))}
+        data = None
+    if data is not None and draw(st.integers(0, 3)) == 0:
+        data[-1] = draw(_HUGE)
+    noise_mode = draw(st.sampled_from(["deterministic", "gaussian", "minibatch"]
+                                      if kind != "quadratic" else
+                                      ["deterministic", "gaussian"]))
+    run = {"rounds": draw(st.integers(1, 3)),
+           "local_steps": draw(st.sampled_from(
+               [1, 3, "inf"] if kind == "quadratic" else [1, 3])),
+           "sampled_per_round": draw(st.integers(1, n)),
+           "eta_l": draw(st.sampled_from([0.05, 0.5, 2.5])),
+           "eta_g": draw(st.sampled_from([0.5, 1.0, 40.0])),
+           "x0": draw(st.sampled_from([0.0, 1.5])),
+           "seed": draw(st.integers(0, 5)), "noise_mode": noise_mode}
+    if noise_mode == "minibatch":
+        run["batch_size"] = draw(st.integers(1, 3))
+    replay_count = draw(st.sampled_from([None, None, 3, 2, 1, 0, -1]))
+    if replay_count is not None:
+        run["replay_count"] = replay_count
+    mode = draw(st.sampled_from(["none", "model", "difference"]))
+    clipping = {"mode": mode, "threshold": None if mode == "none" else
+                draw(st.sampled_from([0.05, 1.0, "auto", "inf"]))}
+    privacy = {"enabled": draw(st.booleans())}
+    return {"problem": problem, "run": run, "clipping": clipping, "privacy": privacy}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(small_configs())
+def test_generated_configs_exit_cleanly(cfg):
+    """Every run exits 0 with strict JSON and finite CSV artifacts, or exits
+    2 or 3 with exactly one JSON line on stderr; never a traceback, and no
+    numpy warning (outside pytest it would print on stderr too)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out, err = Path(tmp) / "out", io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        event(f"exit {code}")
+        assert [str(w.message) for w in caught] == []
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            for artifact in sorted(out.rglob("*.csv")):
+                _finite_csv(artifact)
+            for line in (out / "rounds.jsonl").read_text().splitlines():
+                json.loads(line, parse_constant=_reject_constant)
+            json.loads((out / "bound.json").read_text(),
+                       parse_constant=_reject_constant)
+        else:
+            assert code in (2, 3) and len(lines) == 1, err.getvalue()
+            assert json.loads(lines[0])["error"] == {2: "config", 3: "divergence"}[code]

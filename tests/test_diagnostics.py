@@ -1,5 +1,6 @@
 """Tests for bound quantities, bias aggregates, and distribution diagnostics."""
 
+import json
 import math
 
 import numpy as np
@@ -174,6 +175,21 @@ def test_bound_terms_growing_with_q_are_null_at_q_inf():
     assert not out["certified"]
     finite = theorem1_bound(BoundInputs(**{**vars(inputs), "Q": 2}))
     assert "null_reason" not in finite and finite["total"] > 0
+
+
+def test_bound_terms_that_overflow_are_null():
+    # sigma_g^2 = 1e240 times L = 1e120 overflows the drift term; the
+    # second-order bias term is 0 * inf
+    inputs = BoundInputs(f_gap=1.0, L=1e120, sigma_l=0.0, sigma_g=1e120, G=1e154,
+                         d=1, eta_l=0.1, eta_g=1.0, Q=2, T=10, P=2, N=2,
+                         bias_sq_sum=0.0)
+    out = theorem1_bound(inputs)
+    assert out["drift"] is None and out["clipping_bias_sq"] is None
+    assert out["total"] is None and out["null_reason"] == "overflows float64"
+    assert out["initial_gap"] == 4.0 * 1.0 / (1.0 * 0.1 * 2 * 10)
+    json.dumps(out, allow_nan=False)
+    at_inf = theorem1_bound(BoundInputs(**{**vars(inputs), "Q": math.inf}))
+    assert at_inf["null_reason"] == "not applicable for Q=inf; overflows float64"
 
 
 def test_drift_lemma_holds_on_deterministic_runs():

@@ -1,16 +1,21 @@
 """Tests for the simulation engine: local phases, rounds, and full runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedclip import rng as rngmod
 from fedclip.clipping import ClippingPolicy, clip
-from fedclip.engine import (DivergenceError, Q_INF, RunConfig, local_phase,
-                            local_update, record_to_json, run_experiment,
-                            run_round, sample_clients)
+from fedclip.engine import (ALPHA_TILDE_EXACT, DivergenceError, Q_INF, RunConfig,
+                            alpha_tilde_method, local_phase, local_update,
+                            record_to_json, run_experiment, run_round,
+                            sample_clients)
 from fedclip.privacy import NoiseSpec, PrivacyConfig, draw_noise
-from fedclip.problems import (GradientOracle, ScalarQuadratic, StackedOracle,
+from fedclip.problems import (GradientOracle, LinearRegressionObjective,
+                              ScalarQuadratic, StackedOracle,
                               build_linear_regression_ensemble,
+                              build_mlp_synthetic_ensemble,
                               build_quadratic_ensemble)
 
 NO_PRIVACY = PrivacyConfig(enabled=False)
@@ -212,6 +217,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="batch_size"):
             make_config(noise_mode="minibatch", batch_size=batch_size)
     assert make_config(noise_mode="minibatch", batch_size=np.int64(3)).batch_size == 3
+    for replay_count in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="replay_count"):
+            make_config(replay_count=replay_count)
+    assert make_config(replay_count=np.int64(1)).replay_count == 1
 
 
 def test_record_json_is_stable():
@@ -224,8 +233,16 @@ def test_record_json_is_stable():
 
 def reference_round(problem, cfg, x, t, noise_spec=None):
     """One difference-clipped round computed client by client from the
-    public single-client pieces, with the engine's stream keys."""
+    public single-client pieces, with the engine's stream keys.
+
+    The expected-path factor alpha~ clips eta_l times the gradient sum of a
+    noise-free local phase when every client is a quadratic or a linear
+    regression and Q is finite, and the mean gradient sum of the replays
+    otherwise."""
     c = float(cfg.policy.threshold)
+    exact = cfg.local_steps != Q_INF and all(
+        isinstance(obj, (ScalarQuadratic, LinearRegressionObjective))
+        for obj in problem.clients)
 
     def oracle(obj, *key):
         return GradientOracle(obj, noise_mode=cfg.noise_mode, sigma_l=problem.sigma_l,
@@ -243,11 +260,15 @@ def reference_round(problem, cfg, x, t, noise_spec=None):
         deltas.append(delta if alpha == 1.0 else delta * alpha)
         norms.append(norm)
         alphas.append(alpha)
-        acc = np.zeros_like(x)
-        for r in range(cfg.replay_count):
-            acc += local_update(obj, oracle(obj, "replay", t, i, r), x,
-                                cfg.local_steps, cfg.eta_l)[1]
-        acc /= cfg.replay_count
+        if exact:
+            acc = local_update(obj, GradientOracle(obj), x, cfg.local_steps,
+                               cfg.eta_l)[1]
+        else:
+            acc = np.zeros_like(x)
+            for r in range(cfg.replay_count):
+                acc += local_update(obj, oracle(obj, "replay", t, i, r), x,
+                                    cfg.local_steps, cfg.eta_l)[1]
+            acc /= cfg.replay_count
         alpha_tildes.append(c / max(c, float(np.linalg.norm(cfg.eta_l * acc))))
     sampled = np.arange(problem.n_clients)
     if cfg.sampled_per_round < problem.n_clients:
@@ -303,6 +324,72 @@ def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
         assert data.record.alphas == alphas
         assert data.record.alpha_tildes == alpha_tildes
         assert violations == ref_violations > 0
+
+
+def test_mlp_round_replays_match_per_client_reference():
+    """On the nonlinear MLP, alpha~ is still the mean of R replays, equal bit
+    for bit to replays run client by client on the ("replay", t, i, r)
+    streams."""
+    problem = build_mlp_synthetic_ensemble(hidden_width=3, N=3, samples_per_client=10,
+                                           heterogeneity=0.5, seed=4)
+    cfg = make_config(local_steps=2, n_clients=3, sampled_per_round=2, eta_l=0.1,
+                      policy=ClippingPolicy(mode="difference", threshold=0.02),
+                      seed=6, x0=np.zeros(problem.dim), noise_mode="minibatch",
+                      batch_size=3, replay_count=3)
+    assert alpha_tilde_method(cfg, problem) == "mean of 3 replays"
+    spec = NoiseSpec(sigma2=0.01, dim=problem.dim)
+    x = rngmod.stream(6, "mlp-x").normal(0.0, 0.5, size=problem.dim)
+    for t in range(2):
+        x_next, data, violations = run_round(x, t, cfg, problem, noise_spec=spec)
+        ref_agg, ref_x, norms, alphas, alpha_tildes, ref_violations = reference_round(
+            problem, cfg, x, t, noise_spec=spec)
+        np.testing.assert_array_equal(data.mean_transmitted, ref_agg)
+        np.testing.assert_array_equal(x_next, ref_x)
+        assert data.record.delta_norms == norms
+        assert data.record.alphas == alphas
+        assert data.record.alpha_tildes == alpha_tildes
+        assert max(alpha_tildes) < 1.0
+        assert violations == ref_violations
+        x = x_next
+
+
+@pytest.mark.parametrize("problem_kind, noise_mode", [
+    ("linear_regression", "minibatch"),
+    ("linear_regression", "gaussian"),
+    ("quadratic", "gaussian"),
+])
+def test_exact_alpha_tilde_within_monte_carlo_error(problem_kind, noise_mode):
+    """The engine's exact alpha~ lies within Monte Carlo error of the mean
+    gradient sum of R = 2000 replays on the ("replay", t, i, r) streams.
+
+    |‖m̂‖ - ‖m‖| <= ‖m̂ - m‖, whose root mean square is the standard error
+    sqrt(trace(Cov) / R) of the mean m̂; alpha~ = c / max(c, eta_l ‖m‖) falls
+    as ‖m‖ grows, so a band of four standard errors around eta_l ‖m̂‖ maps to
+    a band of factors that must hold the exact one."""
+    if problem_kind == "linear_regression":
+        problem = linreg_problem((8, 8, 8), 3, seed=11, sigma_l=0.5)
+    else:
+        problem = dataclasses.replace(build_quadratic_ensemble([-2.0, 0.5, 3.0]),
+                                      sigma_l=0.5)
+    d, R, t, c = problem.dim, 2000, 1, 0.02
+    cfg = make_config(local_steps=3, n_clients=3, sampled_per_round=3, eta_l=0.05,
+                      policy=ClippingPolicy(mode="difference", threshold=c), seed=8,
+                      x0=np.zeros(d), noise_mode=noise_mode, batch_size=4)
+    assert alpha_tilde_method(cfg, problem) == ALPHA_TILDE_EXACT
+    x = rngmod.stream(8, "mc-x").normal(size=d)
+    exact = run_round(x, t, cfg, problem)[1].record.alpha_tildes
+    for i, obj in enumerate(problem.clients):
+        sums = np.array([
+            local_update(obj, GradientOracle(
+                obj, noise_mode=noise_mode, sigma_l=problem.sigma_l, batch_size=4,
+                rng=rngmod.stream(cfg.seed, "replay", t, i, r)), x, 3, cfg.eta_l)[1]
+            for r in range(R)])
+        assert sums.var(axis=0).sum() > 0  # the replays do differ
+        norm = cfg.eta_l * np.linalg.norm(sums.mean(axis=0))
+        band = 4 * cfg.eta_l * np.sqrt(sums.var(axis=0, ddof=1).sum() / R)
+        low, high = c / max(c, norm + band), c / max(c, norm - band)
+        assert low <= exact[i] <= high
+        assert high < 1.0 and high - low < 0.2 * exact[i]
 
 
 class CountingOracle(GradientOracle):
