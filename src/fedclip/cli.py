@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import diagnostics, engine, fixedpoint
+from . import diagnostics, engine, fixedpoint, privacy
 from .clipping import AUTO, ClippingPolicy
 from .privacy import PrivacyConfig
 from .problems import (build_linear_regression_ensemble,
@@ -86,14 +86,6 @@ class ExperimentConfig:
                    output=dict(raw.get("output", {})),
                    replicates=dict(raw.get("replicates", {})))
 
-    def to_dict(self) -> dict:
-        out = {"problem": dict(self.problem), "run": dict(self.run)}
-        for name in ("clipping", "privacy", "output", "replicates"):
-            section = getattr(self, name)
-            if section:
-                out[name] = dict(section)
-        return out
-
     def build_problem(self):
         p = self.problem
         kind = p.get("kind")
@@ -116,7 +108,7 @@ class ExperimentConfig:
     def build_run_config(self, problem, seed=None) -> engine.RunConfig:
         r = self.run
         q = r["local_steps"]
-        q = engine.Q_INF if q in ("inf", ".inf") else int(q)
+        q = engine.Q_INF if q in ("inf", ".inf") else q
         x0 = r.get("x0", 0.0)
         if np.isscalar(x0):
             x0 = np.full(problem.dim, float(x0))
@@ -134,13 +126,14 @@ class ExperimentConfig:
             epsilon=float(pv.get("epsilon", 1.0)),
             delta=float(pv.get("delta", 1e-5)),
             u=float(pv.get("u", 1.0)), v=float(pv.get("v", 2.0)))
+        # counts and seeds go unconverted, so RunConfig refuses a non-integer
         return engine.RunConfig(
-            rounds=int(r["rounds"]), local_steps=q,
+            rounds=r["rounds"], local_steps=q,
             n_clients=problem.n_clients,
-            sampled_per_round=int(r["sampled_per_round"]),
+            sampled_per_round=r["sampled_per_round"],
             eta_l=float(r["eta_l"]), eta_g=float(r["eta_g"]),
             policy=policy, privacy=privacy_cfg,
-            seed=int(seed if seed is not None else r.get("seed", 0)), x0=x0,
+            seed=r.get("seed", 0) if seed is None else seed, x0=x0,
             noise_mode=r.get("noise_mode", "deterministic"),
             batch_size=r.get("batch_size"),
             replay_count=r.get("replay_count", 32))
@@ -148,8 +141,10 @@ class ExperimentConfig:
     def replicate_seeds(self):
         seeds = self.replicates.get("seeds")
         if seeds is None:
-            return [int(self.run.get("seed", 0))]
-        return [int(s) for s in seeds]
+            return [self.run.get("seed", 0)]
+        if not isinstance(seeds, list) or not seeds:
+            raise ConfigError("replicates.seeds must be a non-empty list")
+        return seeds
 
 
 def load_config(path) -> ExperimentConfig:
@@ -190,9 +185,9 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
     bound["f_gap_method"] = f_gap_method
     bound["measured_stationarity"] = diagnostics.measured_stationarity(trace)
     bound["constant_methods"] = prob.constant_methods
-    bound["alpha_tilde_method"] = trace.metadata["alpha_tilde_method"]
-    bound.update({k: trace.metadata[k] for k in ("calibration_note",)
-                  if k in trace.metadata})
+    bound["alpha_tilde_method"] = engine.alpha_tilde_method(trace.config, prob)
+    if trace.noise_spec is not None:
+        bound["calibration_note"] = privacy.CALIBRATION_NOTE
     with open(outdir / "bound.json", "w") as fh:
         json.dump(bound, fh, indent=2, allow_nan=False)
 
@@ -205,6 +200,7 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
             for mag, ang in row["pairs"]:
                 w.writerow([mag, "" if ang is None else ang])
 
+    threshold = trace.config.policy.finite_threshold
     summary = {
         "seed": trace.config.seed,
         "rounds": trace.config.rounds,
@@ -213,9 +209,9 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
         "final_x_norm": float(np.linalg.norm(last.x_next)),
         "gamma1": report.gamma1,
         "gamma2": report.gamma2,
-        "sigma2": trace.metadata.get("noise_sigma2", 0.0),
-        "threshold": trace.metadata.get("threshold", ""),
-        "oracle_violations": trace.metadata.get("oracle_violations", 0),
+        "sigma2": 0.0 if trace.noise_spec is None else trace.noise_spec.sigma2,
+        "threshold": "" if threshold is None else threshold,
+        "oracle_violations": trace.oracle_violations(),
     }
     with open(outdir / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -224,25 +220,31 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
     return summary
 
 
+def _parse_seed_override(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"--seed-override must be an integer, got {text!r}") from None
+
+
 def cmd_run(config_path, out=None, seed_override=None, threads=1) -> int:
     cfg = load_config(config_path)
     outdir = Path(out if out is not None else cfg.output.get("directory", "out"))
     try:
         problem = cfg.build_problem()
+        seeds = (cfg.replicate_seeds() if seed_override is None
+                 else [_parse_seed_override(seed_override)])
+        # every seed is checked before the first run writes anything
+        run_cfgs = [cfg.build_run_config(problem, seed=seed) for seed in seeds]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    seeds = [int(seed_override)] if seed_override is not None else cfg.replicate_seeds()
     summaries = []
-    for seed in seeds:
-        try:
-            run_cfg = cfg.build_run_config(problem, seed=seed)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+    for run_cfg in run_cfgs:
         try:
             trace = engine.run_experiment(run_cfg, problem, threads=threads)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        dest = outdir if len(seeds) == 1 else outdir / f"rep_{seed}"
+        dest = outdir if len(seeds) == 1 else outdir / f"rep_{run_cfg.seed}"
         summaries.append(write_artifacts(trace, dest))
     if len(seeds) > 1:
         outdir.mkdir(parents=True, exist_ok=True)

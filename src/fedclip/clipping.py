@@ -67,14 +67,21 @@ class ClippingPolicy:
             raise ValueError(f"unknown clipping mode {self.mode!r}")
         if self.mode != "none":
             if self.threshold == AUTO:
-                if self.rho <= 0:
-                    raise ValueError("auto threshold needs rho > 0")
-            elif self.threshold is None or float(self.threshold) <= 0:
+                if not 0 < self.rho < math.inf:  # False for NaN
+                    raise ValueError("auto threshold needs a finite rho > 0")
+            elif self.threshold is None or not float(self.threshold) > 0:
                 raise ValueError("clipping threshold must be positive or 'auto'")
 
     @property
     def is_auto(self) -> bool:
         return self.threshold == AUTO
+
+    @property
+    def finite_threshold(self) -> float | None:
+        """The threshold of a policy that clips, if finite; else None (an
+        infinite threshold clips nothing, like mode "none")."""
+        c = math.inf if self.mode == "none" else float(self.threshold)
+        return c if math.isfinite(c) else None
 
     def resolved(self, c: float) -> "ClippingPolicy":
         return replace(self, threshold=float(c))

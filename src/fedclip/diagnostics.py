@@ -51,7 +51,7 @@ def clip_bias_terms(trace: Trace) -> BiasReport:
         rec = rd.record
         a = np.asarray(rec.alphas)
         at = np.asarray(rec.alpha_tildes)
-        abar = float(np.mean(at))
+        abar = rec.alpha_bar
         rounds.append(BiasRound(
             t=rec.t, alpha_bar=abar,
             mean_abs_realized_gap=float(np.mean(np.abs(a - at))),
@@ -76,7 +76,6 @@ class BoundInputs:
     Q: float
     T: int
     P: int
-    N: int
     sigma2: float = 0.0
     gamma1: float = 1.0
     gamma2: float = 1.0
@@ -152,8 +151,7 @@ def bound_inputs_from_trace(trace: Trace, f_gap: float | None = None) -> BoundIn
     return BoundInputs(
         f_gap=f_gap, L=prob.L, sigma_l=prob.sigma_l, sigma_g=prob.sigma_g,
         G=prob.G, d=prob.dim, eta_l=cfg.eta_l, eta_g=cfg.eta_g,
-        Q=cfg.local_steps, T=cfg.rounds, P=cfg.sampled_per_round,
-        N=cfg.n_clients, sigma2=sigma2,
+        Q=cfg.local_steps, T=cfg.rounds, P=cfg.sampled_per_round, sigma2=sigma2,
         gamma1=report.gamma1, gamma2=report.gamma2,
         bias_abs_avg=report.bias_abs_avg(),
         bias_sq_sum=report.bias_sq_sum(prob.n_clients),
@@ -178,7 +176,7 @@ def corollary1_bound(eta_g, eta_l, Q, T, P, d, N, epsilon, delta,
                                          v=v), c, P, N, T, dim=d)
     out = theorem1_bound(BoundInputs(
         f_gap=f_gap, L=L, sigma_l=sigma_l, sigma_g=sigma_g, G=0.0, d=d,
-        eta_l=eta_l, eta_g=eta_g, Q=Q, T=T, P=P, N=N, sigma2=spec.sigma2))
+        eta_l=eta_l, eta_g=eta_g, Q=Q, T=T, P=P, sigma2=spec.sigma2))
     out["reference_scale"] = math.sqrt(d) / (N * epsilon)
     return out
 

@@ -12,7 +12,7 @@ sum over the sampled slots, so the result is the same bit for bit.
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,12 @@ def _check_finite(v, round_index):
         raise DivergenceError(round_index, float(n[~(n <= _DIVERGENCE_NORM)][0]))
 
 
+def _integer(v):
+    return not isinstance(v, bool) and isinstance(v, (int, np.integer))
+
+
 def _positive_int(v):
-    return not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= 1
+    return _integer(v) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -70,15 +74,17 @@ class RunConfig:
     replay_count: int = 32
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("need at least one round")
-        q = self.local_steps
-        if q != Q_INF and (int(q) != q or q < 1):
+        if not _positive_int(self.rounds):
+            raise ValueError("rounds must be a positive integer")
+        if self.local_steps != Q_INF and not _positive_int(self.local_steps):
             raise ValueError("local_steps must be a positive integer or Q_INF")
-        if not 1 <= self.sampled_per_round <= self.n_clients:
-            raise ValueError("need 1 <= P <= N")
-        if self.eta_l <= 0 or self.eta_g <= 0:
-            raise ValueError("stepsizes must be positive")
+        if not (_positive_int(self.sampled_per_round)
+                and self.sampled_per_round <= self.n_clients):
+            raise ValueError("sampled_per_round must be an integer with 1 <= P <= N")
+        if not (0 < self.eta_l < math.inf and 0 < self.eta_g < math.inf):  # False for NaN
+            raise ValueError("stepsizes must be positive and finite")
+        if not _integer(self.seed):
+            raise ValueError("seed must be an integer")
         if self.noise_mode not in ("deterministic", "gaussian", "minibatch"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if self.noise_mode == "minibatch" and not _positive_int(self.batch_size):
@@ -86,6 +92,8 @@ class RunConfig:
         if not _positive_int(self.replay_count):
             raise ValueError("replay_count must be a positive integer")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        if not np.isfinite(self.x0).all():
+            raise ValueError("x0 must be finite")
 
 
 @dataclass
@@ -111,6 +119,7 @@ class RoundData:
     record: RoundRecord
     x_next: np.ndarray
     mean_transmitted: np.ndarray
+    violations: int  # oracle bound violations of the realized local phases
 
 
 @dataclass
@@ -119,14 +128,13 @@ class Trace:
     problem: ProblemInstance
     rounds: list  # of RoundData
     noise_spec: privacy.NoiseSpec | None = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def records(self):
         return [rd.record for rd in self.rounds]
 
     def oracle_violations(self) -> int:
-        return self.metadata.get("oracle_violations", 0)
+        return sum(rd.violations for rd in self.rounds)
 
 
 def local_update(objective, oracle, x_start, Q, eta_l):
@@ -239,7 +247,7 @@ def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
 
 def run_round(x, t, config: RunConfig, problem: ProblemInstance,
               noise_spec=None, prev_update=None):
-    """Execute one round; returns (x_next, RoundData, violation_count).
+    """Execute one round and return its RoundData.
 
     All N clients are evaluated (diagnostics average over the full
     federation); only the sampled multiset contributes to the aggregate.
@@ -306,8 +314,8 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
         alpha_bar=float(np.mean(alpha_tildes)),
         delta_norms=delta_norms.tolist(), alphas=alphas,
         alpha_tildes=alpha_tildes, angles=angles)
-    data = RoundData(record=record, x_next=x_next, mean_transmitted=agg)
-    return x_next, data, oracle.violations
+    return RoundData(record=record, x_next=x_next, mean_transmitted=agg,
+                     violations=oracle.violations)
 
 
 def _angles_degrees(deltas, delta_norms, ref):
@@ -339,33 +347,23 @@ def run_experiment(config: RunConfig, problem: ProblemInstance,
             cfg, policy=cfg.policy.resolved(_auto_threshold(cfg, problem)))
 
     noise_spec = None
-    metadata = {"alpha_tilde_method": alpha_tilde_method(cfg, problem)}
     if cfg.privacy.enabled:
-        if cfg.policy.mode == "none" or not math.isfinite(float(cfg.policy.threshold)):
+        c = cfg.policy.finite_threshold
+        if c is None:
             raise ValueError("privacy requires a finite clipping threshold")
         noise_spec = privacy.calibrate_noise(
-            cfg.privacy, float(cfg.policy.threshold),
-            cfg.sampled_per_round, cfg.n_clients, cfg.rounds, dim=problem.dim)
-        metadata["noise_sigma2"] = noise_spec.sigma2
-        metadata["noise_in_regime"] = noise_spec.in_regime
-        metadata["calibration_note"] = privacy.CALIBRATION_NOTE
-    if cfg.policy.mode != "none" and math.isfinite(float(cfg.policy.threshold)):
-        # an infinite threshold clips nothing and is left out, like mode none
-        metadata["threshold"] = float(cfg.policy.threshold)
+            cfg.privacy, c, cfg.sampled_per_round, cfg.n_clients, cfg.rounds,
+            dim=problem.dim)
 
     x = np.array(cfg.x0, dtype=float, copy=True)
     rounds = []
     prev_update = None
-    total_violations = 0
     for t in range(cfg.rounds):
-        x, data, viol = run_round(x, t, cfg, problem, noise_spec=noise_spec,
-                                  prev_update=prev_update)
-        total_violations += viol
-        prev_update = data.mean_transmitted
+        data = run_round(x, t, cfg, problem, noise_spec=noise_spec,
+                         prev_update=prev_update)
+        x, prev_update = data.x_next, data.mean_transmitted
         rounds.append(data)
-    metadata["oracle_violations"] = total_violations
-    return Trace(config=cfg, problem=problem, rounds=rounds,
-                 noise_spec=noise_spec, metadata=metadata)
+    return Trace(config=cfg, problem=problem, rounds=rounds, noise_spec=noise_spec)
 
 
 def _auto_threshold(config, problem):

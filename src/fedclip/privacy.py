@@ -1,12 +1,11 @@
 """Gaussian-mechanism noise calibration and per-client noise injection.
 
 The calibration constants u and v are user-supplied (defaults u=1, v=2); no
-formal privacy accounting is performed, and every calibrated spec carries
-that disclaimer in its metadata.
+formal privacy accounting is performed, as ``CALIBRATION_NOTE`` says.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +22,12 @@ class PrivacyConfig:
     v: float = 2.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.u <= 0 or self.v <= 0:
-            raise ValueError("calibration constants u, v must be positive")
+        if not (0.0 < self.u < math.inf and 0.0 < self.v < math.inf):
+            raise ValueError("calibration constants u, v must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class NoiseSpec:
     sigma2: float
     dim: int
     in_regime: bool = True
-    metadata: dict = field(default_factory=lambda: {"note": CALIBRATION_NOTE})
 
     def __post_init__(self):
         if self.sigma2 < 0:

@@ -395,11 +395,6 @@ class StackedOracle:
         return G
 
 
-def sample_gradient(oracle: GradientOracle, x):
-    """Draw one (possibly stochastic) gradient at ``x``."""
-    return oracle.sample(x)
-
-
 def _probe_grid(center, radius, dim, n_points=64, seed=12345):
     if not np.isfinite(radius):
         raise ValueError("probe radius overflows: the client data is too large")

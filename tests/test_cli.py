@@ -36,13 +36,6 @@ def write_config(tmp_path, overrides=None, name="config.yaml"):
     return path
 
 
-def test_config_round_trip(tmp_path):
-    path = write_config(tmp_path)
-    cfg = load_config(path)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
-
-
 def test_unknown_key_is_rejected(tmp_path):
     path = write_config(tmp_path, {"run": {"learning_rate": 0.1}})
     with pytest.raises(ConfigError, match="learning_rate"):
@@ -192,13 +185,17 @@ def test_threshold_parsing_variants(tmp_path):
 
 
 def test_local_steps_inf_parsing(tmp_path):
-    path = write_config(tmp_path, {"run": {"local_steps": "inf", "rounds": 2},
-                                   "clipping": {"mode": "none",
-                                                "threshold": None}})
-    cfg = load_config(path)
-    problem = cfg.build_problem()
-    run_cfg = cfg.build_run_config(problem)
-    assert run_cfg.local_steps == float("inf")
+    # the string "inf" and YAML's .inf; int(.inf) would overflow
+    for q in ("inf", float("inf")):
+        path = write_config(tmp_path, {"run": {"local_steps": q, "rounds": 2},
+                                       "clipping": {"mode": "none",
+                                                    "threshold": None}})
+        cfg = load_config(path)
+        problem = cfg.build_problem()
+        run_cfg = cfg.build_run_config(problem)
+        assert run_cfg.local_steps == float("inf")
+    assert ".inf" in path.read_text()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_x0_dimension_mismatch(tmp_path):
@@ -260,6 +257,22 @@ def test_malformed_yaml_exit_code(tmp_path, capsys):
      "finite clipping threshold"),
     ({"run": {"noise_mode": "minibatch"}}, "batch_size"),
     ({"problem": {"g_bound": float("inf")}}, "must be finite"),
+    # NaN passes "<= 0" checks; infinite epsilon means sigma^2 = 0
+    ({"privacy": {"enabled": True, "epsilon": math.nan}}, "epsilon"),
+    ({"privacy": {"enabled": True, "epsilon": math.inf}}, "epsilon"),
+    ({"clipping": {"threshold": math.nan}}, "clipping threshold"),
+    ({"clipping": {"threshold": "auto", "rho": math.nan}}, "rho"),
+    ({"run": {"eta_l": math.nan}}, "stepsizes"),
+    ({"run": {"eta_g": math.inf}}, "stepsizes"),
+    ({"run": {"x0": math.nan}}, "x0 must be finite"),
+    ({"privacy": {"enabled": True, "u": math.nan}}, "u, v"),
+    # counts and seeds are refused, not truncated by int()
+    ({"run": {"rounds": 2.7}}, "rounds"),
+    ({"run": {"local_steps": 2.5}}, "local_steps"),
+    ({"run": {"rounds": True}}, "rounds"),
+    ({"replicates": {"seeds": [1, 2.5]}}, "seed must be an integer"),
+    ({"replicates": {"seeds": 3}}, "non-empty list"),
+    ({"replicates": {"seeds": []}}, "non-empty list"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -270,6 +283,22 @@ def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     code, err = run_cli_error(tmp_path, capsys, cfg)
     assert code == 2
     assert err["error"] == "config" and message in err["message"]
+    assert not (tmp_path / "out").exists()  # refused before any run writes
+
+
+def test_seed_override_must_be_an_integer(tmp_path, capsys):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out),
+                 "--seed-override", "abc"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "config", "message": "--seed-override must be an integer, got 'abc'"}
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--seed-override", "-3"]) == 0
+    with open(out / "summary.csv") as fh:
+        assert next(csv.DictReader(fh))["seed"] == "-3"
 
 
 def _reject_constant(token):

@@ -77,8 +77,19 @@ def test_policy_validation():
         ClippingPolicy(mode="difference", threshold=None)
     with pytest.raises(ValueError):
         ClippingPolicy(mode="model", threshold=-2.0)
+    with pytest.raises(ValueError):
+        ClippingPolicy(mode="difference", threshold=math.nan)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ClippingPolicy(mode="difference", threshold=AUTO, rho=rho)
     ClippingPolicy(mode="none")  # threshold not needed
     ClippingPolicy(mode="difference", threshold=AUTO)
+
+
+def test_finite_threshold():
+    assert ClippingPolicy(mode="difference", threshold=0.5).finite_threshold == 0.5
+    assert ClippingPolicy(mode="model", threshold=math.inf).finite_threshold is None
+    assert ClippingPolicy(mode="none", threshold=2.0).finite_threshold is None
 
 
 def test_auto_threshold_resolution():

@@ -38,7 +38,7 @@ def run(b_values, rounds=5, local_steps=2, eta_l=0.05, eta_g=1.0,
 
 def test_bound_hand_arithmetic():
     inputs = BoundInputs(f_gap=1.0, L=1.0, sigma_l=1.0, sigma_g=0.5, G=2.0,
-                         d=1, eta_l=0.05, eta_g=0.5, Q=2, T=10, P=4, N=8,
+                         d=1, eta_l=0.05, eta_g=0.5, Q=2, T=10, P=4,
                          sigma2=0.01, gamma1=0.9, gamma2=0.85,
                          bias_abs_avg=0.1, bias_sq_sum=0.2)
     out = theorem1_bound(inputs)
@@ -53,29 +53,29 @@ def test_bound_hand_arithmetic():
 
 def test_bound_rejects_degenerate_inputs():
     bad = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.0, G=1.0, d=1,
-                      eta_l=0.1, eta_g=0.0, Q=1, T=1, P=1, N=1)
+                      eta_l=0.1, eta_g=0.0, Q=1, T=1, P=1)
     with pytest.raises(ValueError):
         theorem1_bound(bad)
 
 
 def test_stepsize_regime_flags():
     ok = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.0, G=1.0, d=1,
-                     eta_l=0.01, eta_g=1.0, Q=2, T=10, P=4, N=4)
+                     eta_l=0.01, eta_g=1.0, Q=2, T=10, P=4)
     flags = stepsize_regime(ok)
     assert flags["eta_local_ok"]  # 0.01 <= 1/(sqrt(60) * 2)
     assert flags["eta_product_ok"]
     too_big = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.0, G=1.0,
-                          d=1, eta_l=0.5, eta_g=1.0, Q=2, T=10, P=4, N=4)
+                          d=1, eta_l=0.5, eta_g=1.0, Q=2, T=10, P=4)
     flags = stepsize_regime(too_big)
     assert not flags["eta_local_ok"]
 
 
 def test_uncertified_when_regime_fails():
     bad = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.0, G=1.0, d=1,
-                      eta_l=0.5, eta_g=2.0, Q=2, T=10, P=4, N=4)
+                      eta_l=0.5, eta_g=2.0, Q=2, T=10, P=4)
     assert not theorem1_bound(bad)["certified"]
     flagged = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.0, G=1.0,
-                          d=1, eta_l=0.01, eta_g=1.0, Q=2, T=10, P=4, N=4,
+                          d=1, eta_l=0.01, eta_g=1.0, Q=2, T=10, P=4,
                           certified=False)
     assert not theorem1_bound(flagged)["certified"]
 
@@ -151,7 +151,7 @@ def test_corollary_bound_terms_and_reference_scale():
                            eta_l * Q * 2.0, P, 64, T, dim=d)
     th = theorem1_bound(BoundInputs(f_gap=1.0, L=L, sigma_l=1.0, sigma_g=0.5,
                                     G=3.0, d=d, eta_l=eta_l, eta_g=eta_g, Q=Q,
-                                    T=T, P=P, N=64, sigma2=spec.sigma2))
+                                    T=T, P=P, sigma2=spec.sigma2))
     closed = {
         "initial_gap": 4.0 * 1.0 / (eta_g * eta_l * Q * T),
         "drift": 12.5 * eta_l ** 2 * L * Q * (1.0 ** 2 + 6.0 * Q * 0.5 ** 2),
@@ -165,7 +165,7 @@ def test_corollary_bound_terms_and_reference_scale():
 
 def test_bound_terms_growing_with_q_are_null_at_q_inf():
     inputs = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.5, G=1.0,
-                         d=1, eta_l=0.1, eta_g=1.0, Q=math.inf, T=10, P=2, N=2,
+                         d=1, eta_l=0.1, eta_g=1.0, Q=math.inf, T=10, P=2,
                          bias_sq_sum=0.0)
     out = theorem1_bound(inputs)
     assert out["drift"] is None and out["clipping_bias_sq"] is None
@@ -181,7 +181,7 @@ def test_bound_terms_that_overflow_are_null():
     # sigma_g^2 = 1e240 times L = 1e120 overflows the drift term; the
     # second-order bias term is 0 * inf
     inputs = BoundInputs(f_gap=1.0, L=1e120, sigma_l=0.0, sigma_g=1e120, G=1e154,
-                         d=1, eta_l=0.1, eta_g=1.0, Q=2, T=10, P=2, N=2,
+                         d=1, eta_l=0.1, eta_g=1.0, Q=2, T=10, P=2,
                          bias_sq_sum=0.0)
     out = theorem1_bound(inputs)
     assert out["drift"] is None and out["clipping_bias_sq"] is None

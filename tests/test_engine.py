@@ -1,6 +1,7 @@
 """Tests for the simulation engine: local phases, rounds, and full runs."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_auto_threshold_two_phase_resolution():
     trace = run_experiment(cfg, ens)
     resolved = trace.config.policy.threshold
     assert isinstance(resolved, float) and resolved > 0
-    assert trace.metadata["threshold"] == resolved
+    assert trace.config.policy.finite_threshold == resolved
     # phase 1 is unclipped: threshold equals rho * mean unclipped update norm
     phase1 = run_experiment(make_config(rounds=3, n_clients=2,
                                         sampled_per_round=2,
@@ -211,6 +212,15 @@ def test_config_validation():
         make_config(sampled_per_round=2)  # exceeds n_clients
     with pytest.raises(ValueError):
         make_config(eta_l=0.0)
+    # NaN fails every comparison; counts and seeds must be integers, not
+    # values that int() would truncate
+    for bad in ({"eta_l": math.nan}, {"eta_g": math.inf}, {"x0": np.array([math.nan])},
+                {"rounds": 2.7}, {"rounds": True}, {"local_steps": 2.0},
+                {"local_steps": math.nan}, {"sampled_per_round": 1.0},
+                {"seed": 2.5}, {"seed": "3"}):
+        with pytest.raises(ValueError):
+            make_config(**bad)
+    assert make_config(local_steps=Q_INF, seed=np.int64(-4)).seed == -4
     with pytest.raises(ValueError, match="noise mode"):
         make_config(noise_mode="laplace")
     for batch_size in (None, 0, 2.5, True):
@@ -315,7 +325,8 @@ def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
     spec = NoiseSpec(sigma2=0.01, dim=d)
     x = rngmod.stream(5, "batched-x").normal(size=d)
     for t in range(3):  # fresh streams each round
-        x_next, data, violations = run_round(x, t, cfg, problem, noise_spec=spec)
+        data = run_round(x, t, cfg, problem, noise_spec=spec)
+        x_next, violations = data.x_next, data.violations
         ref_agg, ref_x, norms, alphas, alpha_tildes, ref_violations = reference_round(
             problem, cfg, x, t, noise_spec=spec)
         np.testing.assert_array_equal(data.mean_transmitted, ref_agg)
@@ -340,7 +351,8 @@ def test_mlp_round_replays_match_per_client_reference():
     spec = NoiseSpec(sigma2=0.01, dim=problem.dim)
     x = rngmod.stream(6, "mlp-x").normal(0.0, 0.5, size=problem.dim)
     for t in range(2):
-        x_next, data, violations = run_round(x, t, cfg, problem, noise_spec=spec)
+        data = run_round(x, t, cfg, problem, noise_spec=spec)
+        x_next, violations = data.x_next, data.violations
         ref_agg, ref_x, norms, alphas, alpha_tildes, ref_violations = reference_round(
             problem, cfg, x, t, noise_spec=spec)
         np.testing.assert_array_equal(data.mean_transmitted, ref_agg)
@@ -377,7 +389,7 @@ def test_exact_alpha_tilde_within_monte_carlo_error(problem_kind, noise_mode):
                       x0=np.zeros(d), noise_mode=noise_mode, batch_size=4)
     assert alpha_tilde_method(cfg, problem) == ALPHA_TILDE_EXACT
     x = rngmod.stream(8, "mc-x").normal(size=d)
-    exact = run_round(x, t, cfg, problem)[1].record.alpha_tildes
+    exact = run_round(x, t, cfg, problem).record.alpha_tildes
     for i, obj in enumerate(problem.clients):
         sums = np.array([
             local_update(obj, GradientOracle(

@@ -1,13 +1,18 @@
 """Tests for Gaussian noise calibration and injection."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from fedclip import rng as rngmod
+from fedclip.cli import write_artifacts
+from fedclip.clipping import ClippingPolicy
+from fedclip.engine import RunConfig, run_experiment
 from fedclip.privacy import (CALIBRATION_NOTE, NoiseSpec, PrivacyConfig,
                              calibrate_noise, draw_noise, noise_term_in_bound)
+from fedclip.problems import build_quadratic_ensemble
 
 
 def test_config_validation():
@@ -17,6 +22,11 @@ def test_config_validation():
         PrivacyConfig(delta=1.0)
     with pytest.raises(ValueError):
         PrivacyConfig(v=-1.0)
+    # NaN fails every comparison, so each check must be written to fail on it
+    for bad in ({"epsilon": math.nan}, {"epsilon": math.inf}, {"delta": math.nan},
+                {"u": math.nan}, {"v": math.inf}):
+        with pytest.raises(ValueError):
+            PrivacyConfig(**bad)
     cfg = PrivacyConfig(enabled=True, epsilon=2.0)
     assert cfg.u == 1.0 and cfg.v == 2.0
 
@@ -54,9 +64,20 @@ def test_regime_flag_boundary():
     assert spec.in_regime  # 0.1 <= 0.1736
 
 
-def test_calibration_disclaimer_present():
-    spec = calibrate_noise(PrivacyConfig(enabled=True), 1.0, 4, 8, 10)
-    assert spec.metadata["note"] == CALIBRATION_NOTE
+def test_calibration_disclaimer_present(tmp_path):
+    """A private run's bound.json carries the disclaimer; a run without
+    noise does not."""
+    ens = build_quadratic_ensemble([-1.0, 1.0])
+    for enabled in (True, False):
+        cfg = RunConfig(rounds=2, local_steps=1, n_clients=2, sampled_per_round=2,
+                        eta_l=0.1, eta_g=1.0,
+                        policy=ClippingPolicy(mode="difference", threshold=0.5),
+                        privacy=PrivacyConfig(enabled=enabled), seed=0,
+                        x0=np.array([1.0]))
+        out = tmp_path / f"private_{enabled}"
+        write_artifacts(run_experiment(cfg, ens), out)
+        bound = json.loads((out / "bound.json").read_text())
+        assert bound.get("calibration_note") == (CALIBRATION_NOTE if enabled else None)
 
 
 def test_draw_noise_zero_variance_is_exact_zero():

@@ -8,7 +8,7 @@ from fedclip.problems import (GradientOracle, LinearRegressionObjective,
                               MLPObjective, ScalarQuadratic,
                               build_linear_regression_ensemble,
                               build_mlp_synthetic_ensemble,
-                              build_quadratic_ensemble, sample_gradient,
+                              build_quadratic_ensemble,
                               _probe_grid)
 
 
@@ -105,7 +105,7 @@ def test_declared_g_bound_is_recorded():
 def test_oracle_deterministic_is_exact():
     obj = ScalarQuadratic(b=1.0)
     oracle = GradientOracle(obj)
-    np.testing.assert_allclose(sample_gradient(oracle, np.array([3.0])), [2.0])
+    np.testing.assert_allclose(oracle.sample(np.array([3.0])), [2.0])
 
 
 def test_oracle_gaussian_mean_and_variance():
