@@ -18,6 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import fedclip
 from fedclip.cli import ConfigError, ExperimentConfig, load_config, main
+from record_golden import DIGESTS, file_digest, version_mismatch
 
 BASE_CONFIG = {
     "problem": {"kind": "quadratic", "b": [-1.0, 0.0, 1.0]},
@@ -132,6 +133,11 @@ def test_table1_subcommand(tmp_path):
     values = {(r[0], r[1]): float(r[2]) for r in rows[1:]}
     assert values[("1", "1")] == pytest.approx(0.5, abs=1e-6)
     assert values[("inf", "inf")] == pytest.approx(13.0 / 9.0, abs=1e-6)
+    golden = json.loads(DIGESTS.read_text())
+    reason = version_mismatch(golden)
+    if reason:
+        pytest.skip(reason)
+    assert file_digest(out) == golden["table1_grid"]
 
 
 def test_compare_subcommand(tmp_path, capsys):
