@@ -122,7 +122,7 @@ class ExperimentConfig:
                                 rho=float(c.get("rho", 0.5)))
         pv = self.privacy
         privacy_cfg = PrivacyConfig(
-            enabled=bool(pv.get("enabled", False)),
+            enabled=pv.get("enabled", False),
             epsilon=float(pv.get("epsilon", 1.0)),
             delta=float(pv.get("delta", 1e-5)),
             u=float(pv.get("u", 1.0)), v=float(pv.get("v", 2.0)))
@@ -144,6 +144,8 @@ class ExperimentConfig:
             return [self.run.get("seed", 0)]
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError("replicates.seeds must be a non-empty list")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"replicates.seeds repeats a seed: {seeds}")
         return seeds
 
 
@@ -173,15 +175,9 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
 
     prob = trace.problem
     last = trace.rounds[-1]
-    if prob.f_star is not None:
-        f_gap = prob.loss_mean(trace.config.x0) - prob.f_star
-        f_gap_method = "analytic f_star"
-    else:
-        f_gap = prob.loss_mean(trace.config.x0) - min(r.record.loss
-                                                      for r in trace.rounds)
-        f_gap_method = "min-observed-loss proxy"
-    inputs = diagnostics.bound_inputs_from_trace(trace, f_gap=f_gap)
-    bound = diagnostics.theorem1_bound(inputs)
+    f_gap, f_gap_method = diagnostics.initial_gap(trace)
+    bound = diagnostics.theorem1_bound(
+        diagnostics.bound_inputs_from_trace(trace, f_gap, report))
     bound["f_gap_method"] = f_gap_method
     bound["measured_stationarity"] = diagnostics.measured_stationarity(trace)
     bound["constant_methods"] = prob.constant_methods
@@ -227,7 +223,7 @@ def _parse_seed_override(text):
         raise ConfigError(f"--seed-override must be an integer, got {text!r}") from None
 
 
-def cmd_run(config_path, out=None, seed_override=None, threads=1) -> int:
+def cmd_run(config_path, out=None, seed_override=None) -> int:
     cfg = load_config(config_path)
     outdir = Path(out if out is not None else cfg.output.get("directory", "out"))
     try:
@@ -241,7 +237,7 @@ def cmd_run(config_path, out=None, seed_override=None, threads=1) -> int:
     summaries = []
     for run_cfg in run_cfgs:
         try:
-            trace = engine.run_experiment(run_cfg, problem, threads=threads)
+            trace = engine.run_experiment(run_cfg, problem)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         dest = outdir if len(seeds) == 1 else outdir / f"rep_{run_cfg.seed}"
@@ -327,9 +323,6 @@ def build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed-override", default=None)
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility and unused: each round "
-                            "runs all clients as one batched pass")
 
     p_t1 = sub.add_parser("table1", help="emit the stationary-point grid CSV")
     p_t1.add_argument("--out", required=True)
@@ -346,7 +339,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return cmd_run(args.config, out=args.out,
-                           seed_override=args.seed_override, threads=args.threads)
+                           seed_override=args.seed_override)
         if args.command == "table1":
             return cmd_table1(args.out)
         if args.command == "compare":

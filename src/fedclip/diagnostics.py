@@ -139,14 +139,20 @@ def theorem1_bound(inputs: BoundInputs) -> dict:
     return out
 
 
-def bound_inputs_from_trace(trace: Trace, f_gap: float | None = None) -> BoundInputs:
-    """Assemble BoundInputs from a trace, its problem, and its bias report."""
+def initial_gap(trace: Trace) -> tuple[float, str]:
+    """The bound's initial gap f(x0) - f*, and how f* was obtained: the
+    problem's analytic ``f_star``, or else the lowest loss of any round."""
+    prob = trace.problem
+    f0 = prob.loss_mean(trace.config.x0)
+    if prob.f_star is not None:
+        return f0 - prob.f_star, "analytic f_star"
+    return f0 - min(rd.record.loss for rd in trace.rounds), "min-observed-loss proxy"
+
+
+def bound_inputs_from_trace(trace: Trace, f_gap: float, report: BiasReport) -> BoundInputs:
+    """Assemble BoundInputs from a trace, its initial gap (``initial_gap``)
+    and its bias report (``clip_bias_terms``)."""
     cfg, prob = trace.config, trace.problem
-    report = clip_bias_terms(trace)
-    if f_gap is None:
-        if prob.f_star is None:
-            raise ValueError("problem has no f_star; pass f_gap explicitly")
-        f_gap = prob.loss_mean(cfg.x0) - prob.f_star
     sigma2 = trace.noise_spec.sigma2 if trace.noise_spec is not None else 0.0
     return BoundInputs(
         f_gap=f_gap, L=prob.L, sigma_l=prob.sigma_l, sigma_g=prob.sigma_g,

@@ -172,9 +172,9 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
     Returns the final iterates and the gradient sums, row i for client i,
     each bit-identical to ``local_update`` of that client with the same
     oracle stream. With Q = Q_INF each row stops on the step where its own
-    step norm falls below 1e-12 (or after 1e6 steps) and is masked out of
-    later updates. A row that diverges raises DivergenceError with
-    ``round_index``.
+    step norm falls below 1e-12 and is masked out of later updates. A row
+    that diverges, or that is still moving after 1e6 steps, raises
+    DivergenceError with ``round_index``.
     """
     N = oracle.problem.n_clients
     X = np.tile(np.asarray(x_start, dtype=float), (N, 1))
@@ -193,6 +193,10 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
                 active &= clipping.norms(step) > _LOCAL_TOL
                 if not active.any():
                     break
+            else:
+                raise DivergenceError(
+                    round_index, float(clipping.norms(step)[active].max()),
+                    f"local phase still moving after {_LOCAL_MAX_STEPS} steps")
         else:
             for _ in range(int(Q)):
                 G = oracle.sample(X)
@@ -330,17 +334,19 @@ def _angles_degrees(deltas, delta_norms, ref):
     return [None if n == 0.0 else a for n, a in zip(delta_norms.tolist(), deg)]
 
 
-def run_experiment(config: RunConfig, problem: ProblemInstance,
-                   threads: int = 1) -> Trace:
+def run_experiment(config: RunConfig, problem: ProblemInstance) -> Trace:
     """Run T rounds, resolving an "auto" threshold with a phase-1 pass.
 
     The phase-1 pass runs the same configuration unclipped, records all
     pre-clip update magnitudes, resolves c = rho * mean, then restarts from
-    x0 with the resolved policy. ``threads`` is accepted for compatibility
-    and unused: a round is one batched pass over the client stack.
+    x0 with the resolved policy.
     """
     if config.n_clients != problem.n_clients:
         raise ValueError("config client count does not match problem")
+    if (config.local_steps == Q_INF and config.noise_mode == "gaussian"
+            and problem.sigma_l > 0):
+        raise ValueError("local_steps inf with a gaussian oracle needs sigma_l = 0: "
+                         "the noise keeps every step above the stopping tolerance")
     cfg = config
     if cfg.policy.is_auto:
         cfg = dataclasses.replace(

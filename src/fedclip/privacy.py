@@ -22,6 +22,8 @@ class PrivacyConfig:
     v: float = 2.0
 
     def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise ValueError(f"privacy.enabled must be true or false, got {self.enabled!r}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.delta < 1.0:
@@ -68,9 +70,8 @@ def draw_noise(spec: NoiseSpec, rng: np.random.Generator):
 
 
 def noise_term_in_bound(spec: NoiseSpec, eta_g: float, eta_l: float,
-                        P: int, Q: float, L: float, d: int | None = None) -> float:
-    """Privacy-noise contribution 2 eta_g L d sigma2 / (eta_l P Q)."""
+                        P: int, Q: float, L: float) -> float:
+    """Privacy-noise contribution 2 eta_g L d sigma2 / (eta_l P Q), d = spec.dim."""
     if eta_g <= 0 or eta_l <= 0 or P <= 0 or Q <= 0 or L <= 0:
         raise ValueError("all arguments must be positive")
-    dd = spec.dim if d is None else d
-    return 2.0 * eta_g * L * dd * spec.sigma2 / (eta_l * P * Q)
+    return 2.0 * eta_g * L * spec.dim * spec.sigma2 / (eta_l * P * Q)

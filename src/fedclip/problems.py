@@ -34,12 +34,13 @@ def softplus(z):
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # where(z >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(-|z|), which cannot
+    # overflow; written in place so at most two arrays of z's size are live
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=z >= 0)
+    return e
 
 
 @dataclass(frozen=True)
@@ -292,9 +293,6 @@ class ProblemInstance:
     def grad_mean(self, x):
         return client_sum(self.client_grads(x)) / self.n_clients
 
-    def grad_sum(self, x):
-        return self.grad_mean(x) * self.n_clients
-
     def loss_mean(self, x) -> float:
         return sum(obj.loss(x) for obj in self.clients) / self.n_clients
 
@@ -438,7 +436,6 @@ def build_quadratic_ensemble(b_values, g_bound=None) -> ProblemInstance:
     b = np.asarray(b_values, dtype=float)
     clients = tuple(ScalarQuadratic(float(bi)) for bi in b)
     opt = np.array([b.mean()])
-    f_star = sum(c.loss(opt) for c in clients) / len(clients)
     # gradient gaps are constant in x for unit-curvature quadratics
     sigma_g = float(np.max(np.abs(b - b.mean()))) if len(b) > 1 else 0.0
     radius = max(2.0, 2.0 * float(np.max(np.abs(b - b.mean()))) + 1.0)
@@ -449,7 +446,7 @@ def build_quadratic_ensemble(b_values, g_bound=None) -> ProblemInstance:
                "G": "declared" if g_bound is not None else "probe-grid estimate"}
     return replace(
         prob, G=float(g_bound) if g_bound is not None else gmax,
-        sigma_g=sigma_g, f_star=f_star, global_optimum=opt,
+        sigma_g=sigma_g, f_star=prob.loss_mean(opt), global_optimum=opt,
         constant_methods=methods)
 
 
@@ -467,10 +464,8 @@ def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
     M = sum(c.A.T @ c.A for c in clients)
     rhs = sum(c.A.T @ c.b for c in clients)
     opt = None
-    f_star = None
     if np.linalg.matrix_rank(M) == dim:
         opt = np.linalg.solve(M, rhs)
-        f_star = sum(c.loss(opt) for c in clients) / len(clients)
     center = opt if opt is not None else np.zeros(dim)
     spans = [np.linalg.norm(c.local_minimizer - center) for c in clients]
     radius = max(2.0, 2.0 * max(spans) + 1.0)
@@ -481,7 +476,8 @@ def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
                "G": "declared" if g_bound is not None else "probe-grid estimate"}
     return replace(
         prob, G=float(g_bound) if g_bound is not None else gmax,
-        sigma_l=float(sigma_l), sigma_g=divmax, f_star=f_star,
+        sigma_l=float(sigma_l), sigma_g=divmax,
+        f_star=None if opt is None else prob.loss_mean(opt),
         global_optimum=opt, constant_methods=methods)
 
 

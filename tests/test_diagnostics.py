@@ -10,9 +10,9 @@ from fedclip import rng as rngmod
 from fedclip.clipping import ClippingPolicy
 from fedclip.diagnostics import (BoundInputs, bound_inputs_from_trace,
                                  clip_bias_terms, corollary1_bound,
-                                 drift_check, measured_stationarity,
-                                 stepsize_regime, theorem1_bound,
-                                 update_distribution)
+                                 drift_check, initial_gap,
+                                 measured_stationarity, stepsize_regime,
+                                 theorem1_bound, update_distribution)
 from fedclip.engine import RunConfig, run_experiment
 from fedclip.privacy import (PrivacyConfig, calibrate_noise,
                              noise_term_in_bound)
@@ -116,11 +116,29 @@ def test_generous_threshold_recovers_unclipped_factors():
 
 def test_bound_inputs_assembled_from_trace():
     trace = run([-1.0, 1.0], rounds=4)
-    inputs = bound_inputs_from_trace(trace)
+    f_gap, method = initial_gap(trace)
+    assert method == "analytic f_star"
+    assert f_gap == trace.problem.loss_mean(trace.config.x0) - trace.problem.f_star
+    report = clip_bias_terms(trace)
+    inputs = bound_inputs_from_trace(trace, f_gap, report)
     assert inputs.T == 4 and inputs.P == 2 and inputs.Q == 2
-    assert inputs.f_gap == pytest.approx(
-        trace.problem.loss_mean(trace.config.x0) - trace.problem.f_star)
+    assert inputs.f_gap == f_gap
+    assert (inputs.gamma1, inputs.gamma2) == (report.gamma1, report.gamma2)
     assert inputs.certified
+
+
+def test_initial_gap_without_f_star_uses_the_lowest_observed_loss():
+    # both clients see only x1 + x2: the normal matrix is singular, no f_star
+    A = [np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]])]
+    ens = build_linear_regression_ensemble(A, [np.array([1.0]), np.array([-1.0])])
+    assert ens.f_star is None
+    cfg = RunConfig(rounds=3, local_steps=2, n_clients=2, sampled_per_round=2,
+                    eta_l=0.1, eta_g=1.0, policy=ClippingPolicy(mode="none"),
+                    privacy=NO_PRIVACY, seed=0, x0=np.array([2.0, 0.0]))
+    trace = run_experiment(cfg, ens)
+    f_gap, method = initial_gap(trace)
+    assert method == "min-observed-loss proxy"
+    assert f_gap == ens.loss_mean(cfg.x0) - min(r.loss for r in trace.records)
 
 
 def test_measured_stationarity_definition():
@@ -156,7 +174,7 @@ def test_corollary_bound_terms_and_reference_scale():
         "initial_gap": 4.0 * 1.0 / (eta_g * eta_l * Q * T),
         "drift": 12.5 * eta_l ** 2 * L * Q * (1.0 ** 2 + 6.0 * Q * 0.5 ** 2),
         "sampling_variance": 6.0 * eta_g * eta_l * L * 1.0 ** 2 / P,
-        "privacy_noise": noise_term_in_bound(spec, eta_g, eta_l, P, Q, L, d=d),
+        "privacy_noise": noise_term_in_bound(spec, eta_g, eta_l, P, Q, L),
     }
     for k, v in closed.items():
         assert out[k] == th[k] == v, k

@@ -134,17 +134,34 @@ def test_partial_participation_records_sampled_multiset():
         assert all(0 <= i < 4 for i in rec.sampled)
 
 
-def test_determinism_across_thread_counts():
-    ens = build_quadratic_ensemble([-2.0, 1.0, 3.0])
-    cfg = make_config(rounds=6, local_steps=2, n_clients=3, sampled_per_round=2,
-                      policy=ClippingPolicy(mode="difference", threshold=0.4),
-                      noise_mode="gaussian", x0=np.array([0.5]))
-    # noise_mode gaussian with sigma_l = 0 stays exact but exercises streams
-    t1 = run_experiment(cfg, ens, threads=1)
-    t8 = run_experiment(cfg, ens, threads=8)
-    lines1 = [record_to_json(r) for r in t1.records]
-    lines8 = [record_to_json(r) for r in t8.records]
-    assert lines1 == lines8
+# three rows, two unknowns, no exact fit: from a point off every row's
+# hyperplane, a minibatch of one row never lets the step fall below the
+# stopping tolerance
+NO_FIT_A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+NO_FIT_B = [np.array([1.0, 2.0, 0.0]), np.array([0.0, 1.0, 3.0])]
+
+
+def test_local_phase_step_cap_is_a_divergence(monkeypatch):
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
+    ens = build_linear_regression_ensemble([NO_FIT_A, NO_FIT_A], NO_FIT_B)
+    oracle = StackedOracle(ens, noise_mode="minibatch", batch_size=1,
+                           rngs=[rngmod.stream(0, "cap", i) for i in range(2)])
+    with pytest.raises(DivergenceError, match="still moving after 200 steps") as err:
+        local_phase(oracle, np.array([5.0, -5.0]), Q_INF, 0.1, 5)
+    assert err.value.round_index == 5
+    # a phase that stops before the cap is unaffected
+    X, _ = local_phase(StackedOracle(ens), np.array([5.0, -5.0]), Q_INF, 0.3, 5)
+    assert np.isfinite(X).all()
+
+
+def test_gaussian_noise_refuses_local_steps_inf():
+    ens = build_quadratic_ensemble([-1.0, 1.0])
+    cfg = make_config(n_clients=2, sampled_per_round=2, local_steps=Q_INF,
+                      noise_mode="gaussian")
+    with pytest.raises(ValueError, match="sigma_l"):
+        run_experiment(cfg, dataclasses.replace(ens, sigma_l=0.5))
+    # with sigma_l = 0 the gaussian oracle adds nothing and the phases stop
+    assert len(run_experiment(cfg, ens).rounds) == 1
 
 
 def test_noise_injection_changes_trajectory_only_when_enabled():

@@ -174,7 +174,7 @@ def test_eq7_ensemble_shape():
     ens = eq7_ensemble()
     assert ens.n_clients == 3
     np.testing.assert_allclose(ens.global_optimum, [0.0], atol=1e-14)
-    np.testing.assert_allclose(ens.grad_sum(np.array([2.0])), [82.0])
+    np.testing.assert_allclose(ens.grad_mean(np.array([2.0])) * ens.n_clients, [82.0])
 
 
 def reference_clipped_mean_step(vectors, c):

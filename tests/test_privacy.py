@@ -27,6 +27,10 @@ def test_config_validation():
                 {"u": math.nan}, {"v": math.inf}):
         with pytest.raises(ValueError):
             PrivacyConfig(**bad)
+    # a quoted "false" is truthy: only a real bool is accepted
+    for bad in ("false", "true", 1, None):
+        with pytest.raises(ValueError, match="enabled"):
+            PrivacyConfig(enabled=bad)
     cfg = PrivacyConfig(enabled=True, epsilon=2.0)
     assert cfg.u == 1.0 and cfg.v == 2.0
 

@@ -5,10 +5,10 @@ import pytest
 
 from fedclip import rng as rngmod
 from fedclip.problems import (GradientOracle, LinearRegressionObjective,
-                              MLPObjective, ScalarQuadratic,
+                              MLPObjective, ScalarQuadratic, StackedOracle,
                               build_linear_regression_ensemble,
                               build_mlp_synthetic_ensemble,
-                              build_quadratic_ensemble,
+                              build_quadratic_ensemble, sigmoid,
                               _probe_grid)
 
 
@@ -64,7 +64,7 @@ def test_quadratic_ensemble_constants():
     assert ens.sigma_g == pytest.approx(3.0)  # max |b_i - mean|
     # mean-objective gradient is x - mean(b)
     np.testing.assert_allclose(ens.grad_mean(np.array([2.0])), [1.0])
-    np.testing.assert_allclose(ens.grad_sum(np.array([2.0])), [3.0])
+    np.testing.assert_allclose(ens.grad_mean(np.array([2.0])) * ens.n_clients, [3.0])
     assert ens.loss_mean(ens.global_optimum) == pytest.approx(ens.f_star)
 
 
@@ -73,7 +73,7 @@ def test_linear_regression_ensemble_optimum_is_normal_equation_solution():
     b = [np.array([4.0]), np.array([1.0]), np.array([-1.0])]
     ens = build_linear_regression_ensemble(A, b)
     # summed gradient is (1 + 4 + 36) x - (4 + 2 - 6) = 41 x
-    np.testing.assert_allclose(ens.grad_sum(np.array([1.0])), [41.0])
+    np.testing.assert_allclose(ens.grad_mean(np.array([1.0])) * ens.n_clients, [41.0])
     np.testing.assert_allclose(ens.global_optimum, [0.0], atol=1e-12)
     np.testing.assert_allclose(
         [c.local_minimizer[0] for c in ens.clients], [4.0, 0.5, -1.0 / 6.0])
@@ -151,6 +151,85 @@ def test_oracle_mode_validation():
     with pytest.raises(ValueError):
         GradientOracle(obj, noise_mode="minibatch",
                        rng=rngmod.stream(0, "x"))  # no grad_batch
+
+
+def test_stacked_oracle_deterministic_is_exact():
+    ens = build_quadratic_ensemble([1.0, -2.0])
+    G = StackedOracle(ens).sample(np.array([[3.0], [0.5]]))
+    np.testing.assert_array_equal(G, [[2.0], [2.5]])
+
+
+def test_stacked_oracle_gaussian_mean_and_variance():
+    # four clients with gradient x - b_i; each row is one client's draw
+    ens = build_linear_regression_ensemble([np.eye(2)] * 4,
+                                           [np.full(2, float(i)) for i in range(4)])
+    X = rngmod.stream(3, "test-stacked-x").normal(size=(4, 2))
+    sigma_l = 0.8
+    oracle = StackedOracle(ens, noise_mode="gaussian", sigma_l=sigma_l,
+                           rngs=[rngmod.stream(3, "test-gauss", i) for i in range(4)])
+    draws = np.stack([oracle.sample(X) for _ in range(5000)])
+    np.testing.assert_allclose(draws.mean(axis=0), ens.grad_stack(X), atol=0.04)
+    # total injected second moment is sigma_l^2, split across coordinates
+    total_var = np.sum(draws.var(axis=0), axis=1)
+    np.testing.assert_allclose(total_var, sigma_l ** 2, rtol=0.08)
+
+
+def test_stacked_oracle_minibatch_is_unbiased():
+    g = rngmod.stream(4, "test-stacked-minibatch")
+    ens = build_linear_regression_ensemble([g.normal(size=(30, 2)) for _ in range(3)],
+                                           [g.normal(size=30) for _ in range(3)])
+    X = g.normal(size=(3, 2))
+    oracle = StackedOracle(ens, noise_mode="minibatch", batch_size=5,
+                           rngs=[rngmod.stream(4, "test-draws", i) for i in range(3)])
+    draws = np.stack([oracle.sample(X) for _ in range(5000)])
+    # each entry's mean lies within 4 standard errors of the full gradient
+    stderr = draws.std(axis=0) / np.sqrt(len(draws))
+    assert (np.abs(draws.mean(axis=0) - ens.grad_stack(X)) <= 4.0 * stderr).all()
+
+
+def test_stacked_oracle_counts_bound_violations_without_projecting():
+    ens = build_quadratic_ensemble([0.0, 0.0])
+    oracle = StackedOracle(ens, grad_bound=1.0)
+    G = oracle.sample(np.array([[5.0], [0.5]]))
+    np.testing.assert_array_equal(G, [[5.0], [0.5]])  # not projected
+    assert oracle.violations == 1
+    # rows outside the active mask are not counted
+    oracle.sample(np.array([[5.0], [5.0]]), np.array([False, True]))
+    assert oracle.violations == 2
+
+
+def test_stacked_oracle_mode_validation():
+    ens = build_quadratic_ensemble([0.0, 1.0])
+    with pytest.raises(ValueError, match="unknown noise mode"):
+        StackedOracle(ens, noise_mode="unknown")
+    with pytest.raises(ValueError, match="rng stream"):
+        StackedOracle(ens, noise_mode="gaussian")
+    with pytest.raises(ValueError, match="minibatch"):  # quadratics have no rows
+        StackedOracle(ens, noise_mode="minibatch",
+                      rngs=[rngmod.stream(0, "x", i) for i in range(2)])
+
+
+def masked_sigmoid(z):
+    """The masked-scatter form ``sigmoid`` had before, kept as its reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit():
+    g = rngmod.stream(8, "test-sigmoid")
+    edge = np.array([np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+                     1e-320, -1e-320, 0.0, -0.0, 36.0, -36.0, 1e308, -1e308])
+    for z in (g.normal(0.0, 5.0, size=(50, 32)), g.normal(0.0, 300.0, size=2000), edge):
+        new, old = sigmoid(z), masked_sigmoid(z)
+        # NaN stays NaN (its sign bit may differ); every other entry is equal
+        # bit for bit, signed zeros included
+        assert np.array_equal(new, old, equal_nan=True)
+        finite = ~np.isnan(old)
+        assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
 
 
 def test_mlp_ensemble_shapes_and_heterogeneity_validation():
