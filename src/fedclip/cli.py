@@ -46,6 +46,17 @@ def _parse_threshold(v):
     return float(v)
 
 
+def _parse_sigma_l(v):
+    """The Gaussian oracle's noise level: a finite number >= 0."""
+    try:
+        ok = not isinstance(v, bool) and 0.0 <= float(v) < math.inf  # False for NaN
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"problem.sigma_l must be a finite number >= 0, got {v!r}")
+    return float(v)
+
+
 @dataclass
 class ExperimentConfig:
     problem: dict
@@ -57,7 +68,7 @@ class ExperimentConfig:
 
     PROBLEM_KEYS = ("kind", "b", "A", "b_list", "hidden_width", "n_clients",
                     "samples_per_client", "heterogeneity", "n_classes",
-                    "input_dim", "seed", "g_bound")
+                    "input_dim", "seed", "g_bound", "sigma_l")
     RUN_KEYS = ("rounds", "local_steps", "sampled_per_round", "eta_l", "eta_g",
                 "seed", "x0", "noise_mode", "batch_size", "replay_count")
     CLIP_KEYS = ("mode", "threshold", "rho")
@@ -90,19 +101,21 @@ class ExperimentConfig:
         p = self.problem
         kind = p.get("kind")
         g_bound = p.get("g_bound")
+        sigma_l = _parse_sigma_l(p.get("sigma_l", 0.0))
         if kind == "quadratic":
-            return build_quadratic_ensemble(p["b"], g_bound=g_bound)
+            return build_quadratic_ensemble(p["b"], g_bound=g_bound, sigma_l=sigma_l)
         if kind == "linear_regression":
             A = [np.asarray(a, dtype=float) for a in p["A"]]
             b = [np.atleast_1d(np.asarray(v, dtype=float)) for v in p["b_list"]]
-            return build_linear_regression_ensemble(A, b, g_bound=g_bound)
+            return build_linear_regression_ensemble(A, b, g_bound=g_bound,
+                                                    sigma_l=sigma_l)
         if kind == "mlp":
             return build_mlp_synthetic_ensemble(
                 hidden_width=p["hidden_width"], N=p["n_clients"],
                 samples_per_client=p["samples_per_client"],
                 heterogeneity=p.get("heterogeneity", 0.0),
                 seed=p.get("seed", 0), n_classes=p.get("n_classes", 2),
-                input_dim=p.get("input_dim", 2), g_bound=g_bound)
+                input_dim=p.get("input_dim", 2), g_bound=g_bound, sigma_l=sigma_l)
         raise ConfigError(f"unknown problem kind {kind!r}")
 
     def build_run_config(self, problem, seed=None) -> engine.RunConfig:

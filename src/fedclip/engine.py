@@ -214,12 +214,18 @@ def sample_clients(N, P, rng):
 
 
 def _oracle(config, problem, tag, t, *replay):
-    """Stacked oracle whose row i draws from stream (seed, tag, t, i, *replay)."""
+    """Stacked oracle whose row i draws from stream (seed, tag, t, i, *replay).
+
+    A Gaussian oracle with sigma_l = 0 draws nothing: it is the deterministic
+    oracle, and needs no streams."""
+    mode = config.noise_mode
+    if mode == "gaussian" and problem.sigma_l == 0:
+        mode = "deterministic"
     rngs = None
-    if config.noise_mode != "deterministic":
+    if mode != "deterministic":
         rngs = [rngmod.stream(config.seed, tag, t, i, *replay)
                 for i in range(problem.n_clients)]
-    return StackedOracle(problem, noise_mode=config.noise_mode,
+    return StackedOracle(problem, noise_mode=mode,
                          sigma_l=problem.sigma_l, batch_size=config.batch_size,
                          rngs=rngs, grad_bound=problem.G)
 

@@ -33,14 +33,84 @@ def softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     # where(z >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(-|z|), which cannot
-    # overflow; written in place so at most two arrays of z's size are live
-    e = np.exp(-np.abs(z))
+    # overflow; written in place, into ``out`` if given (which may be z), so at
+    # most two arrays of z's size are live besides z
+    pos = z >= 0
+    e = np.abs(z, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     d = 1.0 + e
     np.divide(e, d, out=e)
-    np.divide(1.0, d, out=e, where=z >= 0)
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=pos)
     return e
+
+
+# Elements of one (rows, m, h) activation array in a chunk of the batched MLP
+# gradient, which keeps about three such arrays live: a chunk holds
+# max(1, _MLP_CHUNK_ELEMENTS // (m * h)) rows of m samples and h hidden units.
+# Measured with tracemalloc: at m = 16, h = 32 a chunk of two rows peaks
+# within 15% of a one-client pass, and three rows (a budget of 1,536) at 49%
+# above it.
+_MLP_CHUNK_ELEMENTS = 1280
+
+
+def mlp_grads(W, X, y, hidden, n_classes, idx=None):
+    """Loss gradients of one-hidden-layer MLP clients, one per row of ``W``.
+
+    Row k of the (K, d) parameter stack ``W`` is evaluated on client k % N of
+    the data ``X`` (N, n, in) and labels ``y`` (N, n): on all n samples, or,
+    with ``idx`` (K, m), on samples idx[k]. Rows run in chunks of one batched
+    forward and backward pass whose activations stay under
+    ``_MLP_CHUNK_ELEMENTS``; each row is what the pass would give for that
+    row alone.
+    """
+    K, d = W.shape
+    N, n, din = X.shape
+    h, C = hidden, n_classes
+    m = n if idx is None else idx.shape[1]
+    o1 = h * din
+    o2 = o1 + h
+    o3 = o2 + C * h
+    out = np.empty((K, d))
+    step = max(1, _MLP_CHUNK_ELEMENTS // (m * h))
+    rows = np.arange(min(step, K))[:, None]
+    # flat offset of entry (row, sample, class 0) of a chunk's (r, m, C) logits
+    base = np.arange(rows.size * m) * C
+    for lo in range(0, K, step):
+        hi = min(lo + step, K)
+        r = hi - lo
+        c0 = lo % N
+        # the chunk's clients: a slice unless the rows wrap past client N - 1
+        c = slice(c0, c0 + r) if c0 + r <= N else np.arange(lo, hi) % N
+        Xc, yc = X[c], y[c]
+        if idx is not None:
+            pick = (rows[:r], idx[lo:hi])
+            Xc, yc = Xc[pick], yc[pick]
+        Wc = W[lo:hi]
+        Z1 = Xc @ Wc[:, :o1].reshape(r, h, din).transpose(0, 2, 1)
+        Z1 += Wc[:, None, o1:o2]
+        H = softplus(Z1)
+        W2 = Wc[:, o2:o3].reshape(r, C, h)
+        logits = H @ W2.transpose(0, 2, 1)
+        logits += Wc[:, None, o3:]
+        logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+        logits -= np.log(np.add.reduce(np.exp(logits), axis=2, keepdims=True))
+        p = np.exp(logits, out=logits)
+        # p - one_hot(y), as one subtraction at the label entries; p is a
+        # fresh matmul result, contiguous, so its flat view writes through
+        p.reshape(-1)[base[:r * m] + yc.reshape(-1)] -= 1.0
+        p /= m
+        out[lo:hi, o2:o3] = (p.transpose(0, 2, 1) @ H).reshape(r, -1)
+        del H
+        out[lo:hi, o3:] = np.add.reduce(p, axis=1)
+        dZ1 = p @ W2
+        dZ1 *= sigmoid(Z1, out=Z1)
+        out[lo:hi, :o1] = (dZ1.transpose(0, 2, 1) @ Xc).reshape(r, -1)
+        out[lo:hi, o1:o2] = np.add.reduce(dZ1, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,25 +244,12 @@ class MLPObjective:
         return float(-ll.mean())
 
     def grad(self, x):
-        return self._grad_on(x, np.arange(self.X.shape[0]))
+        return mlp_grads(x[None], self.X[None], self.y[None], self.hidden,
+                         self.n_classes)[0]
 
     def grad_batch(self, x, indices):
-        return self._grad_on(x, np.asarray(indices))
-
-    def _grad_on(self, x, idx):
-        X, y = self.X[idx], self.y[idx]
-        W1, b1, W2, b2 = self._unpack(x)
-        Z1, H, logits, logZ = self._forward(x, X)
-        p = np.exp(logits - logZ)
-        p[np.arange(len(y)), y] -= 1.0
-        p /= len(y)
-        dW2 = p.T @ H
-        db2 = p.sum(axis=0)
-        dH = p @ W2
-        dZ1 = dH * sigmoid(Z1)
-        dW1 = dZ1.T @ X
-        db1 = dZ1.sum(axis=0)
-        return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+        return mlp_grads(x[None], self.X[None], self.y[None], self.hidden,
+                         self.n_classes, idx=np.asarray(indices)[None])[0]
 
     @property
     def local_minimizer(self):
@@ -256,16 +313,22 @@ class ProblemInstance:
                 and len({c.n_samples for c in cl}) == 1):
             return ("linear", np.stack([c.A for c in cl]),
                     np.stack([c.b for c in cl])[:, :, None])
+        if (all(isinstance(c, MLPObjective) for c in cl)
+                and len({(c.X.shape, c.hidden, c.n_classes) for c in cl}) == 1):
+            return ("mlp", np.stack([c.X for c in cl]), np.stack([c.y for c in cl]))
         return None
 
     def grad_stack(self, X, indices=None):
-        """Gradient of client i at row i of the (N, d) stack ``X``, for all i.
+        """Gradient of client i at row i of the (..., N, d) stack ``X``, for all i.
 
-        With ``indices`` (one array of sample indices per client) each row
-        is its client's minibatch gradient instead. Quadratic clients, and
-        linear-regression clients with equal row counts, are evaluated in
-        one batched pass whose rows are bit-identical to the per-client
-        ``grad`` / ``grad_batch``; other federations loop over clients.
+        With ``indices`` (sample indices of shape (..., N, B), or one array
+        of B per client) each row is its client's minibatch gradient instead.
+        Quadratic clients, linear-regression clients with equal row counts,
+        and MLP clients with equal data shapes are evaluated in one batched
+        pass whose rows are bit-identical to the per-client ``grad`` /
+        ``grad_batch``; the MLP pass runs in memory-bounded chunks of rows
+        (``mlp_grads``). Other federations loop over clients, on an (N, d)
+        stack only.
         """
         stacked = self._stacked
         if stacked is None:
@@ -276,25 +339,47 @@ class ProblemInstance:
         kind, *data = stacked
         if kind == "quadratic":
             return X - data[0]
+        if indices is not None:
+            indices = np.broadcast_to(indices, X.shape[:-1] + np.shape(indices)[-1:])
+        if kind == "mlp":
+            c = self.clients[0]
+            W = X.reshape(-1, X.shape[-1])
+            idx = None if indices is None else indices.reshape(len(W), -1)
+            return mlp_grads(W, *data, c.hidden, c.n_classes, idx).reshape(X.shape)
         A, b = data
         if indices is not None:
-            pick = (np.arange(len(A))[:, None], np.asarray(indices))
+            pick = (np.arange(len(A))[:, None], indices)
             A, b = A[pick], b[pick]
-        g = np.matmul(A.transpose(0, 2, 1), np.matmul(A, X[:, :, None]) - b)[:, :, 0]
+        g = np.matmul(A.swapaxes(-1, -2), np.matmul(A, X[..., None]) - b)[..., 0]
         if indices is None:
             return g
         # grad_batch scales by n / batch size after the product
-        return g * (data[0].shape[1] / pick[1].shape[1])
+        return g * (data[0].shape[1] / indices.shape[-1])
 
     def client_grads(self, x):
         """Every client's gradient at the one point ``x``, as an (N, d) stack."""
-        return self.grad_stack(np.tile(x, (self.n_clients, 1)))
+        return self.grad_stack(np.broadcast_to(x, (self.n_clients, len(x))))
 
     def grad_mean(self, x):
         return client_sum(self.client_grads(x)) / self.n_clients
 
     def loss_mean(self, x) -> float:
-        return sum(obj.loss(x) for obj in self.clients) / self.n_clients
+        """Mean client loss at ``x``. Quadratic clients, and linear-regression
+        clients with equal row counts, are evaluated on the client stack and
+        summed in client order, bit-identical to summing each ``loss``; other
+        federations loop over clients."""
+        kind, *data = self._stacked or (None,)
+        if kind == "quadratic":
+            # float_power calls the C library's pow on every entry, as the
+            # scalar (x - b) ** 2 does; power and square round differently
+            losses = 0.5 * np.float_power(x[0] - data[0][:, 0], 2)
+        elif kind == "linear":
+            A, b = data
+            r = np.matmul(A, x) - b[:, :, 0]
+            losses = 0.5 * np.vecdot(r, r)
+        else:
+            return sum(obj.loss(x) for obj in self.clients) / self.n_clients
+        return float(client_sum(losses)) / self.n_clients
 
 
 class GradientOracle:
@@ -429,7 +514,7 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_quiet_overflow
-def build_quadratic_ensemble(b_values, g_bound=None) -> ProblemInstance:
+def build_quadratic_ensemble(b_values, g_bound=None, sigma_l=0.0) -> ProblemInstance:
     """Ensemble of scalar quadratics 0.5 * (x - b_i)^2."""
     if len(b_values) == 0:
         raise ValueError("b_values must be nonempty")
@@ -446,8 +531,8 @@ def build_quadratic_ensemble(b_values, g_bound=None) -> ProblemInstance:
                "G": "declared" if g_bound is not None else "probe-grid estimate"}
     return replace(
         prob, G=float(g_bound) if g_bound is not None else gmax,
-        sigma_g=sigma_g, f_star=prob.loss_mean(opt), global_optimum=opt,
-        constant_methods=methods)
+        sigma_l=float(sigma_l), sigma_g=sigma_g, f_star=prob.loss_mean(opt),
+        global_optimum=opt, constant_methods=methods)
 
 
 @_quiet_overflow
@@ -483,7 +568,8 @@ def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
 
 def build_mlp_synthetic_ensemble(hidden_width, N, samples_per_client,
                                  heterogeneity, seed, n_classes=2,
-                                 input_dim=2, g_bound=None) -> ProblemInstance:
+                                 input_dim=2, g_bound=None,
+                                 sigma_l=0.0) -> ProblemInstance:
     """Synthetic federation of one-hidden-layer classifiers.
 
     Each client draws Gaussian-mixture data; ``heterogeneity`` interpolates
@@ -528,4 +614,4 @@ def build_mlp_synthetic_ensemble(hidden_width, N, samples_per_client,
                "G": "declared" if g_bound is not None else "sampled estimate"}
     return replace(
         prob, L=float(L), G=float(g_bound) if g_bound is not None else 2.0 * gmax,
-        sigma_g=divmax, constant_methods=methods)
+        sigma_l=float(sigma_l), sigma_g=divmax, constant_methods=methods)

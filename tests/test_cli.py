@@ -1,7 +1,6 @@
 """End-to-end tests for the config loader, runner, and artifact writers."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -268,17 +267,44 @@ def test_local_phase_step_cap_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_gaussian_noise_with_local_steps_inf_exits_2(tmp_path, capsys, monkeypatch):
-    # the CLI builders set sigma_l = 0, so the problem gets its noise here;
     # the small cap makes a missing refusal fail fast
-    build = ExperimentConfig.build_problem
-    monkeypatch.setattr(ExperimentConfig, "build_problem",
-                        lambda self: dataclasses.replace(build(self), sigma_l=0.5))
     monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
     code, err = run_cli_error(tmp_path, capsys, {
-        "problem": NO_FIT_PROBLEM, "run": {**INF_RUN, "noise_mode": "gaussian"},
+        "problem": {**NO_FIT_PROBLEM, "sigma_l": 0.5},
+        "run": {**INF_RUN, "noise_mode": "gaussian"},
     })
     assert code == 2
     assert err["error"] == "config" and "sigma_l" in err["message"]
+
+
+def test_gaussian_noise_level_reaches_the_oracle(tmp_path, monkeypatch):
+    # problem.sigma_l is the gaussian oracle's noise; at 0 the oracle draws
+    # nothing, so it builds no "grad" streams and follows the deterministic
+    # trajectory
+    tags = []
+    stream = fedclip.rng.stream
+
+    def counted(seed, *key):
+        tags.append(key[0])
+        return stream(seed, *key)
+
+    monkeypatch.setattr("fedclip.engine.rngmod.stream", counted)
+
+    def rounds(name, sigma_l, noise_mode):
+        path = write_config(tmp_path, {"problem": {"sigma_l": sigma_l},
+                                       "run": {"noise_mode": noise_mode}},
+                            name=f"{name}.yaml")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "rounds.jsonl").read_text().splitlines()
+        return [json.loads(line)["x"] for line in lines]
+
+    deterministic = rounds("det", 0.0, "deterministic")
+    quiet = rounds("quiet", 0.0, "gaussian")
+    assert "grad" not in tags
+    assert quiet == deterministic
+    noisy = rounds("noisy", 0.5, "gaussian")
+    assert tags.count("grad") == 4 * 3  # one stream per round and client
+    assert noisy != deterministic
 
 
 def test_threads_option_is_gone(tmp_path, capsys):
@@ -323,6 +349,12 @@ def test_malformed_yaml_exit_code(tmp_path, capsys):
     # a quoted bool is truthy; a repeated seed would run twice into one rep_ dir
     ({"privacy": {"enabled": "false"}}, "privacy.enabled"),
     ({"replicates": {"seeds": [1, 1]}}, "repeats a seed"),
+    # the gaussian oracle's noise level is a finite number >= 0
+    ({"problem": {"sigma_l": -0.1}}, "problem.sigma_l"),
+    ({"problem": {"sigma_l": math.nan}}, "problem.sigma_l"),
+    ({"problem": {"sigma_l": math.inf}}, "problem.sigma_l"),
+    ({"problem": {"sigma_l": True}}, "problem.sigma_l"),
+    ({"problem": {"sigma_l": "loud"}}, "problem.sigma_l"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))

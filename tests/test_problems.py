@@ -1,12 +1,14 @@
 """Tests for client objectives, ensemble builders, and gradient oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fedclip import rng as rngmod
+from fedclip import problems, rng as rngmod
 from fedclip.problems import (GradientOracle, LinearRegressionObjective,
-                              MLPObjective, ScalarQuadratic, StackedOracle,
-                              build_linear_regression_ensemble,
+                              MLPObjective, ProblemInstance, ScalarQuadratic,
+                              StackedOracle, build_linear_regression_ensemble,
                               build_mlp_synthetic_ensemble,
                               build_quadratic_ensemble, sigmoid,
                               _probe_grid)
@@ -303,3 +305,134 @@ def test_mlp_constants_match_client_by_client_reference():
     pts = [est.normal(0.0, 1.0, size=ens.dim) for _ in range(50)]
     gmax, divmax = reference_probe(ens.clients, pts)
     assert (ens.L, ens.G, ens.sigma_g) == (float(L * 1.5), 2.0 * gmax, divmax)
+
+
+def reference_mlp_grad(obj, x, idx=None):
+    """One client's MLP gradient by the two-dimensional formula that
+    ``MLPObjective`` used before the batched kernel: the bit-exact reference
+    of ``problems.mlp_grads``."""
+    idx = np.arange(obj.n_samples) if idx is None else np.asarray(idx)
+    X, y = obj.X[idx], obj.y[idx]
+    din, h, C = X.shape[1], obj.hidden, obj.n_classes
+    o1, o2, o3 = h * din, h * din + h, h * din + h + C * h
+    W1, b1 = x[:o1].reshape(h, din), x[o1:o2]
+    W2, b2 = x[o2:o3].reshape(C, h), x[o3:]
+    Z1 = X @ W1.T + b1
+    H = np.logaddexp(0.0, Z1)
+    logits = H @ W2.T + b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    logZ = np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    p = np.exp(logits - logZ)
+    p[np.arange(len(y)), y] -= 1.0
+    p /= len(y)
+    dW2 = p.T @ H
+    db2 = p.sum(axis=0)
+    dH = p @ W2
+    dZ1 = dH * masked_sigmoid(Z1)
+    dW1 = dZ1.T @ X
+    db1 = dZ1.sum(axis=0)
+    return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+
+
+def mlp_federation(N, n, hidden, seed, n_classes=3, input_dim=2):
+    """N MLP clients with n random samples each, without the builder's
+    constant estimation."""
+    g = rngmod.stream(seed, "test-mlp-federation")
+    clients = tuple(MLPObjective(X=g.normal(0.0, 2.0, size=(n, input_dim)),
+                                 y=g.integers(0, n_classes, size=n),
+                                 hidden=hidden, n_classes=n_classes)
+                    for _ in range(N))
+    return ProblemInstance(clients=clients, dim=clients[0].dim, L=1.0, G=0.0,
+                           sigma_l=0.0, sigma_g=0.0)
+
+
+def reference_stack(prob, W, idx=None):
+    """``reference_mlp_grad`` of client i at every (..., i, :) row of ``W``."""
+    N = prob.n_clients
+    rows = W.reshape(-1, W.shape[-1])
+    picks = [None] * len(rows) if idx is None else idx.reshape(len(rows), -1)
+    return np.stack([reference_mlp_grad(prob.clients[k % N], w, i)
+                     for k, (w, i) in enumerate(zip(rows, picks))]).reshape(W.shape)
+
+
+def test_mlp_objective_grads_match_reference():
+    prob = mlp_federation(1, 13, 5, seed=1)
+    obj = prob.clients[0]
+    g = rngmod.stream(1, "test-mlp-x")
+    x = g.normal(0.0, 1.5, size=obj.dim)
+    assert np.array_equal(obj.grad(x), reference_mlp_grad(obj, x))
+    for idx in ([4], [0, 0, 12, 3, 3, 3], g.integers(0, 13, size=40)):
+        assert np.array_equal(obj.grad_batch(x, idx), reference_mlp_grad(obj, x, idx))
+
+
+# (leading shape of the stack, rows per chunk); None: the module's budget.
+# 10 rows in chunks of 3 end with a partial chunk; in a (2, 5) stack a chunk
+# of 3 also wraps from client 4 back to client 0; a budget below m * h gives
+# one-row chunks.
+CHUNKINGS = [((10,), 3), ((2, 5), 3), ((3, 4), 1), ((9,), 9), ((10,), None)]
+
+
+@pytest.mark.parametrize("lead, rows_per_chunk", CHUNKINGS)
+@pytest.mark.parametrize("batch", [None, 1, 7, 30])
+def test_mlp_grad_stack_matches_per_client_reference(monkeypatch, lead, rows_per_chunk,
+                                                     batch):
+    n, h = 12, 6
+    prob = mlp_federation(lead[-1], n, h, seed=len(lead) + (batch or 0))
+    m = n if batch is None else batch
+    if rows_per_chunk == 1:
+        monkeypatch.setattr(problems, "_MLP_CHUNK_ELEMENTS", m * h - 1)
+    elif rows_per_chunk is not None:
+        monkeypatch.setattr(problems, "_MLP_CHUNK_ELEMENTS",
+                            rows_per_chunk * m * h + m * h - 1)
+    g = rngmod.stream(len(lead), "test-mlp-stack")
+    W = g.normal(0.0, 1.5, size=lead + (prob.dim,))
+    # with replacement: a batch of 30 of 12 samples repeats some of them
+    idx = None if batch is None else g.integers(0, n, size=lead + (batch,))
+    assert np.array_equal(prob.grad_stack(W, idx), reference_stack(prob, W, idx))
+    if len(lead) == 1 and idx is not None:
+        # the oracle's form: one index array per client
+        assert np.array_equal(prob.grad_stack(W, list(idx)),
+                              reference_stack(prob, W, idx))
+
+
+def test_mlp_grad_stack_memory_stays_near_per_client_reference():
+    """One batched gradient keeps about three (rows, m, h) activations live
+    under the chunk budget; the per-client loop keeps one client's. The
+    batched peak stays within 25% of the per-client peak, full-batch and at
+    B = 16 (the minibatch of the mlp-build-replay benchmark workload)."""
+    prob = mlp_federation(8, 50, 32, seed=3, n_classes=4)
+    g = rngmod.stream(3, "test-mlp-memory")
+    W = g.normal(0.0, 0.5, size=(8, prob.dim))
+    idx = g.integers(0, 50, size=(8, 16))
+    prob.grad_stack(W)  # the stacked client data is cached, not measured
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for picks in (None, idx):
+        batched = peak(lambda: prob.grad_stack(W, picks))
+        per_client = peak(lambda: reference_stack(prob, W, picks))
+        assert batched <= 1.25 * per_client, (picks is None, batched, per_client)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear"])
+def test_stacked_loss_mean_matches_per_client_sum(kind):
+    g = rngmod.stream(11, "test-loss-mean", kind)
+    for _ in range(60):
+        N = int(g.integers(1, 14))
+        scale = 10.0 ** g.uniform(-3, 3)
+        if kind == "quadratic":
+            ens = build_quadratic_ensemble(g.normal(0.0, scale, size=N).tolist())
+            x = g.normal(0.0, scale, size=1)
+        else:
+            n, d = int(g.integers(1, 30)), int(g.integers(1, 6))
+            ens = build_linear_regression_ensemble(
+                list(g.normal(0.0, scale, size=(N, n, d))), list(g.normal(size=(N, n))))
+            x = g.normal(0.0, 2.0, size=d)
+        assert ens._stacked[0] == kind
+        assert ens.loss_mean(x) == sum(c.loss(x) for c in ens.clients) / N
