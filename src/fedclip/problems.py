@@ -216,30 +216,17 @@ class MLPObjective:
         din = self.X.shape[1]
         return self.hidden * din + self.hidden + self.n_classes * self.hidden + self.n_classes
 
-    def _unpack(self, x):
-        din, h, C = self.X.shape[1], self.hidden, self.n_classes
-        i = 0
-        W1 = x[i:i + h * din].reshape(h, din); i += h * din
-        b1 = x[i:i + h]; i += h
-        W2 = x[i:i + C * h].reshape(C, h); i += C * h
-        b2 = x[i:i + C]
-        return W1, b1, W2, b2
-
-    def _forward(self, x, X):
-        W1, b1, W2, b2 = self._unpack(x)
-        Z1 = X @ W1.T + b1
-        H = softplus(Z1)
-        logits = H @ W2.T + b2
-        logits = logits - logits.max(axis=1, keepdims=True)
-        logZ = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return Z1, H, logits, logZ
-
     @property
     def n_samples(self) -> int:
         return self.X.shape[0]
 
     def loss(self, x) -> float:
-        _, _, logits, logZ = self._forward(x, self.X)
+        din, h, C = self.X.shape[1], self.hidden, self.n_classes
+        o1, o2, o3 = h * din, h * din + h, h * din + h + C * h
+        Z1 = self.X @ x[:o1].reshape(h, din).T + x[o1:o2]
+        logits = softplus(Z1) @ x[o2:o3].reshape(C, h).T + x[o3:]
+        logits = logits - logits.max(axis=1, keepdims=True)
+        logZ = np.log(np.exp(logits).sum(axis=1, keepdims=True))
         ll = logits[np.arange(len(self.y)), self.y] - logZ[:, 0]
         return float(-ll.mean())
 
