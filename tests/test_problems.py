@@ -420,6 +420,19 @@ def test_mlp_grad_stack_memory_stays_near_per_client_reference():
         assert batched <= 1.25 * per_client, (picks is None, batched, per_client)
 
 
+# (0 - b) ** 2 for these b: the C library's pow rounds them one unit in the
+# last place away from the correctly rounded square b * b
+POW_IS_NOT_SQUARE = [2.1709470694003272, -2.6632322132477966, -1.7236710203663734,
+                     -1.3639451977731007, 2.287392493016649, -4.047197915845636]
+
+
+@pytest.mark.parametrize("b", POW_IS_NOT_SQUARE)
+def test_stacked_quadratic_loss_rounds_as_the_client_loss(b):
+    ens = build_quadratic_ensemble([b])
+    x = np.zeros(1)
+    assert ens.loss_mean(x) == ens.clients[0].loss(x)
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "linear"])
 def test_stacked_loss_mean_matches_per_client_sum(kind):
     g = rngmod.stream(11, "test-loss-mean", kind)
