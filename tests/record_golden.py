@@ -5,8 +5,9 @@
 runs ``fedclip run`` on every config in ``tests/golden/`` and ``fedclip
 table1``, and writes the sha256 of every file they write to
 ``tests/golden/digests.json``, with the Python and numpy versions the bits
-hold for. Rerun it only for a change that is meant to alter artifact bits,
-and list each changed file, and why it changed, in CHANGES.md.
+hold for. It prints every entry it changed, added or removed. Rerun it only
+for a change that is meant to alter artifact bits, and list each changed
+file, and why it changed, in CHANGES.md.
 """
 
 import hashlib
@@ -54,7 +55,27 @@ def run_digests(config, outdir) -> dict:
             for p in sorted(Path(outdir).rglob("*")) if p.is_file()}
 
 
+def flatten(digests, prefix="") -> dict:
+    """The entries of a digests mapping, keyed by their slash-joined path."""
+    out = {}
+    for key, value in digests.items():
+        if isinstance(value, dict):
+            out.update(flatten(value, f"{prefix}{key}/"))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def changes(old, new) -> list:
+    """One line per entry that differs between two digests mappings."""
+    old, new = flatten(old), flatten(new)
+    return ([f"changed {k}" for k in sorted(old.keys() & new.keys()) if old[k] != new[k]]
+            + [f"added {k}" for k in sorted(new.keys() - old.keys())]
+            + [f"removed {k}" for k in sorted(old.keys() - new.keys())])
+
+
 def record():
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         runs = {c.stem: run_digests(c, tmp / c.stem) for c in configs()}
@@ -63,6 +84,7 @@ def record():
             raise RuntimeError("fedclip table1 failed")
         out = {**versions(), "runs": runs, "table1_grid": file_digest(grid)}
     DIGESTS.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    print("\n".join(changes(old, out)) or "no digest changed")
 
 
 if __name__ == "__main__":
