@@ -46,15 +46,19 @@ def _parse_threshold(v):
     return float(v)
 
 
-def _parse_sigma_l(v):
-    """The Gaussian oracle's noise level: a finite number >= 0."""
+def _parse_constant(v, name, positive):
+    """A problem constant: a finite number, not a bool, that is > 0 if
+    ``positive`` and >= 0 otherwise."""
     try:
-        ok = not isinstance(v, bool) and 0.0 <= float(v) < math.inf  # False for NaN
+        x = float(v)
+        ok = (not isinstance(v, bool) and x < math.inf
+              and (x > 0.0 if positive else x >= 0.0))  # False for NaN
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise ConfigError(f"problem.sigma_l must be a finite number >= 0, got {v!r}")
-    return float(v)
+        sign = ">" if positive else ">="
+        raise ConfigError(f"problem.{name} must be finite and {sign} 0, got {v!r}")
+    return x
 
 
 @dataclass
@@ -101,7 +105,9 @@ class ExperimentConfig:
         p = self.problem
         kind = p.get("kind")
         g_bound = p.get("g_bound")
-        sigma_l = _parse_sigma_l(p.get("sigma_l", 0.0))
+        if g_bound is not None:  # absent: the builders estimate G
+            g_bound = _parse_constant(g_bound, "g_bound", positive=True)
+        sigma_l = _parse_constant(p.get("sigma_l", 0.0), "sigma_l", positive=False)
         if kind == "quadratic":
             return build_quadratic_ensemble(p["b"], g_bound=g_bound, sigma_l=sigma_l)
         if kind == "linear_regression":

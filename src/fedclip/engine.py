@@ -24,6 +24,16 @@ Q_INF = math.inf
 _DIVERGENCE_NORM = 1e12
 _LOCAL_TOL = 1e-12
 _LOCAL_MAX_STEPS = 10 ** 6
+# A local_steps: inf block holds up to min(_LOCAL_BLOCK_STEPS,
+# max(1, _LOCAL_BLOCK_ELEMENTS // (N * d))) steps of the (N, d) stack. A block
+# runs on past a row's stopping step and throws those steps away, and each
+# block ends in one pass over its history, so the step cap trades wasted
+# steps against passes: 64 steps run the table1 grid fastest (32 and 128 are
+# slower). The element budget bounds each history array at 16 KB, so a stack
+# of more than 1,024 elements runs one-step blocks, whose two history
+# arrays of two rows hold as much as the step-by-step loop's four stacks.
+_LOCAL_BLOCK_STEPS = 64
+_LOCAL_BLOCK_ELEMENTS = 2048
 
 
 class DivergenceError(RuntimeError):
@@ -172,38 +182,81 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
     Returns the final iterates and the gradient sums, row i for client i,
     each bit-identical to ``local_update`` of that client with the same
     oracle stream. With Q = Q_INF each row stops on the step where its own
-    step norm falls below 1e-12 and is masked out of later updates. A row
-    that diverges, or that is still moving after 1e6 steps, raises
+    step norm falls below 1e-12 (``_exhaustive_phase``). A row that
+    diverges, or that is still moving after 1e6 steps, raises
     DivergenceError with ``round_index``.
     """
-    N = oracle.problem.n_clients
-    X = np.tile(np.asarray(x_start, dtype=float), (N, 1))
-    gsum = np.zeros_like(X)
-    # overflow and NaN are reported by _check_finite, not as numpy warnings
+    # overflow and NaN are reported as a DivergenceError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if Q == Q_INF:
-            active = np.ones(N, dtype=bool)
-            running = active[:, None]  # a view: follows the in-place updates of active
-            for _ in range(_LOCAL_MAX_STEPS):
-                G = oracle.sample(X, active)
-                step = eta_l * G
-                np.subtract(X, step, out=X, where=running)
-                np.add(gsum, G, out=gsum, where=running)
-                _check_finite(X, round_index)
-                active &= clipping.norms(step) > _LOCAL_TOL
-                if not active.any():
-                    break
-            else:
-                raise DivergenceError(
-                    round_index, float(clipping.norms(step)[active].max()),
-                    f"local phase still moving after {_LOCAL_MAX_STEPS} steps")
-        else:
-            for _ in range(int(Q)):
-                G = oracle.sample(X)
-                X -= eta_l * G
-                gsum += G
-            _check_finite(X, round_index)
+            return _exhaustive_phase(oracle, x_start, eta_l, round_index)
+        X = np.tile(np.asarray(x_start, dtype=float), (oracle.problem.n_clients, 1))
+        gsum = np.zeros_like(X)
+        for _ in range(int(Q)):
+            G = oracle.sample(X)
+            X -= eta_l * G
+            gsum += G
+        _check_finite(X, round_index)
     return X, gsum
+
+
+def _exhaustive_phase(oracle, x_start, eta_l, round_index):
+    """Run every client's row from ``x_start`` to its own stopping step;
+    return the rows' iterates and gradient sums there, as (N, d) stacks.
+
+    The steps run in blocks of 1, 2, 4, ... steps, up to the cap set by
+    ``_LOCAL_BLOCK_STEPS`` and ``_LOCAL_BLOCK_ELEMENTS``. Inside a block a
+    step only draws the gradients and writes the iterates and gradients into
+    the block's history. One pass over the history then finds each row's
+    stopping step (the first whose step norm is at most 1e-12), keeps the
+    row's iterate and gradient sum there, checks every kept iterate for
+    divergence and counts the violations of the kept draws, as the
+    step-by-step loop of ``local_update`` would. A row that stopped in an
+    earlier block restarts each block from its kept iterate; its later
+    steps, like the steps past its stop within a block, draw only from the
+    phase's own streams and are thrown away.
+    """
+    N, d = oracle.problem.n_clients, len(x_start)
+    cap = min(_LOCAL_BLOCK_STEPS, max(1, _LOCAL_BLOCK_ELEMENTS // (N * d)))
+    # row 0 holds the block's starting iterates and gradient sums, row j the
+    # iterates and gradients of its step j
+    Xh = np.empty((cap + 1, N, d))
+    Xh[0] = x_start
+    Gh = np.zeros((cap + 1, N, d))
+    step_index = np.arange(1, cap + 1)[:, None]
+    rows = np.arange(N)
+    active = np.ones(N, dtype=bool)
+    done, size = 0, 1
+    while True:
+        k = min(size, cap, _LOCAL_MAX_STEPS - done)
+        for j in range(k):
+            Gh[j + 1] = oracle.draw(Xh[j])
+            np.subtract(Xh[j], eta_l * Gh[j + 1], out=Xh[j + 1])
+        step_norms = clipping.norms(eta_l * Gh[1:k + 1])
+        moving = step_norms > _LOCAL_TOL  # False for NaN
+        still = moving.all(axis=0)
+        # each row's last kept step: its first that did not move, or the
+        # block's last; 0 (the start) for rows that stopped in an earlier block
+        last = np.where(still, k, moving.argmin(axis=0) + 1) * active
+        kept = step_index[:k] <= last
+        x_norms = clipping.norms(Xh[1:k + 1])
+        diverged = kept & ~(x_norms <= _DIVERGENCE_NORM)
+        if diverged.any():
+            j = diverged.any(axis=1).argmax()
+            raise DivergenceError(round_index, float(x_norms[j][diverged[j]][0]))
+        oracle.count_violations(Gh[1:k + 1], kept)
+        for j in range(k):  # the gradient sums, step by step
+            Gh[j + 1] += Gh[j]
+        Xh[0], Gh[0] = Xh[last, rows], Gh[last, rows]
+        active &= still
+        done += k
+        if not active.any():
+            return Xh[0].copy(), Gh[0].copy()
+        if done == _LOCAL_MAX_STEPS:
+            raise DivergenceError(
+                round_index, float(step_norms[-1][active].max()),
+                f"local phase still moving after {_LOCAL_MAX_STEPS} steps")
+        size *= 2
 
 
 def sample_clients(N, P, rng):
@@ -213,14 +266,17 @@ def sample_clients(N, P, rng):
     return np.sort(rng.integers(0, N, size=P))
 
 
-def _oracle(config, problem, tag, t, *replay):
-    """Stacked oracle whose row i draws from stream (seed, tag, t, i, *replay).
+def _oracle_mode(config, problem) -> str:
+    """The noise mode the oracle runs in. A Gaussian oracle with sigma_l = 0
+    draws nothing: it is the deterministic oracle, and needs no streams."""
+    if config.noise_mode == "gaussian" and problem.sigma_l == 0:
+        return "deterministic"
+    return config.noise_mode
 
-    A Gaussian oracle with sigma_l = 0 draws nothing: it is the deterministic
-    oracle, and needs no streams."""
-    mode = config.noise_mode
-    if mode == "gaussian" and problem.sigma_l == 0:
-        mode = "deterministic"
+
+def _oracle(config, problem, tag, t, *replay):
+    """Stacked oracle whose row i draws from stream (seed, tag, t, i, *replay)."""
+    mode = _oracle_mode(config, problem)
     rngs = None
     if mode != "deterministic":
         rngs = [rngmod.stream(config.seed, tag, t, i, *replay)
@@ -238,9 +294,9 @@ def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
     """How ``run_round`` obtains each client's expected-path clip factor
     alpha~, the difference-clip factor of eta_l * E[gradient sum]:
 
-    - ``ALPHA_TILDE_REALIZED``: the realized factor, when the oracle is
-      deterministic (the expectation is the realized sum) or the policy is
-      not difference clipping;
+    - ``ALPHA_TILDE_REALIZED``: the realized factor, when the oracle draws
+      nothing (the expectation is the realized sum; see ``_oracle_mode``) or
+      the policy is not difference clipping;
     - ``ALPHA_TILDE_EXACT``: one noise-free local phase, when every client's
       gradient is affine and Q is finite, since then the expected path is the
       noise-free path (``ProblemInstance.affine_grads``);
@@ -248,7 +304,8 @@ def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
       depends on the draws), the mean gradient sum of R local phases
       replayed on the ("replay", t, i, r) streams.
     """
-    if config.policy.mode != "difference" or config.noise_mode == "deterministic":
+    if (config.policy.mode != "difference"
+            or _oracle_mode(config, problem) == "deterministic"):
         return ALPHA_TILDE_REALIZED
     if config.local_steps != Q_INF and problem.affine_grads:
         return ALPHA_TILDE_EXACT

@@ -11,7 +11,6 @@ client-by-client evaluation.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -246,6 +245,25 @@ class MLPObjective:
         raise NotImplementedError("estimated at the ensemble level")
 
 
+def _stack_clients(clients):
+    """Client data on a leading client axis for ``ProblemInstance.grad_stack``:
+    the quadratics' b as (N, 1); or, when every client is a linear regression
+    with the same row count n, A as (N, n, d) and b as (N, n); or, when every
+    client is an MLP of one data shape, X as (N, n, in) and y as (N, n); else
+    None, and clients are evaluated one by one."""
+    if all(isinstance(c, ScalarQuadratic) for c in clients):
+        return "quadratic", np.array([[c.b] for c in clients])
+    if (all(isinstance(c, LinearRegressionObjective) for c in clients)
+            and len({c.n_samples for c in clients}) == 1):
+        return ("linear", np.stack([c.A for c in clients]),
+                np.stack([c.b for c in clients]))
+    if (all(isinstance(c, MLPObjective) for c in clients)
+            and len({(c.X.shape, c.hidden, c.n_classes) for c in clients}) == 1):
+        return ("mlp", np.stack([c.X for c in clients]),
+                np.stack([c.y for c in clients]))
+    return None
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A federation of client objectives with known analytic constants.
@@ -264,6 +282,10 @@ class ProblemInstance:
     f_star: float | None = None
     global_optimum: np.ndarray | None = None
     constant_methods: dict = field(default_factory=dict)
+    # the client data on a leading client axis (``_stack_clients``), computed
+    # from ``clients`` when not given; ``dataclasses.replace`` carries it
+    # over, so a replaced instance must keep its clients
+    _stacked: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.clients) < 1 or self.dim < 1:
@@ -274,6 +296,8 @@ class ProblemInstance:
             raise ValueError("invalid constants: L, G, sigma_l and sigma_g must be finite")
         if self.f_star is not None and not np.isfinite(self.f_star):
             raise ValueError("invalid constants: f_star must be finite")
+        if self._stacked is None:
+            object.__setattr__(self, "_stacked", _stack_clients(self.clients))
 
     @property
     def n_clients(self) -> int:
@@ -286,24 +310,6 @@ class ProblemInstance:
         zero mean, and a minibatch, drawn independently of the iterate, gives
         an unbiased gradient, so E[grad(x_q)] = grad(E[x_q]) at every step."""
         return all(getattr(c, "affine_grad", False) for c in self.clients)
-
-    @cached_property
-    def _stacked(self):
-        """Client data on a leading client axis for ``grad_stack``: the
-        quadratics' b as (N, 1); or, when every client is a linear regression
-        with the same row count n, A as (N, n, d) and b as (N, n, 1); else
-        None, and clients are evaluated one by one."""
-        cl = self.clients
-        if all(isinstance(c, ScalarQuadratic) for c in cl):
-            return "quadratic", np.array([[c.b] for c in cl])
-        if (all(isinstance(c, LinearRegressionObjective) for c in cl)
-                and len({c.n_samples for c in cl}) == 1):
-            return ("linear", np.stack([c.A for c in cl]),
-                    np.stack([c.b for c in cl])[:, :, None])
-        if (all(isinstance(c, MLPObjective) for c in cl)
-                and len({(c.X.shape, c.hidden, c.n_classes) for c in cl}) == 1):
-            return ("mlp", np.stack([c.X for c in cl]), np.stack([c.y for c in cl]))
-        return None
 
     def grad_stack(self, X, indices=None):
         """Gradient of client i at row i of the (..., N, d) stack ``X``, for all i.
@@ -337,7 +343,8 @@ class ProblemInstance:
         if indices is not None:
             pick = (np.arange(len(A))[:, None], indices)
             A, b = A[pick], b[pick]
-        g = np.matmul(A.swapaxes(-1, -2), np.matmul(A, X[..., None]) - b)[..., 0]
+        r = np.matmul(A, X[..., None]) - b[..., None]
+        g = np.matmul(A.swapaxes(-1, -2), r)[..., 0]
         if indices is None:
             return g
         # grad_batch scales by n / batch size after the product
@@ -362,7 +369,7 @@ class ProblemInstance:
             losses = 0.5 * np.float_power(x[0] - data[0][:, 0], 2)
         elif kind == "linear":
             A, b = data
-            r = np.matmul(A, x) - b[:, :, 0]
+            r = np.matmul(A, x) - b
             losses = 0.5 * np.vecdot(r, r)
         else:
             return sum(obj.loss(x) for obj in self.clients) / self.n_clients
@@ -420,7 +427,9 @@ class StackedOracle:
     draws from ``rngs[i]`` what a ``GradientOracle`` for client i would draw
     from the same stream, in the same step order, so each row of a sample is
     bit-identical to that per-client oracle's sample. The deterministic mode
-    needs no streams. ``violations`` counts rows over ``grad_bound``.
+    needs no streams. ``violations`` counts rows over ``grad_bound``: every
+    row of a ``sample``, and the rows a caller keeps of a ``draw``, which it
+    passes to ``count_violations``.
     """
 
     def __init__(self, problem, noise_mode="deterministic", sigma_l=0.0,
@@ -440,28 +449,34 @@ class StackedOracle:
         self.grad_bound = grad_bound
         self.violations = 0
 
-    def sample(self, X, active=None):
-        """One gradient per row of ``X``, row i for client i.
-
-        ``active`` (a boolean mask over rows) limits the violation count to
-        the rows still running. Rows outside it are evaluated and draw from
-        their streams too, but their results are never used.
-        """
+    def draw(self, X):
+        """One gradient per row of ``X``, row i for client i, counting no
+        violations (see ``count_violations``)."""
         if self.noise_mode == "minibatch":
             idx = [rng.integers(0, c.n_samples, size=self.batch_size)
                    for rng, c in zip(self.rngs, self.problem.clients)]
-            G = self.problem.grad_stack(X, idx)
-        else:
-            G = self.problem.grad_stack(X)
-            if self.noise_mode == "gaussian" and self.sigma_l > 0:
-                d = G.shape[1]
-                G = G + np.stack([rng.normal(0.0, self.sigma_l / np.sqrt(d), size=d)
-                                  for rng in self.rngs])
+            return self.problem.grad_stack(X, idx)
+        G = self.problem.grad_stack(X)
+        if self.noise_mode == "gaussian" and self.sigma_l > 0:
+            d = G.shape[1]
+            G = G + np.stack([rng.normal(0.0, self.sigma_l / np.sqrt(d), size=d)
+                              for rng in self.rngs])
+        return G
+
+    def count_violations(self, G, running=None):
+        """Add to ``violations`` the rows of the gradient stack ``G``
+        (..., N, d) whose norm exceeds ``grad_bound``, among the rows where
+        the boolean mask ``running`` (..., N) is true if it is given."""
         if self.grad_bound is not None:
             over = norms(G) > self.grad_bound
-            if active is not None:
-                over &= active
+            if running is not None:
+                over &= running
             self.violations += int(np.count_nonzero(over))
+
+    def sample(self, X):
+        """``draw``, with the violations of every row counted."""
+        G = self.draw(X)
+        self.count_violations(G)
         return G
 
 
@@ -488,9 +503,17 @@ def _probe_constants(problem, pts):
 
 def _provisional(clients, dim, L=1.0):
     """An instance to evaluate ``grad_stack`` on while a builder estimates its
-    constants; the builder fills them in with ``dataclasses.replace``."""
+    constants; the builder fills them in with ``dataclasses.replace``, which
+    keeps the stacked client data. The clients are rebuilt as views of that
+    data, so the federation holds it once."""
+    stacked = _stack_clients(clients)
+    if stacked is not None and stacked[0] != "quadratic":
+        kind, *data = stacked
+        names = ("A", "b") if kind == "linear" else ("X", "y")
+        clients = tuple(replace(c, **dict(zip(names, rows)))
+                        for c, rows in zip(clients, zip(*data)))
     return ProblemInstance(clients=clients, dim=dim, L=L, G=0.0, sigma_l=0.0,
-                           sigma_g=0.0)
+                           sigma_g=0.0, _stacked=stacked)
 
 
 # The builders of user-supplied data run without numpy's overflow and

@@ -307,6 +307,32 @@ def test_gaussian_noise_level_reaches_the_oracle(tmp_path, monkeypatch):
     assert noisy != deterministic
 
 
+def test_noiseless_gaussian_oracle_runs_no_replays(tmp_path, monkeypatch):
+    # at sigma_l = 0 the gaussian oracle draws nothing, so alpha~ is the
+    # realized factor: a local_steps: inf run with difference clipping builds
+    # no "replay" streams and writes the deterministic run's artifacts
+    tags = []
+    stream = fedclip.rng.stream
+
+    def counted(seed, *key):
+        tags.append(key[0])
+        return stream(seed, *key)
+
+    monkeypatch.setattr("fedclip.engine.rngmod.stream", counted)
+
+    def artifacts(noise_mode):
+        path = write_config(tmp_path, {"run": {"noise_mode": noise_mode,
+                                               "local_steps": "inf", "eta_l": 0.2}},
+                            name=f"{noise_mode}.yaml")
+        out = tmp_path / noise_mode
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        return {p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    assert artifacts("gaussian") == artifacts("deterministic")
+    assert "replay" not in tags
+
+
 def test_threads_option_is_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(write_config(tmp_path)), "--threads", "2"])
@@ -355,6 +381,13 @@ def test_malformed_yaml_exit_code(tmp_path, capsys):
     ({"problem": {"sigma_l": math.inf}}, "problem.sigma_l"),
     ({"problem": {"sigma_l": True}}, "problem.sigma_l"),
     ({"problem": {"sigma_l": "loud"}}, "problem.sigma_l"),
+    # the declared gradient bound is a finite number > 0: a bound <= 0 would
+    # count every draw as a violation, and true would run as 1.0
+    ({"problem": {"g_bound": -1.0}}, "problem.g_bound"),
+    ({"problem": {"g_bound": 0.0}}, "problem.g_bound"),
+    ({"problem": {"g_bound": True}}, "problem.g_bound"),
+    ({"problem": {"g_bound": math.nan}}, "problem.g_bound"),
+    ({"problem": {"g_bound": "tight"}}, "problem.g_bound"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -411,14 +444,16 @@ def test_exhaustive_local_phase_artifacts_are_strict_json(tmp_path):
 LINREG_PROBLEM = {"kind": "linear_regression",
                   "A": [[[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]] * 2,
                   "b_list": [[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]]}
+# each client's system fits exactly, so minibatch local_steps: inf phases stop
+FIT_PROBLEM = {**LINREG_PROBLEM, "b_list": [[1.0, 0.0, 1.0], [0.0, 1.0, 0.5]]}
 
 
 @pytest.mark.parametrize("problem, run, method", [
     ({}, {}, "realized (deterministic oracle or no difference clipping)"),
     (LINREG_PROBLEM, {"noise_mode": "minibatch", "batch_size": 2},
      "exact expected path (affine gradients)"),
-    ({"b": [-1.0, 1.0]}, {"noise_mode": "gaussian", "local_steps": "inf",
-                          "replay_count": 2}, "mean of 2 replays"),
+    (FIT_PROBLEM, {"noise_mode": "minibatch", "batch_size": 2, "local_steps": "inf",
+                   "replay_count": 2}, "mean of 2 replays"),
     ({"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_client": 6,
       "seed": 3}, {"noise_mode": "minibatch", "batch_size": 2, "replay_count": 3,
                    "x0": 0.1}, "mean of 3 replays"),

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedclip import rng as rngmod
-from fedclip.clipping import ClippingPolicy, clip
+from fedclip import engine, rng as rngmod
+from fedclip.clipping import ClippingPolicy, clip, norms
 from fedclip.engine import (ALPHA_TILDE_EXACT, DivergenceError, Q_INF, RunConfig,
                             alpha_tilde_method, local_phase, local_update,
                             record_to_json, run_experiment, run_round,
@@ -426,7 +427,8 @@ class CountingOracle(GradientOracle):
 
     def sample(self, x):
         self.steps += 1
-        return super().sample(x)
+        self.last = super().sample(x)
+        return self.last
 
 
 def test_exhaustive_local_phase_stops_each_row_on_its_own_step():
@@ -468,3 +470,194 @@ def test_stopped_rows_do_not_count_violations():
         if i == 0:
             assert ref.steps == 1
     assert oracle.violations == violations
+
+
+class RecordingOracle(StackedOracle):
+    """Counts its draws, and records for each block of a local_steps: inf
+    phase which draws were over the bound and which rows were running."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.draws = 0
+        self.blocks = []
+
+    def draw(self, X):
+        self.draws += 1
+        return super().draw(X)
+
+    def count_violations(self, G, running=None):
+        if self.grad_bound is not None:
+            self.blocks.append((norms(G) > self.grad_bound, running))
+        super().count_violations(G, running)
+
+
+def block_first_steps(n_steps, N, d):
+    """The first step of every block of a local_steps: inf phase on an
+    (N, d) stack, through the block that holds step ``n_steps``."""
+    cap = min(engine._LOCAL_BLOCK_STEPS, max(1, engine._LOCAL_BLOCK_ELEMENTS // (N * d)))
+    first, size = [1], 1
+    while first[-1] <= n_steps:
+        first.append(first[-1] + min(size, cap))
+        size *= 2
+    return first[:-1]
+
+
+def test_divergence_inside_a_block_matches_the_reference():
+    """Two rows diverge, each after the first step of a block; the error
+    names the row that fails on the earlier step, with its norm there.
+    |1 - eta_l a^2| is 2 for a = 2 and 1.43 for a = 1.8: row 2 passes the
+    limit on step 40, row 0 later; row 1 stops on its own before either."""
+    problem = build_linear_regression_ensemble(
+        [np.array([[a]]) for a in (1.8, 1.0, 2.0)],
+        [np.array([b]) for b in (0.5, 1.0, 0.0)])
+    x, eta_l = np.array([1.0]), 0.75
+    with pytest.raises(DivergenceError) as err:
+        local_phase(StackedOracle(problem), x, Q_INF, eta_l, 4)
+    refs = []
+    for obj in problem.clients:
+        oracle = CountingOracle(obj)
+        try:
+            local_update(obj, oracle, x, Q_INF, eta_l)
+            refs.append((oracle.steps, None))
+        except DivergenceError as ref:
+            refs.append((oracle.steps, ref))
+    (steps0, ref0), (steps1, ref1), (steps2, ref2) = refs
+    assert ref1 is None and steps1 < steps2 < steps0
+    assert ref0 is not None and ref2 is not None
+    first = block_first_steps(steps0, 3, 1)
+    assert steps2 not in first and steps0 not in first
+    assert err.value.round_index == 4
+    assert err.value.norm == ref2.norm
+    assert str(err.value) == str(ref2).replace("round -1", "round 4")
+
+
+def test_step_cap_inside_a_block_matches_the_reference(monkeypatch):
+    """A cap of 200 steps cuts a block short: the phase draws 200 steps, not
+    up to the block's end, and names the largest last step of a row still
+    moving, as the reference's 200th steps give it."""
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
+    first = block_first_steps(200, 2, 2)
+    assert 200 not in first and 201 not in first
+    ens = build_linear_regression_ensemble([NO_FIT_A, NO_FIT_A], NO_FIT_B)
+    keys = [(0, "cap", i) for i in range(2)]
+    oracle = RecordingOracle(ens, noise_mode="minibatch", batch_size=1,
+                             rngs=[rngmod.stream(*k) for k in keys])
+    x, eta_l = np.array([5.0, -5.0]), 0.1
+    with pytest.raises(DivergenceError, match="still moving after 200 steps") as err:
+        local_phase(oracle, x, Q_INF, eta_l, 5)
+    moving = []  # last step norms of the rows still moving after 200 steps
+    for obj, key in zip(ens.clients, keys):
+        ref = CountingOracle(obj, noise_mode="minibatch", batch_size=1,
+                             rng=rngmod.stream(*key))
+        local_update(obj, ref, x, Q_INF, eta_l)
+        last = float(np.linalg.norm(eta_l * ref.last))
+        if ref.steps == 200 and last > 1e-12:
+            moving.append(last)
+    assert moving and oracle.draws == 200
+    assert err.value.round_index == 5 and err.value.norm == max(moving)
+
+
+def test_rows_stopping_at_a_block_boundary_match_the_reference():
+    """One row stops on the last step of a block, one on the first step of
+    the next, one later; every row equals its single-client phase."""
+    eta_l, x = 0.2, np.zeros(1)
+    boundary = block_first_steps(100, 3, 1)[-1]
+    targets = [boundary - 1, boundary, 100]
+    # from x = 0, step k of minimizer b has norm eta_l * b * (1 - eta_l)^(k - 1):
+    # it falls below 1e-12 on step k for b half a step past the threshold
+    b = [1e-12 / eta_l * (1 - eta_l) ** -(k - 1.5) for k in targets]
+    problem = build_quadratic_ensemble(b)
+    X, gsum = local_phase(StackedOracle(problem), x, Q_INF, eta_l, 0)
+    for i, obj in enumerate(problem.clients):
+        oracle = CountingOracle(obj)
+        x_fin, ref_gsum = local_update(obj, oracle, x, Q_INF, eta_l)
+        assert oracle.steps == targets[i]
+        assert X[i].tolist() == x_fin.tolist()
+        assert gsum[i].tolist() == ref_gsum.tolist()
+
+
+def test_stopped_rows_over_the_bound_across_a_block_boundary_are_not_counted():
+    """Client 0 stops on step 4, the first step of a block, on a zero step
+    (it draws its zero-residual row 0); its later draws of row 1, in the rest
+    of that block and in the next one, are over the bound but not counted.
+    Client 1 runs on for many blocks."""
+    x, eta_l = np.array([1.0, -1.0]), 0.25
+    A = np.eye(2)
+    problem = build_linear_regression_ensemble(
+        [A, A], [np.array([1.0, 9.0]), np.array([3.0, 2.0])], g_bound=1.0)
+    keys = [(11, "grad", 0, i) for i in range(2)]
+    oracle = RecordingOracle(problem, noise_mode="minibatch", batch_size=1,
+                             rngs=[rngmod.stream(*k) for k in keys], grad_bound=1.0)
+    X, gsum = local_phase(oracle, x, Q_INF, eta_l, 0)
+    violations, steps = 0, []
+    for i, (obj, key) in enumerate(zip(problem.clients, keys)):
+        ref = CountingOracle(obj, noise_mode="minibatch", batch_size=1,
+                             rng=rngmod.stream(*key), grad_bound=1.0)
+        x_fin, ref_gsum = local_update(obj, ref, x, Q_INF, eta_l)
+        assert X[i].tolist() == x_fin.tolist()
+        assert gsum[i].tolist() == ref_gsum.tolist()
+        violations += ref.violations
+        steps.append(ref.steps)
+    assert steps[0] == 4 and 4 in block_first_steps(4, 2, 2)
+    assert steps[1] > 2 * block_first_steps(steps[0], 2, 2)[-1]
+    uncounted = [int(np.count_nonzero(over[:, 0] & ~running[:, 0]))
+                 for over, running in oracle.blocks]
+    stop_block = next(k for k, (_, running) in enumerate(oracle.blocks)
+                      if not running[:, 0].all())
+    assert uncounted[stop_block] > 0 and uncounted[stop_block + 1] > 0
+    assert oracle.violations == violations > 0
+
+
+def masked_exhaustive_phase(oracle, x_start, eta_l, round_index):
+    """The step-by-step local_steps: inf loop that the block loop replaced:
+    each step masks the stopped rows out of the update and checks every row."""
+    N = oracle.problem.n_clients
+    X = np.tile(np.asarray(x_start, dtype=float), (N, 1))
+    gsum = np.zeros_like(X)
+    active = np.ones(N, dtype=bool)
+    running = active[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(engine._LOCAL_MAX_STEPS):
+            G = oracle.draw(X)
+            oracle.count_violations(G, active)
+            step = eta_l * G
+            np.subtract(X, step, out=X, where=running)
+            np.add(gsum, G, out=gsum, where=running)
+            engine._check_finite(X, round_index)
+            active &= norms(step) > engine._LOCAL_TOL
+            if not active.any():
+                return X, gsum
+    raise DivergenceError(
+        round_index, float(norms(step)[active].max()),
+        f"local phase still moving after {engine._LOCAL_MAX_STEPS} steps")
+
+
+@pytest.mark.parametrize("noise_mode", ["deterministic", "minibatch"])
+def test_block_phase_memory_stays_near_the_masked_loop(monkeypatch, noise_mode):
+    """On an 8-client, h = 32 MLP stack a block holds one step; a capped
+    local_steps: inf phase peaks within 10% of the masked loop's
+    tracemalloc peak, and ends in the same error."""
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 12)
+    problem = build_mlp_synthetic_ensemble(hidden_width=32, N=8, samples_per_client=50,
+                                           heterogeneity=0.5, seed=3)
+    x = rngmod.stream(1, "mlp-memory").normal(0.0, 0.5, size=problem.dim)
+
+    def peak(phase):
+        oracle = StackedOracle(problem, noise_mode=noise_mode, batch_size=16,
+                               rngs=[rngmod.stream(2, "mlp-memory", i) for i in range(8)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DivergenceError, match="still moving") as err:
+                phase(oracle, x, 0.05, 0)
+            return tracemalloc.get_traced_memory()[1], err.value.norm
+        finally:
+            tracemalloc.stop()
+
+    def block_phase(oracle, x_start, eta_l, round_index):
+        return local_phase(oracle, x_start, Q_INF, eta_l, round_index)
+
+    peak(block_phase)  # the first call's one-time allocations are not measured
+    block, block_norm = peak(block_phase)
+    masked, masked_norm = peak(masked_exhaustive_phase)
+    assert block_norm == masked_norm
+    assert block <= 1.1 * masked, (block, masked)

@@ -4,9 +4,10 @@
 Between them the configs cover all three alpha~ methods, every noise mode,
 privacy at the auto threshold, model clipping at ``local_steps: inf``,
 replayed minibatch phases at ``local_steps: inf`` that stop on different
-steps and draw over the gradient bound, unequal-row linear regression, replicates, ten-client federations (a
-pairwise client sum rounds differently from eight clients on), and an MLP
-whose batched gradient runs in several chunks of rows, the last one partial.
+steps and draw over the gradient bound, unequal-row linear regression,
+replicates, ten-client federations (a pairwise client sum rounds
+differently from eight clients on), and an MLP whose batched gradient runs
+in several chunks of rows, the last one partial.
 ``test_table1_subcommand`` pins ``fedclip table1``'s grid the same way.
 Re-record with ``tests/record_golden.py``.
 """

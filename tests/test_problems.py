@@ -1,5 +1,6 @@
 """Tests for client objectives, ensemble builders, and gradient oracles."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -195,8 +196,10 @@ def test_stacked_oracle_counts_bound_violations_without_projecting():
     G = oracle.sample(np.array([[5.0], [0.5]]))
     np.testing.assert_array_equal(G, [[5.0], [0.5]])  # not projected
     assert oracle.violations == 1
-    # rows outside the active mask are not counted
-    oracle.sample(np.array([[5.0], [5.0]]), np.array([False, True]))
+    # a draw counts nothing; rows outside the running mask are not counted
+    G = oracle.draw(np.array([[5.0], [5.0]]))
+    assert oracle.violations == 1
+    oracle.count_violations(G, np.array([False, True]))
     assert oracle.violations == 2
 
 
@@ -449,3 +452,28 @@ def test_stacked_loss_mean_matches_per_client_sum(kind):
             x = g.normal(0.0, 2.0, size=d)
         assert ens._stacked[0] == kind
         assert ens.loss_mean(x) == sum(c.loss(x) for c in ens.clients) / N
+
+
+def test_builders_hold_the_client_data_once(monkeypatch):
+    """Each client's data is a view of the stacked client data, which each
+    build stacks once and ``dataclasses.replace`` keeps."""
+    stacks = []
+    stack_clients = problems._stack_clients
+
+    def counted(clients):
+        stacks.append(len(clients))
+        return stack_clients(clients)
+
+    monkeypatch.setattr(problems, "_stack_clients", counted)
+    mlp = build_mlp_synthetic_ensemble(hidden_width=3, N=4, samples_per_client=6,
+                                       heterogeneity=0.5, seed=1)
+    g = rngmod.stream(3, "test-stack-once")
+    lin = build_linear_regression_ensemble(list(g.normal(size=(3, 5, 2))),
+                                           list(g.normal(size=(3, 5))))
+    assert stacks == [4, 3]
+    for ens, names in ((mlp, ("X", "y")), (lin, ("A", "b"))):
+        for k, name in enumerate(names, start=1):
+            for i, client in enumerate(ens.clients):
+                assert np.shares_memory(ens._stacked[k][i], getattr(client, name))
+        assert dataclasses.replace(ens, sigma_l=0.5)._stacked is ens._stacked
+    assert stacks == [4, 3]
