@@ -29,9 +29,10 @@ _LOCAL_MAX_STEPS = 10 ** 6
 # runs on past a row's stopping step and throws those steps away, and each
 # block ends in one pass over its history, so the step cap trades wasted
 # steps against passes: 64 steps run the table1 grid fastest (32 and 128 are
-# slower). The element budget bounds each history array at 16 KB, so a stack
-# of more than 1,024 elements runs one-step blocks, whose two history
-# arrays of two rows hold as much as the step-by-step loop's four stacks.
+# slower). The element budget caps the steps a block records at 2,048
+# elements (16 KB) per history array, so a stack of more than 1,024 elements
+# runs one-step blocks, whose two history arrays of two rows each hold as
+# much as the step-by-step loop's four stacks.
 _LOCAL_BLOCK_STEPS = 64
 _LOCAL_BLOCK_ELEMENTS = 2048
 
