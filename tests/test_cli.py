@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -17,8 +19,9 @@ import yaml
 from hypothesis import event, given, settings, strategies as st
 
 import fedclip
-from fedclip.cli import ConfigError, ExperimentConfig, load_config, main
-from record_golden import DIGESTS, file_digest, version_mismatch
+from fedclip.cli import (ConfigError, ExperimentConfig, _YAMLLoader, load_config,
+                         main)
+from record_golden import DIGESTS, configs, file_digest, version_mismatch
 
 BASE_CONFIG = {
     "problem": {"kind": "quadratic", "b": [-1.0, 0.0, 1.0]},
@@ -349,6 +352,89 @@ def test_malformed_yaml_exit_code(tmp_path, capsys):
     assert err["error"] == "config" and "cannot read config" in err["message"]
 
 
+def _same(a, b):
+    """Equal values of equal types, with floats compared bit for bit (so
+    -0.0 and the sign of a NaN count) and mappings in the same key order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return _same(list(a), list(b)) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def assert_loaders_agree(text):
+    fast = yaml.load(text, Loader=_YAMLLoader)
+    assert _same(fast, yaml.load(text, Loader=yaml.SafeLoader)), text
+    return fast
+
+
+# the loader's fast paths take plain and explicit floats; everything else,
+# and every float that float() reads differently from yaml, takes yaml's path
+SCALARS = ["1.5", "-0.0", "+1.5", "1_000.5", "1.", ".5", "1e5", "1.0e5",
+           "1.0e+5", "1.0E+5", "2.5e-3", "-7.0e-400", ".inf", "-.inf", ".nan",
+           "1:30.5", '"1.5"', "'-2.5'", "!!float 3", '!!float "1_0"',
+           "!!float -nan", "!!float -_1", "!!str 4.5", "1.2.3", "1.5e5x",
+           "0", "-7", "0x1F", "1_000", "true", "False", "yes", "null", "~"]
+
+
+@pytest.mark.parametrize("scalar", SCALARS)
+def test_loader_matches_safe_loader_on_scalars(scalar):
+    loaded = assert_loaders_agree(
+        f"a: {scalar}\nb:\n- {scalar}\n- [{scalar}, [{scalar}], []]\n")
+    assert _same(loaded["b"][0], loaded["a"])
+
+
+def test_loader_matches_safe_loader_on_anchors_and_aliases():
+    loaded = assert_loaders_agree(
+        "a: &x 1.5\nb: [*x, &y -2.0, *y, &z [0.5, *x]]\nc: *z\nd: {e: *y}\n")
+    assert loaded["b"] == [1.5, -2.0, -2.0, [0.5, 1.5]]
+    assert loaded["c"] is loaded["b"][3]
+
+
+def test_loader_keeps_yaml_errors():
+    for text in ("- !!float 1.5.5\n", "!!seq {a: 1.5}\n"):
+        with pytest.raises((ValueError, yaml.YAMLError)) as fast:
+            yaml.load(text, Loader=_YAMLLoader)
+        with pytest.raises((ValueError, yaml.YAMLError)) as slow:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        assert type(fast.value) is type(slow.value)
+
+
+@pytest.mark.parametrize("config", configs(), ids=lambda p: p.stem)
+def test_loader_matches_safe_loader_on_golden_configs(config):
+    assert_loaders_agree(config.read_text())
+
+
+FLOAT64 = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+                     -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(width=64))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(FLOAT64, max_size=12))
+def test_loader_matches_safe_loader_on_dumped_floats(values):
+    assert_loaders_agree(yaml.safe_dump({"x": values, "y": [values, 2.5]}))
+
+
+def readme_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(r"Example configuration:\s*```yaml\n(.*?)```", readme,
+                     re.DOTALL).group(1)
+
+
+def test_readme_example_config_runs(tmp_path):
+    text = readme_example()
+    assert_loaders_agree(text)
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"run": {"noise_mode": "minibatch", "batch_size": 2}},
      "does not support minibatch"),
@@ -388,6 +474,16 @@ def test_malformed_yaml_exit_code(tmp_path, capsys):
     ({"problem": {"g_bound": True}}, "problem.g_bound"),
     ({"problem": {"g_bound": math.nan}}, "problem.g_bound"),
     ({"problem": {"g_bound": "tight"}}, "problem.g_bound"),
+    # every other number is refused as a bool too, not read as 1.0 or 0.0
+    ({"run": {"eta_l": True}}, "run.eta_l must be a number"),
+    ({"run": {"eta_g": True}}, "run.eta_g must be a number"),
+    ({"run": {"x0": True}}, "run.x0 must be a number"),
+    ({"clipping": {"threshold": True}}, "clipping.threshold must be a number"),
+    ({"clipping": {"rho": True}}, "clipping.rho must be a number"),
+    ({"privacy": {"epsilon": True}}, "privacy.epsilon must be a number"),
+    ({"privacy": {"delta": False}}, "privacy.delta must be a number"),
+    ({"privacy": {"u": True}}, "privacy.u must be a number"),
+    ({"privacy": {"v": True}}, "privacy.v must be a number"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -399,6 +495,16 @@ def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     assert code == 2
     assert err["error"] == "config" and message in err["message"]
     assert not (tmp_path / "out").exists()  # refused before any run writes
+
+
+def test_numeric_strings_still_convert(tmp_path):
+    # YAML 1.1 reads 1e-3 (no dot, unsigned exponent) as a string
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("eta_l: 0.05", "eta_l: 1e-3"))
+    cfg = load_config(path)
+    assert cfg.run["eta_l"] == "1e-3"
+    assert cfg.build_run_config(cfg.build_problem()).eta_l == 1e-3
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_seed_override_must_be_an_integer(tmp_path, capsys):
