@@ -76,6 +76,23 @@ def _parse_float(v, name):
     return float(v)
 
 
+def _parse_floats(v, name):
+    """``_parse_float`` for a number or a nested list of numbers, as a float
+    array: a bool anywhere in it is refused."""
+    obj = np.asarray(v, dtype=object)
+    if bool in map(type, obj.flat):
+        bad = next(x for x in obj.flat if isinstance(x, bool))
+        raise ConfigError(f"{name} must be a number, got {bad!r}")
+    return obj.astype(float)
+
+
+def _parse_count(v, name):
+    """A positive integer, not a bool, as ``RunConfig`` takes its counts."""
+    if not engine._positive_int(v):
+        raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+    return v
+
+
 def _parse_threshold(v):
     if v is None:
         return None
@@ -148,19 +165,27 @@ class ExperimentConfig:
             g_bound = _parse_constant(g_bound, "g_bound", positive=True)
         sigma_l = _parse_constant(p.get("sigma_l", 0.0), "sigma_l", positive=False)
         if kind == "quadratic":
-            return build_quadratic_ensemble(p["b"], g_bound=g_bound, sigma_l=sigma_l)
+            return build_quadratic_ensemble(_parse_floats(p["b"], "problem.b"),
+                                            g_bound=g_bound, sigma_l=sigma_l)
         if kind == "linear_regression":
-            A = [np.asarray(a, dtype=float) for a in p["A"]]
-            b = [np.atleast_1d(np.asarray(v, dtype=float)) for v in p["b_list"]]
+            A = [_parse_floats(a, "problem.A") for a in p["A"]]
+            b = [np.atleast_1d(_parse_floats(v, "problem.b_list")) for v in p["b_list"]]
             return build_linear_regression_ensemble(A, b, g_bound=g_bound,
                                                     sigma_l=sigma_l)
         if kind == "mlp":
+            seed = p.get("seed", 0)
+            if not engine._integer(seed):
+                raise ConfigError(f"problem.seed must be an integer, got {seed!r}")
             return build_mlp_synthetic_ensemble(
-                hidden_width=p["hidden_width"], N=p["n_clients"],
-                samples_per_client=p["samples_per_client"],
-                heterogeneity=p.get("heterogeneity", 0.0),
-                seed=p.get("seed", 0), n_classes=p.get("n_classes", 2),
-                input_dim=p.get("input_dim", 2), g_bound=g_bound, sigma_l=sigma_l)
+                hidden_width=_parse_count(p["hidden_width"], "problem.hidden_width"),
+                N=_parse_count(p["n_clients"], "problem.n_clients"),
+                samples_per_client=_parse_count(p["samples_per_client"],
+                                                "problem.samples_per_client"),
+                heterogeneity=_parse_float(p.get("heterogeneity", 0.0),
+                                           "problem.heterogeneity"),
+                seed=seed, n_classes=_parse_count(p.get("n_classes", 2), "problem.n_classes"),
+                input_dim=_parse_count(p.get("input_dim", 2), "problem.input_dim"),
+                g_bound=g_bound, sigma_l=sigma_l)
         raise ConfigError(f"unknown problem kind {kind!r}")
 
     def build_run_config(self, problem, seed=None) -> engine.RunConfig:
@@ -171,7 +196,7 @@ class ExperimentConfig:
         if np.isscalar(x0):
             x0 = np.full(problem.dim, _parse_float(x0, "run.x0"))
         else:
-            x0 = np.asarray(x0, dtype=float)
+            x0 = _parse_floats(x0, "run.x0")
         if x0.shape != (problem.dim,):
             raise ConfigError(f"x0 has dimension {x0.shape}, problem needs {problem.dim}")
         c = self.clipping

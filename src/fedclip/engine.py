@@ -240,11 +240,7 @@ def _exhaustive_phase(oracle, x_start, eta_l, round_index):
         # block's last; 0 (the start) for rows that stopped in an earlier block
         last = np.where(still, k, moving.argmin(axis=0) + 1) * active
         kept = step_index[:k] <= last
-        x_norms = clipping.norms(Xh[1:k + 1])
-        diverged = kept & ~(x_norms <= _DIVERGENCE_NORM)
-        if diverged.any():
-            j = diverged.any(axis=1).argmax()
-            raise DivergenceError(round_index, float(x_norms[j][diverged[j]][0]))
+        _check_finite(Xh[1:k + 1][kept], round_index)  # step-major order
         oracle.count_violations(Gh[1:k + 1], kept)
         for j in range(k):  # the gradient sums, step by step
             Gh[j + 1] += Gh[j]

@@ -120,8 +120,8 @@ def make_local_min_clip_map(ensemble, c, step=0.2):
     return fn
 
 
-def solve_fixed_point(map_fn, x_init, tol=1e-10, max_iter=10 ** 6, beta=0.5):
-    """Damped iteration x <- (1 - beta) x + beta map(x) until the residual
+def solve_fixed_point(map_fn, x_init, tol=1e-10, max_iter=10 ** 6):
+    """Damped iteration x <- 0.5 x + 0.5 map(x) until the residual
     ||map(x) - x|| drops below tol.
 
     Scalar maps fall back to bisection on the residual when the damped
@@ -140,7 +140,7 @@ def solve_fixed_point(map_fn, x_init, tol=1e-10, max_iter=10 ** 6, beta=0.5):
         if stalled >= 50 and x.size == 1:
             return _bisect_scalar(map_fn, float(x[0]), tol)
         prev_res = res
-        x = (1.0 - beta) * x + beta * fx
+        x = 0.5 * x + 0.5 * fx
     raise FixedPointError(prev_res)
 
 
@@ -184,7 +184,7 @@ def huberized_loss(lam, A, b, c, x):
     return c * abs(x - m) - c * c / (2.0 * k)
 
 
-def table1_grid(solver_tol=1e-10):
+def table1_grid():
     """Stationary points of the example ensemble for Q in {1, inf} and
     c in {inf, 1}, by fixed-point solving and by engine simulation.
 
@@ -212,7 +212,7 @@ def table1_grid(solver_tol=1e-10):
     }
     out = {}
     for key, m in maps.items():
-        x_inf, res = solve_fixed_point(m, x_init, tol=solver_tol)
+        x_inf, res = solve_fixed_point(m, x_init)
         cfg = RunConfig(
             n_clients=3, sampled_per_round=3, eta_g=1.0,
             privacy=PrivacyConfig(enabled=False), seed=0, x0=np.array([1.0]),

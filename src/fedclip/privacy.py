@@ -67,11 +67,3 @@ def draw_noise(spec: NoiseSpec, rng: np.random.Generator):
     if spec.sigma2 == 0.0:
         return np.zeros(spec.dim)
     return rng.normal(0.0, math.sqrt(spec.sigma2), size=spec.dim)
-
-
-def noise_term_in_bound(spec: NoiseSpec, eta_g: float, eta_l: float,
-                        P: int, Q: float, L: float) -> float:
-    """Privacy-noise contribution 2 eta_g L d sigma2 / (eta_l P Q), d = spec.dim."""
-    if eta_g <= 0 or eta_l <= 0 or P <= 0 or Q <= 0 or L <= 0:
-        raise ValueError("all arguments must be positive")
-    return 2.0 * eta_g * L * spec.dim * spec.sigma2 / (eta_l * P * Q)

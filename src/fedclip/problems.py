@@ -59,32 +59,29 @@ _MLP_CHUNK_ELEMENTS = 1280
 def mlp_grads(W, X, y, hidden, n_classes, idx=None):
     """Loss gradients of one-hidden-layer MLP clients, one per row of ``W``.
 
-    Row k of the (K, d) parameter stack ``W`` is evaluated on client k % N of
-    the data ``X`` (N, n, in) and labels ``y`` (N, n): on all n samples, or,
-    with ``idx`` (K, m), on samples idx[k]. Rows run in chunks of one batched
+    Row i of the (N, d) parameter stack ``W`` is evaluated on client i of the
+    data ``X`` (N, n, in) and labels ``y`` (N, n): on all n samples, or, with
+    ``idx`` (N, m), on samples idx[i]. Rows run in chunks of one batched
     forward and backward pass whose activations stay under
     ``_MLP_CHUNK_ELEMENTS``; each row is what the pass would give for that
     row alone.
     """
-    K, d = W.shape
-    N, n, din = X.shape
+    N, d = W.shape
+    n, din = X.shape[1:]
     h, C = hidden, n_classes
     m = n if idx is None else idx.shape[1]
     o1 = h * din
     o2 = o1 + h
     o3 = o2 + C * h
-    out = np.empty((K, d))
+    out = np.empty((N, d))
     step = max(1, _MLP_CHUNK_ELEMENTS // (m * h))
-    rows = np.arange(min(step, K))[:, None]
+    rows = np.arange(min(step, N))[:, None]
     # flat offset of entry (row, sample, class 0) of a chunk's (r, m, C) logits
     base = np.arange(rows.size * m) * C
-    for lo in range(0, K, step):
-        hi = min(lo + step, K)
+    for lo in range(0, N, step):
+        hi = min(lo + step, N)
         r = hi - lo
-        c0 = lo % N
-        # the chunk's clients: a slice unless the rows wrap past client N - 1
-        c = slice(c0, c0 + r) if c0 + r <= N else np.arange(lo, hi) % N
-        Xc, yc = X[c], y[c]
+        Xc, yc = X[lo:hi], y[lo:hi]
         if idx is not None:
             pick = (rows[:r], idx[lo:hi])
             Xc, yc = Xc[pick], yc[pick]
@@ -241,9 +238,6 @@ class MLPObjective:
     def local_minimizer(self):
         return None
 
-    def lipschitz(self) -> float:
-        raise NotImplementedError("estimated at the ensemble level")
-
 
 def _stack_clients(clients):
     """Client data on a leading client axis for ``ProblemInstance.grad_stack``:
@@ -312,16 +306,15 @@ class ProblemInstance:
         return all(getattr(c, "affine_grad", False) for c in self.clients)
 
     def grad_stack(self, X, indices=None):
-        """Gradient of client i at row i of the (..., N, d) stack ``X``, for all i.
+        """Gradient of client i at row i of the (N, d) stack ``X``, for all i.
 
-        With ``indices`` (sample indices of shape (..., N, B), or one array
-        of B per client) each row is its client's minibatch gradient instead.
-        Quadratic clients, linear-regression clients with equal row counts,
-        and MLP clients with equal data shapes are evaluated in one batched
-        pass whose rows are bit-identical to the per-client ``grad`` /
+        With ``indices``, an (N, B) array of sample indices, row i is client
+        i's minibatch gradient on samples indices[i] instead. Quadratic
+        clients, linear-regression clients with equal row counts, and MLP
+        clients with equal data shapes are evaluated in one batched pass
+        whose rows are bit-identical to the per-client ``grad`` /
         ``grad_batch``; the MLP pass runs in memory-bounded chunks of rows
-        (``mlp_grads``). Other federations loop over clients, on an (N, d)
-        stack only.
+        (``mlp_grads``). Other federations loop over clients.
         """
         stacked = self._stacked
         if stacked is None:
@@ -332,13 +325,9 @@ class ProblemInstance:
         kind, *data = stacked
         if kind == "quadratic":
             return X - data[0]
-        if indices is not None:
-            indices = np.broadcast_to(indices, X.shape[:-1] + np.shape(indices)[-1:])
         if kind == "mlp":
             c = self.clients[0]
-            W = X.reshape(-1, X.shape[-1])
-            idx = None if indices is None else indices.reshape(len(W), -1)
-            return mlp_grads(W, *data, c.hidden, c.n_classes, idx).reshape(X.shape)
+            return mlp_grads(X, *data, c.hidden, c.n_classes, indices)
         A, b = data
         if indices is not None:
             pick = (np.arange(len(A))[:, None], indices)
@@ -453,8 +442,8 @@ class StackedOracle:
         """One gradient per row of ``X``, row i for client i, counting no
         violations (see ``count_violations``)."""
         if self.noise_mode == "minibatch":
-            idx = [rng.integers(0, c.n_samples, size=self.batch_size)
-                   for rng, c in zip(self.rngs, self.problem.clients)]
+            idx = np.stack([rng.integers(0, c.n_samples, size=self.batch_size)
+                            for rng, c in zip(self.rngs, self.problem.clients)])
             return self.problem.grad_stack(X, idx)
         G = self.problem.grad_stack(X)
         if self.noise_mode == "gaussian" and self.sigma_l > 0:
@@ -480,11 +469,11 @@ class StackedOracle:
         return G
 
 
-def _probe_grid(center, radius, dim, n_points=64, seed=12345):
+def _probe_grid(center, radius, dim):
     if not np.isfinite(radius):
         raise ValueError("probe radius overflows: the client data is too large")
-    g = rngmod.stream(seed, "probe")
-    pts = center + g.uniform(-radius, radius, size=(n_points, dim))
+    g = rngmod.stream(12345, "probe")
+    pts = center + g.uniform(-radius, radius, size=(64, dim))
     return np.vstack([pts, center.reshape(1, -1)])
 
 

@@ -435,6 +435,13 @@ def test_readme_example_config_runs(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+# two-client problems of the other kinds, for the rows below
+LINREG_DATA = {"kind": "linear_regression", "A": [[[1.0, 0.0]], [[0.0, 1.0]]],
+               "b_list": [[1.0], [-1.0]]}
+MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_client": 6,
+            "seed": 3}
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"run": {"noise_mode": "minibatch", "batch_size": 2}},
      "does not support minibatch"),
@@ -484,6 +491,35 @@ def test_readme_example_config_runs(tmp_path):
     ({"privacy": {"delta": False}}, "privacy.delta must be a number"),
     ({"privacy": {"u": True}}, "privacy.u must be a number"),
     ({"privacy": {"v": True}}, "privacy.v must be a number"),
+    # and so is a bool inside a data list
+    ({"problem": {"b": [-1.0, True]}}, "problem.b must be a number, got True"),
+    ({"run": {"x0": [True]}}, "run.x0 must be a number, got True"),
+    ({"problem": {**LINREG_DATA, "A": [[[1.0, True]], [[0.0, 1.0]]]}},
+     "problem.A must be a number, got True"),
+    ({"problem": {**LINREG_DATA, "A": [[[1.0, 0.0]], [[False, 1.0]]]}},
+     "problem.A must be a number, got False"),
+    ({"problem": {**LINREG_DATA, "b_list": [[True], [1.0]]}},
+     "problem.b_list must be a number, got True"),
+    # MLP counts are positive integers and its seed an integer, as the run's
+    # are. n_clients: true ran one client, seed: true and seed: 1.5 seed 1,
+    # and heterogeneity: true 1.0; the other five exited with numpy's
+    # message, which names no key
+    ({"problem": {**MLP_DATA, "n_clients": True}},
+     "problem.n_clients must be a positive integer, got True"),
+    ({"problem": {**MLP_DATA, "seed": True}}, "problem.seed must be an integer, got True"),
+    ({"problem": {**MLP_DATA, "heterogeneity": True}},
+     "problem.heterogeneity must be a number, got True"),
+    ({"problem": {**MLP_DATA, "hidden_width": True}},
+     "problem.hidden_width must be a positive integer, got True"),
+    ({"problem": {**MLP_DATA, "input_dim": True}},
+     "problem.input_dim must be a positive integer, got True"),
+    ({"problem": {**MLP_DATA, "n_classes": True}},
+     "problem.n_classes must be a positive integer, got True"),
+    ({"problem": {**MLP_DATA, "samples_per_client": 5.0}},
+     "problem.samples_per_client must be a positive integer, got 5.0"),
+    ({"problem": {**MLP_DATA, "n_clients": 2.0}},
+     "problem.n_clients must be a positive integer, got 2.0"),
+    ({"problem": {**MLP_DATA, "seed": 1.5}}, "problem.seed must be an integer, got 1.5"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -505,6 +541,17 @@ def test_numeric_strings_still_convert(tmp_path):
     assert cfg.run["eta_l"] == "1e-3"
     assert cfg.build_run_config(cfg.build_problem()).eta_l == 1e-3
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_numeric_strings_in_data_lists_still_convert():
+    cfg = ExperimentConfig.from_dict({
+        "problem": {"kind": "linear_regression", "A": [[["1e-3", 0.0]], [[0.0, 1.0]]],
+                    "b_list": [["2e0"], [1.0]]},
+        "run": {**BASE_CONFIG["run"], "sampled_per_round": 2, "x0": ["1e-3", 1.0]}})
+    problem = cfg.build_problem()
+    assert problem.clients[0].A.tolist() == [[1e-3, 0.0]]
+    assert problem.clients[0].b.tolist() == [2.0]
+    assert cfg.build_run_config(problem).x0.tolist() == [1e-3, 1.0]
 
 
 def test_seed_override_must_be_an_integer(tmp_path, capsys):

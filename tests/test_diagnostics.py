@@ -14,8 +14,7 @@ from fedclip.diagnostics import (BoundInputs, bound_inputs_from_trace,
                                  measured_stationarity, stepsize_regime,
                                  theorem1_bound, update_distribution)
 from fedclip.engine import RunConfig, run_experiment
-from fedclip.privacy import (PrivacyConfig, calibrate_noise,
-                             noise_term_in_bound)
+from fedclip.privacy import PrivacyConfig, calibrate_noise
 from fedclip.problems import (build_linear_regression_ensemble,
                               build_quadratic_ensemble)
 
@@ -52,10 +51,12 @@ def test_bound_hand_arithmetic():
 
 
 def test_bound_rejects_degenerate_inputs():
-    bad = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.0, G=1.0, d=1,
-                      eta_l=0.1, eta_g=0.0, Q=1, T=1, P=1)
-    with pytest.raises(ValueError):
-        theorem1_bound(bad)
+    inputs = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.0, sigma_g=0.0, G=1.0, d=1,
+                         eta_l=0.1, eta_g=1.0, Q=1, T=1, P=1)
+    theorem1_bound(inputs)
+    for bad in ({"eta_g": 0.0}, {"P": 0}, {"L": 0.0}, {"sigma2": -0.1}):
+        with pytest.raises(ValueError):
+            theorem1_bound(BoundInputs(**{**vars(inputs), **bad}))
 
 
 def test_stepsize_regime_flags():
@@ -174,7 +175,7 @@ def test_corollary_bound_terms_and_reference_scale():
         "initial_gap": 4.0 * 1.0 / (eta_g * eta_l * Q * T),
         "drift": 12.5 * eta_l ** 2 * L * Q * (1.0 ** 2 + 6.0 * Q * 0.5 ** 2),
         "sampling_variance": 6.0 * eta_g * eta_l * L * 1.0 ** 2 / P,
-        "privacy_noise": noise_term_in_bound(spec, eta_g, eta_l, P, Q, L),
+        "privacy_noise": 2.0 * eta_g * L * d * spec.sigma2 / (eta_l * P * Q),
     }
     for k, v in closed.items():
         assert out[k] == th[k] == v, k

@@ -11,7 +11,7 @@ from fedclip.cli import write_artifacts
 from fedclip.clipping import ClippingPolicy
 from fedclip.engine import RunConfig, run_experiment
 from fedclip.privacy import (CALIBRATION_NOTE, NoiseSpec, PrivacyConfig,
-                             calibrate_noise, draw_noise, noise_term_in_bound)
+                             calibrate_noise, draw_noise)
 from fedclip.problems import build_quadratic_ensemble
 
 
@@ -96,14 +96,6 @@ def test_draw_noise_empirical_variance():
     draws = np.stack([draw_noise(spec, g) for _ in range(30000)])
     np.testing.assert_allclose(draws.var(axis=0), 0.09, rtol=0.05)
     np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.01)
-
-
-def test_noise_term_in_bound_formula():
-    spec = NoiseSpec(sigma2=0.01, dim=4)
-    val = noise_term_in_bound(spec, eta_g=0.5, eta_l=0.1, P=8, Q=2, L=3.0)
-    assert val == pytest.approx(2.0 * 0.5 * 3.0 * 4 * 0.01 / (0.1 * 8 * 2))
-    with pytest.raises(ValueError):
-        noise_term_in_bound(spec, eta_g=0.0, eta_l=0.1, P=8, Q=2, L=3.0)
 
 
 def test_calibrate_rejects_bad_arguments():

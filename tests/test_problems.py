@@ -350,12 +350,10 @@ def mlp_federation(N, n, hidden, seed, n_classes=3, input_dim=2):
 
 
 def reference_stack(prob, W, idx=None):
-    """``reference_mlp_grad`` of client i at every (..., i, :) row of ``W``."""
-    N = prob.n_clients
-    rows = W.reshape(-1, W.shape[-1])
-    picks = [None] * len(rows) if idx is None else idx.reshape(len(rows), -1)
-    return np.stack([reference_mlp_grad(prob.clients[k % N], w, i)
-                     for k, (w, i) in enumerate(zip(rows, picks))]).reshape(W.shape)
+    """``reference_mlp_grad`` of client i at row i of ``W``."""
+    picks = [None] * len(W) if idx is None else idx
+    return np.stack([reference_mlp_grad(c, w, i)
+                     for c, w, i in zip(prob.clients, W, picks)])
 
 
 def test_mlp_objective_grads_match_reference():
@@ -368,11 +366,10 @@ def test_mlp_objective_grads_match_reference():
         assert np.array_equal(obj.grad_batch(x, idx), reference_mlp_grad(obj, x, idx))
 
 
-# (leading shape of the stack, rows per chunk); None: the module's budget.
-# 10 rows in chunks of 3 end with a partial chunk; in a (2, 5) stack a chunk
-# of 3 also wraps from client 4 back to client 0; a budget below m * h gives
-# one-row chunks.
-CHUNKINGS = [((10,), 3), ((2, 5), 3), ((3, 4), 1), ((9,), 9), ((10,), None)]
+# ((client count,), rows per chunk); None: the module's budget. 10 rows in
+# chunks of 3 end with a partial chunk; one row is fewer than a chunk; a
+# budget below m * h gives one-row chunks.
+CHUNKINGS = [((10,), 3), ((1,), 3), ((4,), 1), ((9,), 9), ((10,), None)]
 
 
 @pytest.mark.parametrize("lead, rows_per_chunk", CHUNKINGS)
@@ -380,22 +377,19 @@ CHUNKINGS = [((10,), 3), ((2, 5), 3), ((3, 4), 1), ((9,), 9), ((10,), None)]
 def test_mlp_grad_stack_matches_per_client_reference(monkeypatch, lead, rows_per_chunk,
                                                      batch):
     n, h = 12, 6
-    prob = mlp_federation(lead[-1], n, h, seed=len(lead) + (batch or 0))
+    (N,) = lead
+    prob = mlp_federation(N, n, h, seed=1 + (batch or 0))
     m = n if batch is None else batch
     if rows_per_chunk == 1:
         monkeypatch.setattr(problems, "_MLP_CHUNK_ELEMENTS", m * h - 1)
     elif rows_per_chunk is not None:
         monkeypatch.setattr(problems, "_MLP_CHUNK_ELEMENTS",
                             rows_per_chunk * m * h + m * h - 1)
-    g = rngmod.stream(len(lead), "test-mlp-stack")
-    W = g.normal(0.0, 1.5, size=lead + (prob.dim,))
+    g = rngmod.stream(1, "test-mlp-stack")
+    W = g.normal(0.0, 1.5, size=(N, prob.dim))
     # with replacement: a batch of 30 of 12 samples repeats some of them
-    idx = None if batch is None else g.integers(0, n, size=lead + (batch,))
+    idx = None if batch is None else g.integers(0, n, size=(N, batch))
     assert np.array_equal(prob.grad_stack(W, idx), reference_stack(prob, W, idx))
-    if len(lead) == 1 and idx is not None:
-        # the oracle's form: one index array per client
-        assert np.array_equal(prob.grad_stack(W, list(idx)),
-                              reference_stack(prob, W, idx))
 
 
 def test_mlp_grad_stack_memory_stays_near_per_client_reference():
