@@ -76,12 +76,17 @@ def _parse_float(v, name):
     return float(v)
 
 
+# entry types of a data list that the float conversion would not refuse but
+# read as numbers: YAML's true and false (1.0 and 0.0) and its null (NaN)
+_NOT_NUMBERS = frozenset({bool, type(None)})
+
+
 def _parse_floats(v, name):
     """``_parse_float`` for a number or a nested list of numbers, as a float
-    array: a bool anywhere in it is refused."""
+    array: a bool or a null anywhere in it is refused."""
     obj = np.asarray(v, dtype=object)
-    if bool in map(type, obj.flat):
-        bad = next(x for x in obj.flat if isinstance(x, bool))
+    if not _NOT_NUMBERS.isdisjoint(map(type, obj.flat)):
+        bad = next(x for x in obj.flat if type(x) in _NOT_NUMBERS)
         raise ConfigError(f"{name} must be a number, got {bad!r}")
     return obj.astype(float)
 

@@ -56,7 +56,7 @@ def sigmoid(z, out=None):
 _MLP_CHUNK_ELEMENTS = 1280
 
 
-def mlp_grads(W, X, y, hidden, n_classes, idx=None):
+def mlp_grads(W, X, y, hidden, n_classes, idx=None, out=None):
     """Loss gradients of one-hidden-layer MLP clients, one per row of ``W``.
 
     Row i of the (N, d) parameter stack ``W`` is evaluated on client i of the
@@ -64,7 +64,8 @@ def mlp_grads(W, X, y, hidden, n_classes, idx=None):
     ``idx`` (N, m), on samples idx[i]. Rows run in chunks of one batched
     forward and backward pass whose activations stay under
     ``_MLP_CHUNK_ELEMENTS``; each row is what the pass would give for that
-    row alone.
+    row alone. The gradients are written into ``out`` (N, d) if it is given,
+    else into a new array, which is returned.
     """
     N, d = W.shape
     n, din = X.shape[1:]
@@ -73,7 +74,8 @@ def mlp_grads(W, X, y, hidden, n_classes, idx=None):
     o1 = h * din
     o2 = o1 + h
     o3 = o2 + C * h
-    out = np.empty((N, d))
+    if out is None:
+        out = np.empty((N, d))
     step = max(1, _MLP_CHUNK_ELEMENTS // (m * h))
     rows = np.arange(min(step, N))[:, None]
     # flat offset of entry (row, sample, class 0) of a chunk's (r, m, C) logits
@@ -242,15 +244,17 @@ class MLPObjective:
 def _stack_clients(clients):
     """Client data on a leading client axis for ``ProblemInstance.grad_stack``:
     the quadratics' b as (N, 1); or, when every client is a linear regression
-    with the same row count n, A as (N, n, d) and b as (N, n); or, when every
-    client is an MLP of one data shape, X as (N, n, in) and y as (N, n); else
-    None, and clients are evaluated one by one."""
+    with the same row count n, A as (N, n, d) and b as (N, n), followed by the
+    views A^T (N, d, n) and b (N, n, 1) that the gradient multiplies by; or,
+    when every client is an MLP of one data shape, X as (N, n, in) and y as
+    (N, n); else None, and clients are evaluated one by one."""
     if all(isinstance(c, ScalarQuadratic) for c in clients):
         return "quadratic", np.array([[c.b] for c in clients])
     if (all(isinstance(c, LinearRegressionObjective) for c in clients)
             and len({c.n_samples for c in clients}) == 1):
-        return ("linear", np.stack([c.A for c in clients]),
-                np.stack([c.b for c in clients]))
+        A = np.stack([c.A for c in clients])
+        b = np.stack([c.b for c in clients])
+        return "linear", A, b, A.swapaxes(-1, -2), b[..., None]
     if (all(isinstance(c, MLPObjective) for c in clients)
             and len({(c.X.shape, c.hidden, c.n_classes) for c in clients}) == 1):
         return ("mlp", np.stack([c.X for c in clients]),
@@ -305,7 +309,7 @@ class ProblemInstance:
         an unbiased gradient, so E[grad(x_q)] = grad(E[x_q]) at every step."""
         return all(getattr(c, "affine_grad", False) for c in self.clients)
 
-    def grad_stack(self, X, indices=None):
+    def grad_stack(self, X, indices=None, out=None):
         """Gradient of client i at row i of the (N, d) stack ``X``, for all i.
 
         With ``indices``, an (N, B) array of sample indices, row i is client
@@ -314,30 +318,38 @@ class ProblemInstance:
         clients with equal data shapes are evaluated in one batched pass
         whose rows are bit-identical to the per-client ``grad`` /
         ``grad_batch``; the MLP pass runs in memory-bounded chunks of rows
-        (``mlp_grads``). Other federations loop over clients.
+        (``mlp_grads``). Other federations loop over clients. The stack is
+        written into ``out`` (N, d) if it is given, else into a new array,
+        which is returned; ``out`` must not overlap ``X``.
         """
         stacked = self._stacked
         if stacked is None:
             if indices is None:
-                return np.stack([c.grad(x) for c, x in zip(self.clients, X)])
-            return np.stack([c.grad_batch(x, idx)
-                             for c, x, idx in zip(self.clients, X, indices)])
-        kind, *data = stacked
+                rows = [c.grad(x) for c, x in zip(self.clients, X)]
+            else:
+                rows = [c.grad_batch(x, idx)
+                        for c, x, idx in zip(self.clients, X, indices)]
+            return np.stack(rows, out=out)
+        kind = stacked[0]
         if kind == "quadratic":
-            return X - data[0]
+            return np.subtract(X, stacked[1], out=out)
         if kind == "mlp":
             c = self.clients[0]
-            return mlp_grads(X, *data, c.hidden, c.n_classes, indices)
-        A, b = data
+            return mlp_grads(X, *stacked[1:], c.hidden, c.n_classes, indices, out)
+        _, A, b, At, b_col = stacked
         if indices is not None:
             pick = (np.arange(len(A))[:, None], indices)
             A, b = A[pick], b[pick]
-        r = np.matmul(A, X[..., None]) - b[..., None]
-        g = np.matmul(A.swapaxes(-1, -2), r)[..., 0]
-        if indices is None:
-            return g
-        # grad_batch scales by n / batch size after the product
-        return g * (data[0].shape[1] / indices.shape[-1])
+            At, b_col = A.swapaxes(-1, -2), b[..., None]
+        r = np.matmul(A, X[..., None])
+        r -= b_col
+        if out is None:
+            out = np.empty(X.shape)
+        np.matmul(At, r, out=out[..., None])
+        if indices is not None:
+            # grad_batch scales by n / batch size after the product
+            out *= stacked[1].shape[1] / indices.shape[1]
+        return out
 
     def client_grads(self, x):
         """Every client's gradient at the one point ``x``, as an (N, d) stack."""
@@ -357,7 +369,7 @@ class ProblemInstance:
             # scalar (x - b) ** 2 does; power and square round differently
             losses = 0.5 * np.float_power(x[0] - data[0][:, 0], 2)
         elif kind == "linear":
-            A, b = data
+            A, b = data[:2]
             r = np.matmul(A, x) - b
             losses = 0.5 * np.vecdot(r, r)
         else:
@@ -438,18 +450,19 @@ class StackedOracle:
         self.grad_bound = grad_bound
         self.violations = 0
 
-    def draw(self, X):
+    def draw(self, X, out=None):
         """One gradient per row of ``X``, row i for client i, counting no
-        violations (see ``count_violations``)."""
+        violations (see ``count_violations``). The stack is written into
+        ``out`` if it is given, as ``ProblemInstance.grad_stack`` writes."""
         if self.noise_mode == "minibatch":
             idx = np.stack([rng.integers(0, c.n_samples, size=self.batch_size)
                             for rng, c in zip(self.rngs, self.problem.clients)])
-            return self.problem.grad_stack(X, idx)
-        G = self.problem.grad_stack(X)
+            return self.problem.grad_stack(X, idx, out)
+        G = self.problem.grad_stack(X, out=out)
         if self.noise_mode == "gaussian" and self.sigma_l > 0:
             d = G.shape[1]
-            G = G + np.stack([rng.normal(0.0, self.sigma_l / np.sqrt(d), size=d)
-                              for rng in self.rngs])
+            G += np.stack([rng.normal(0.0, self.sigma_l / np.sqrt(d), size=d)
+                           for rng in self.rngs])
         return G
 
     def count_violations(self, G, running=None):
@@ -462,9 +475,9 @@ class StackedOracle:
                 over &= running
             self.violations += int(np.count_nonzero(over))
 
-    def sample(self, X):
+    def sample(self, X, out=None):
         """``draw``, with the violations of every row counted."""
-        G = self.draw(X)
+        G = self.draw(X, out)
         self.count_violations(G)
         return G
 
@@ -500,7 +513,7 @@ def _provisional(clients, dim, L=1.0):
         kind, *data = stacked
         names = ("A", "b") if kind == "linear" else ("X", "y")
         clients = tuple(replace(c, **dict(zip(names, rows)))
-                        for c, rows in zip(clients, zip(*data)))
+                        for c, rows in zip(clients, zip(*data[:2])))
     return ProblemInstance(clients=clients, dim=dim, L=L, G=0.0, sigma_l=0.0,
                            sigma_g=0.0, _stacked=stacked)
 

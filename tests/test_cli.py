@@ -520,6 +520,14 @@ MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_clien
     ({"problem": {**MLP_DATA, "n_clients": 2.0}},
      "problem.n_clients must be a positive integer, got 2.0"),
     ({"problem": {**MLP_DATA, "seed": 1.5}}, "problem.seed must be an integer, got 1.5"),
+    # a null inside a data list is refused too: the float conversion read it
+    # as NaN, and the run failed later with a message that named no key
+    ({"problem": {"b": [None, 1.0]}}, "problem.b must be a number, got None"),
+    ({"problem": {**LINREG_DATA, "A": [[[1.0, None]], [[0.0, 1.0]]]}},
+     "problem.A must be a number, got None"),
+    ({"problem": {**LINREG_DATA, "b_list": [[1.0], [None]]}},
+     "problem.b_list must be a number, got None"),
+    ({"run": {"x0": [None]}}, "run.x0 must be a number, got None"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))

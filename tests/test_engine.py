@@ -481,9 +481,9 @@ class RecordingOracle(StackedOracle):
         self.draws = 0
         self.blocks = []
 
-    def draw(self, X):
+    def draw(self, X, out=None):
         self.draws += 1
-        return super().draw(X)
+        return super().draw(X, out)
 
     def count_violations(self, G, running=None):
         if self.grad_bound is not None:

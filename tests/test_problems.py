@@ -1,6 +1,7 @@
 """Tests for client objectives, ensemble builders, and gradient oracles."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -258,6 +259,34 @@ def test_rng_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, c)
 
 
+# paths as the engine and the builders key their streams
+STREAM_PATHS = [(0, "grad", 0, 0), (1, "grad", 0, 1), (7, "replay", 3, 2, 31),
+                (12345, "probe"), (-3, "noise", 699, 99), (2 ** 40, "mlp-data"),
+                (5, "sample", 12), (1, "mlp-memory"), (0, "")]
+
+
+@pytest.mark.parametrize("path", STREAM_PATHS)
+def test_rng_stream_is_philox_at_its_hashed_key(path):
+    """A stream is the Generator that ``Philox(key=...)`` gives for the first
+    16 bytes of the sha256 of its label: the same state and the same draws."""
+    seed, *rest = path
+    label = ":".join([str(seed)] + [str(p) for p in rest])
+    key = np.frombuffer(hashlib.sha256(label.encode("utf-8")).digest()[:16],
+                        dtype=np.uint64)
+    streams = [rngmod.stream(*path), np.random.Generator(np.random.Philox(key=key))]
+    a, b = (g.bit_generator.state for g in streams)
+    assert a["bit_generator"] == b["bit_generator"] == "Philox"
+    for k in ("counter", "key"):
+        assert np.array_equal(a["state"][k], b["state"][k])
+    assert np.array_equal(a["buffer"], b["buffer"])
+    assert [a[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == \
+        [b[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+    draws = [(g.normal(size=5), g.integers(0, 1000, size=5), g.uniform(-2.0, 2.0, size=5),
+              g.integers(0, 2 ** 31)) for g in streams]
+    for x, y in zip(*draws):
+        assert np.array_equal(x, y)
+
+
 def reference_probe(clients, pts):
     """Max gradient norm and max gap to the client mean, client by client."""
     gmax = divmax = 0.0
@@ -471,3 +500,60 @@ def test_builders_hold_the_client_data_once(monkeypatch):
                 assert np.shares_memory(ens._stacked[k][i], getattr(client, name))
         assert dataclasses.replace(ens, sigma_l=0.5)._stacked is ens._stacked
     assert stacks == [4, 3]
+
+
+def out_federation(kind):
+    """A small federation of ``kind`` and the row count every client has at
+    least, for ``out=`` tests."""
+    g = rngmod.stream(4, "test-out", kind)
+    if kind == "quadratic":
+        return build_quadratic_ensemble(g.normal(size=5).tolist()), None
+    if kind == "linear":
+        return build_linear_regression_ensemble(list(g.normal(size=(4, 6, 3))),
+                                                list(g.normal(size=(4, 6)))), 6
+    if kind == "fallback":  # unequal row counts: one client at a time
+        rows = (2, 6, 4)
+        return build_linear_regression_ensemble([g.normal(size=(n, 3)) for n in rows],
+                                                [g.normal(size=n) for n in rows]), 2
+    return mlp_federation(5, 12, 6, seed=4), 12
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear", "fallback", "mlp"])
+def test_grad_stack_writes_into_out(kind):
+    """With ``out``, ``grad_stack`` returns ``out`` holding, bit for bit,
+    what the allocating call returns, on all samples and on minibatches."""
+    prob, n = out_federation(kind)
+    assert (prob._stacked is None) == (kind == "fallback")
+    g = rngmod.stream(4, "test-out-x", kind)
+    X = g.normal(size=(prob.n_clients, prob.dim))
+    picks = [None] if n is None else [None, g.integers(0, n, size=(prob.n_clients, 5))]
+    for idx in picks:
+        out = np.full(X.shape, np.nan)
+        assert prob.grad_stack(X, idx, out) is out
+        assert np.array_equal(out, prob.grad_stack(X, idx))
+
+
+# quadratic clients have no rows to sample a minibatch of
+@pytest.mark.parametrize("kind, noise_mode", [
+    (kind, mode) for kind in ("quadratic", "linear", "mlp")
+    for mode in ("deterministic", "gaussian", "minibatch")
+    if (kind, mode) != ("quadratic", "minibatch")])
+def test_stacked_oracle_draws_into_out(kind, noise_mode):
+    """``draw`` and ``sample`` with ``out`` return ``out`` holding, bit for
+    bit, what the allocating call draws from the same streams, and count the
+    same violations."""
+    prob, _ = out_federation(kind)
+    N = prob.n_clients
+    X = rngmod.stream(4, "test-out-x", kind).normal(size=(N, prob.dim))
+
+    def oracle():
+        return StackedOracle(prob, noise_mode=noise_mode, sigma_l=0.7, batch_size=3,
+                             rngs=[rngmod.stream(4, "test-out-draws", i) for i in range(N)],
+                             grad_bound=1.0)
+
+    into, fresh = oracle(), oracle()
+    for method in ("draw", "sample"):
+        out = np.full(X.shape, np.nan)
+        assert getattr(into, method)(X, out) is out
+        assert np.array_equal(out, getattr(fresh, method)(X))
+    assert into.violations == fresh.violations
