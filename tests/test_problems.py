@@ -274,13 +274,9 @@ def test_rng_stream_is_philox_at_its_hashed_key(path):
     key = np.frombuffer(hashlib.sha256(label.encode("utf-8")).digest()[:16],
                         dtype=np.uint64)
     streams = [rngmod.stream(*path), np.random.Generator(np.random.Philox(key=key))]
-    a, b = (g.bit_generator.state for g in streams)
-    assert a["bit_generator"] == b["bit_generator"] == "Philox"
-    for k in ("counter", "key"):
-        assert np.array_equal(a["state"][k], b["state"][k])
-    assert np.array_equal(a["buffer"], b["buffer"])
-    assert [a[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == \
-        [b[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+    # the state holds small uint64 arrays, which repr prints in full
+    a, b = (repr(g.bit_generator.state) for g in streams)
+    assert "'Philox'" in a and a == b
     draws = [(g.normal(size=5), g.integers(0, 1000, size=5), g.uniform(-2.0, 2.0, size=5),
               g.integers(0, 2 ** 31)) for g in streams]
     for x, y in zip(*draws):
