@@ -249,9 +249,11 @@ def _exhaustive_phase(oracle, x_start, eta_l, round_index):
         kept = step_index[:k] <= last
         _check_finite(Xh[1:k + 1][kept], round_index)  # step-major order
         oracle.count_violations(Gh[1:k + 1], kept)
-        # the gradient sums, adding step by step: accumulate runs one inner
-        # loop per entry of a step (about 20 ns each), a row add costs about
-        # 1 us, and the block cap keeps N * d <= 256 in blocks of 8 or more
+        # the gradient sums, added in step order. accumulate runs one inner
+        # loop per entry of a step; blocks of 8 or more steps hold at most
+        # 256 entries a step. There it beats the row adds on table1-grid;
+        # on the one-step blocks of big stacks it is about 30% slower
+        # (BENCH_11.json, gradient_sum_variants)
         if k >= 8:
             np.add.accumulate(Gh[:k + 1], axis=0, out=Gh[:k + 1])
         else:

@@ -475,9 +475,9 @@ class StackedOracle:
                 over &= running
             self.violations += int(np.count_nonzero(over))
 
-    def sample(self, X, out=None):
+    def sample(self, X):
         """``draw``, with the violations of every row counted."""
-        G = self.draw(X, out)
+        G = self.draw(X)
         self.count_violations(G)
         return G
 
