@@ -253,7 +253,7 @@ def _exhaustive_phase(oracle, x_start, eta_l, round_index):
         # loop per entry of a step; blocks of 8 or more steps hold at most
         # 256 entries a step. There it beats the row adds on table1-grid;
         # on the one-step blocks of big stacks it is about 30% slower
-        # (BENCH_11.json, gradient_sum_variants)
+        # (BENCH_11.json)
         if k >= 8:
             np.add.accumulate(Gh[:k + 1], axis=0, out=Gh[:k + 1])
         else:
