@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -19,8 +20,8 @@ import yaml
 from hypothesis import event, given, settings, strategies as st
 
 import fedclip
-from fedclip.cli import (ConfigError, ExperimentConfig, _YAMLLoader, load_config,
-                         main)
+from fedclip import cli
+from fedclip.cli import ConfigError, ExperimentConfig, load_config, load_yaml, main
 from record_golden import DIGESTS, configs, file_digest, version_mismatch
 
 BASE_CONFIG = {
@@ -367,13 +368,13 @@ def _same(a, b):
 
 
 def assert_loaders_agree(text):
-    fast = yaml.load(text, Loader=_YAMLLoader)
+    fast = load_yaml(text)
     assert _same(fast, yaml.load(text, Loader=yaml.SafeLoader)), text
     return fast
 
 
-# the loader's fast paths take plain and explicit floats; everything else,
-# and every float that float() reads differently from yaml, takes yaml's path
+# the builder's fast path takes plain floats of the form -1.25 or 2.0e-05;
+# every other scalar goes through yaml's resolver and constructor
 SCALARS = ["1.5", "-0.0", "+1.5", "1_000.5", "1.", ".5", "1e5", "1.0e5",
            "1.0e+5", "1.0E+5", "2.5e-3", "-7.0e-400", ".inf", "-.inf", ".nan",
            "1:30.5", '"1.5"', "'-2.5'", "!!float 3", '!!float "1_0"',
@@ -398,15 +399,96 @@ def test_loader_matches_safe_loader_on_anchors_and_aliases():
 def test_loader_keeps_yaml_errors():
     for text in ("- !!float 1.5.5\n", "!!seq {a: 1.5}\n"):
         with pytest.raises((ValueError, yaml.YAMLError)) as fast:
-            yaml.load(text, Loader=_YAMLLoader)
+            load_yaml(text)
         with pytest.raises((ValueError, yaml.YAMLError)) as slow:
             yaml.load(text, Loader=yaml.SafeLoader)
         assert type(fast.value) is type(slow.value)
 
 
+class _CountingYAML:
+    """The yaml module, counting the documents handed to ``yaml.load``."""
+
+    def __init__(self):
+        self.loads = 0
+
+    def __getattr__(self, name):
+        return getattr(yaml, name)
+
+    def load(self, *args, **kwargs):
+        self.loads += 1
+        return yaml.load(*args, **kwargs)
+
+
+def _outcome(load, text):
+    """``load(text)`` and no exception type, or None and the type it raised."""
+    try:
+        return load(text), None
+    except Exception as exc:  # yaml's constructors raise ValueError, KeyError...
+        return None, type(exc)
+
+
+@pytest.mark.parametrize("text, falls_back", [
+    ("a: 1.5\n---\nb: 2.5\n", True),  # two documents: ComposerError
+    ("", False),
+    ("---\n", False),
+    ("# only a comment\n", False),
+    ("a: 1.5\n=: 2.5\n", True),  # the key "="
+    ("a: 1.5\nb: =\n", True),  # no constructor for the value tag
+    ("? [1]\n: 2.5\n", True),  # an unhashable key: ConstructorError
+    ("? {a: 1}\n: 2.5\n", True),
+    ("a: &x [1.5]\n? *x\n: 2.5\n", True),
+    ("a: 1.5\nb: [2.5]\na: 3.5\nb: {c: 1}\n", False),  # the last value wins
+    ("base: &b {x: 1.5, y: 2.5}\nc:\n  <<: *b\n  y: 3.5\n", True),
+    ("!!set {a, b}\n", True),
+    ("s: !!set {1.5, 2.5}\no: !!omap [a: 1.5, b: [2.5]]\n", True),
+    ("a: &x 1.5\nb: &x 2.5\n", True),  # a repeated anchor: ComposerError
+    ("a: *x\n", True),  # an undefined alias: ComposerError
+    ("- !!seq 1.5\n", True),
+    ("- !!timestamp x\n", True),  # AttributeError, as yaml raises it
+    ("[1.5, {a: [2.5, 'x', !!float '3'], b: {}}, [[]], ! 4.5, ! 4]\n", False),
+    ("a: [1.5\nb: ]\n", False),  # a parser error, raised from the first pass
+])
+def test_loader_matches_safe_loader_on_edge_cases(monkeypatch, text, falls_back):
+    counting = _CountingYAML()
+    monkeypatch.setattr(cli, "yaml", counting)
+    fast, fast_error = _outcome(load_yaml, text)
+    slow, slow_error = _outcome(lambda t: yaml.load(t, Loader=yaml.SafeLoader), text)
+    assert fast_error is slow_error and _same(fast, slow), text
+    assert counting.loads == falls_back
+
+
+def test_loader_keeps_an_alias_to_a_list_the_same_object():
+    text = "a: &x [1.5, [2.5]]\nb: *x\nc: [*x, &y 0.5, *y]\n"
+    loaded = assert_loaders_agree(text)
+    assert loaded["b"] is loaded["a"] and loaded["c"][0] is loaded["a"]
+    # an alias inside the collection it names, as yaml builds it
+    loaded = load_yaml("&x [1.5, *x]\n")
+    assert loaded[1] is loaded and loaded[0] == 1.5
+
+
 @pytest.mark.parametrize("config", configs(), ids=lambda p: p.stem)
 def test_loader_matches_safe_loader_on_golden_configs(config):
     assert_loaders_agree(config.read_text())
+    with open(config, "rb") as stream:  # as load_config reads it
+        assert _same(load_yaml(stream), yaml.load(config.read_text(),
+                                                  Loader=yaml.SafeLoader))
+
+
+def test_loading_inline_floats_peaks_below_100_bytes_per_number(tmp_path):
+    # yaml.load composes a node tree first, about 441 B per number
+    values = [i / 7 for i in range(-30_000, 30_000)]
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"problem": {"kind": "quadratic", "b": values},
+                                    "run": BASE_CONFIG["run"]}))
+    load_config(path)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        cfg = load_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.problem["b"] == values
+    assert peak / len(values) < 100
 
 
 FLOAT64 = st.one_of(
@@ -528,6 +610,16 @@ MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_clien
     ({"problem": {**LINREG_DATA, "b_list": [[1.0], [None]]}},
      "problem.b_list must be a number, got None"),
     ({"run": {"x0": [None]}}, "run.x0 must be a number, got None"),
+    # data of the wrong shape, and a seed that is a list, are named by key;
+    # the messages were numpy's and Python's
+    ({"problem": {"b": 3.0}}, "problem.b must be a list of numbers"),
+    ({"problem": {**LINREG_DATA, "b_list": 3.0}}, "problem.b_list must be a list"),
+    ({"problem": {"b": [-1.0, [1.0]]}}, "problem.b is ragged"),
+    ({"replicates": {"seeds": [1, [2]]}}, "replicates.seeds: seed must be an integer"),
+    # these three exited 1 with a traceback, or 2 naming no key
+    ({"run": {"eta_l": "fast"}}, "run.eta_l must be a number, got 'fast'"),
+    ({"problem": {"b": [10**400, 1.0]}}, "problem.b overflows float64"),
+    ({"problem": {1: 2.0}}, "unknown keys in problem: 1"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -539,6 +631,37 @@ def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     assert code == 2
     assert err["error"] == "config" and message in err["message"]
     assert not (tmp_path / "out").exists()  # refused before any run writes
+
+
+@pytest.mark.parametrize("section, value", [
+    ("clipping", None), ("privacy", [1]), ("problem", [1]), ("run", 3.5),
+])
+def test_sections_that_are_not_mappings_exit_2(tmp_path, capsys, section, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg[section] = value
+    code, err = run_cli_error(tmp_path, capsys, cfg)
+    assert code == 2
+    assert err == {"error": "config",
+                   "message": f"section {section} must be a mapping, got {value!r}"}
+
+
+def test_output_directory_must_be_a_string(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a run without --out would write
+    path = write_config(tmp_path, {"output": {"directory": [1]}})
+    assert main(["run", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": "output.directory must be a string, got [1]"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+    # --out takes the place of output.directory
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and "cannot read config" in err["message"]
 
 
 def test_numeric_strings_still_convert(tmp_path):
