@@ -290,6 +290,10 @@ class ExperimentConfig:
                                       f"client, got {reprlib.repr(p[key])}")
             A = [_parse_floats(a, "problem.A") for a in p["A"]]
             b = [np.atleast_1d(_parse_floats(v, "problem.b_list")) for v in p["b_list"]]
+            if any(a.ndim > 2 for a in A):
+                raise ConfigError("problem.A must hold one matrix per client")
+            if any(v.ndim > 1 for v in b):
+                raise ConfigError("problem.b_list must hold one vector per client")
             return build_linear_regression_ensemble(A, b, g_bound=g_bound,
                                                     sigma_l=sigma_l)
         if kind == "mlp":
@@ -362,7 +366,9 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "rb") as stream:  # libyaml reads it chunk by chunk
             raw = load_yaml(stream)
-    except (OSError, yaml.YAMLError) as exc:
+    # yaml's constructors raise the last three for a scalar whose explicit tag
+    # does not fit it: !!float 1.5.5, !!bool x, !!timestamp x
+    except (OSError, yaml.YAMLError, ValueError, KeyError, AttributeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 

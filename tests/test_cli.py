@@ -353,6 +353,18 @@ def test_malformed_yaml_exit_code(tmp_path, capsys):
     assert err["error"] == "config" and "cannot read config" in err["message"]
 
 
+@pytest.mark.parametrize("scalar", ["!!float 1.5.5", "!!bool x", "!!timestamp x"])
+def test_refused_tagged_scalar_exit_code(tmp_path, capsys, scalar):
+    # yaml's constructors refuse these with ValueError, KeyError and
+    # AttributeError, not with a YAMLError
+    path = tmp_path / "broken.yaml"
+    path.write_text(f"problem: {{kind: quadratic, b: [{scalar}]}}\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "cannot read config" in err["message"]
+
+
 def _same(a, b):
     """Equal values of equal types, with floats compared bit for bit (so
     -0.0 and the sign of a NaN count) and mappings in the same key order."""
@@ -616,10 +628,14 @@ MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_clien
     ({"problem": {**LINREG_DATA, "b_list": 3.0}}, "problem.b_list must be a list"),
     ({"problem": {"b": [-1.0, [1.0]]}}, "problem.b is ragged"),
     ({"replicates": {"seeds": [1, [2]]}}, "replicates.seeds: seed must be an integer"),
-    # these three exited 1 with a traceback, or 2 naming no key
+    # these exited 1 with a traceback, or 2 naming no key
     ({"run": {"eta_l": "fast"}}, "run.eta_l must be a number, got 'fast'"),
     ({"problem": {"b": [10**400, 1.0]}}, "problem.b overflows float64"),
     ({"problem": {1: 2.0}}, "unknown keys in problem: 1"),
+    ({"problem": {**LINREG_DATA, "A": [[[[1.0]]], [[[0.0]]]]}},
+     "problem.A must hold one matrix per client"),
+    ({"problem": {**LINREG_DATA, "b_list": [[[1.0]], [[-1.0]]]}},
+     "problem.b_list must hold one vector per client"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
