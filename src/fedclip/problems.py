@@ -27,32 +27,39 @@ def client_sum(V):
     return np.add.accumulate(V, axis=0)[-1]
 
 
-def softplus(z):
+def softplus(z, out=None):
     # overflow-safe log(1 + exp(z))
-    return np.logaddexp(0.0, z)
+    return np.logaddexp(0.0, z, out=out)
 
 
-def sigmoid(z, out=None):
-    # where(z >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(-|z|), which cannot
-    # overflow; written in place, into ``out`` if given (which may be z), so at
-    # most two arrays of z's size are live besides z
-    pos = z >= 0
-    e = np.abs(z, out=out)
-    np.negative(e, out=e)
+def sigmoid(z, out=None, work=None):
+    # exp(min(z, 0)) / (1 + exp(-|z|)): for z >= 0 the numerator is 1 and for
+    # z < 0 it equals exp(-|z|), so each entry is the one division of the
+    # masked form where(z >= 0, 1 / (1 + e), e / (1 + e)), e = exp(-|z|), and
+    # neither exp can overflow. The numerator is written into ``out`` (which
+    # may be z) and the denominator into ``work``, each a new array if not
+    # given; the result is ``out``.
+    d = np.abs(z, out=work)
+    e = np.minimum(z, 0.0, out=out)
     np.exp(e, out=e)
-    d = 1.0 + e
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=d)
-    np.copyto(e, d, where=pos)
-    return e
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    return np.divide(e, d, out=e)
 
 
 # Elements of one (rows, m, h) activation array in a chunk of the batched MLP
-# gradient, which keeps about three such arrays live: a chunk holds
-# max(1, _MLP_CHUNK_ELEMENTS // (m * h)) rows of m samples and h hidden units.
-# Measured with tracemalloc: at m = 16, h = 32 a chunk of two rows peaks
-# within 15% of a one-client pass, and three rows (a budget of 1,536) at 49%
-# above it.
+# gradient: a chunk holds max(2, _MLP_CHUNK_ELEMENTS // (m * h)) rows of m
+# samples and h hidden units. The floor of two rows halves the chunk count at
+# the full-batch shapes, whose m * h exceeds the budget, without leaving the
+# memory of the per-client pass: that pass itself peaks at about 6-7
+# activation-sized arrays, and a chunk keeps two (rows, m, h) buffers, reused
+# by every chunk, plus transients. Measured with tracemalloc on eight shapes
+# (m = 16 to 200, h = 8 to 64), two rows peak at 1.01-1.05x of the per-client
+# pass, or below it; three rows reach 1.44x at m = 50, h = 32 (1.36x at
+# m = 16). One transient is not avoidable: the broadcast ``Z1 += b1`` makes
+# numpy's ufunc buffer (up to 8,192 elements) allocate one more chunk-sized
+# array, so the budget gives only two rows at m = 16, h = 32.
 _MLP_CHUNK_ELEMENTS = 1280
 
 
@@ -61,11 +68,11 @@ def mlp_grads(W, X, y, hidden, n_classes, idx=None, out=None):
 
     Row i of the (N, d) parameter stack ``W`` is evaluated on client i of the
     data ``X`` (N, n, in) and labels ``y`` (N, n): on all n samples, or, with
-    ``idx`` (N, m), on samples idx[i]. Rows run in chunks of one batched
-    forward and backward pass whose activations stay under
-    ``_MLP_CHUNK_ELEMENTS``; each row is what the pass would give for that
-    row alone. The gradients are written into ``out`` (N, d) if it is given,
-    else into a new array, which is returned.
+    ``idx`` (N, m), on samples idx[i]. Rows run in chunks of at least two
+    (see ``_MLP_CHUNK_ELEMENTS``), each one batched forward and backward pass
+    on buffers allocated once per call; each row is what the pass would give
+    for that row alone. The gradients are written into ``out`` (N, d) if it
+    is given, else into a new array, which is returned.
     """
     N, d = W.shape
     n, din = X.shape[1:]
@@ -76,8 +83,11 @@ def mlp_grads(W, X, y, hidden, n_classes, idx=None, out=None):
     o3 = o2 + C * h
     if out is None:
         out = np.empty((N, d))
-    step = max(1, _MLP_CHUNK_ELEMENTS // (m * h))
+    step = max(2, _MLP_CHUNK_ELEMENTS // (m * h))
     rows = np.arange(min(step, N))[:, None]
+    Z1_buf = np.empty((rows.size, m, h))
+    H_buf = np.empty_like(Z1_buf)
+    logits_buf = np.empty((rows.size, m, C))
     # flat offset of entry (row, sample, class 0) of a chunk's (r, m, C) logits
     base = np.arange(rows.size * m) * C
     for lo in range(0, N, step):
@@ -88,24 +98,26 @@ def mlp_grads(W, X, y, hidden, n_classes, idx=None, out=None):
             pick = (rows[:r], idx[lo:hi])
             Xc, yc = Xc[pick], yc[pick]
         Wc = W[lo:hi]
-        Z1 = Xc @ Wc[:, :o1].reshape(r, h, din).transpose(0, 2, 1)
+        Z1 = np.matmul(Xc, Wc[:, :o1].reshape(r, h, din).transpose(0, 2, 1),
+                       out=Z1_buf[:r])
         Z1 += Wc[:, None, o1:o2]
-        H = softplus(Z1)
+        H = softplus(Z1, out=H_buf[:r])
         W2 = Wc[:, o2:o3].reshape(r, C, h)
-        logits = H @ W2.transpose(0, 2, 1)
+        logits = np.matmul(H, W2.transpose(0, 2, 1), out=logits_buf[:r])
         logits += Wc[:, None, o3:]
         logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
         logits -= np.log(np.add.reduce(np.exp(logits), axis=2, keepdims=True))
         p = np.exp(logits, out=logits)
         # p - one_hot(y), as one subtraction at the label entries; p is a
-        # fresh matmul result, contiguous, so its flat view writes through
+        # leading slice of a contiguous buffer, so its flat view writes through
         p.reshape(-1)[base[:r * m] + yc.reshape(-1)] -= 1.0
         p /= m
         out[lo:hi, o2:o3] = (p.transpose(0, 2, 1) @ H).reshape(r, -1)
-        del H
         out[lo:hi, o3:] = np.add.reduce(p, axis=1)
-        dZ1 = p @ W2
-        dZ1 *= sigmoid(Z1, out=Z1)
+        # H is free once dW2 is formed: the sigmoid's denominator, then dZ1
+        s = sigmoid(Z1, out=Z1, work=H)
+        dZ1 = np.matmul(p, W2, out=H)
+        dZ1 *= s
         out[lo:hi, :o1] = (dZ1.transpose(0, 2, 1) @ Xc).reshape(r, -1)
         out[lo:hi, o1:o2] = np.add.reduce(dZ1, axis=1)
     return out

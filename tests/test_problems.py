@@ -12,7 +12,7 @@ from fedclip.problems import (GradientOracle, LinearRegressionObjective,
                               MLPObjective, ProblemInstance, ScalarQuadratic,
                               StackedOracle, build_linear_regression_ensemble,
                               build_mlp_synthetic_ensemble,
-                              build_quadratic_ensemble, sigmoid,
+                              build_quadratic_ensemble, sigmoid, softplus,
                               _probe_grid)
 
 
@@ -238,6 +238,34 @@ def test_sigmoid_matches_masked_form_bit_for_bit():
         assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
 
 
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sigmoid_in_place_allocates_one_array_and_no_mask():
+    g = rngmod.stream(8, "test-sigmoid-memory")
+    z = g.normal(0.0, 5.0, size=(64, 64))
+    expected = masked_sigmoid(z)
+    got = []
+    peak = traced_peak(lambda: got.append(sigmoid(z, out=z)))
+    assert got[0] is z
+    assert np.array_equal(z, expected)
+    # the denominator is one array of z's size; a bool mask would add z.size
+    # bytes more
+    assert z.nbytes <= peak < z.nbytes + z.size // 2, (peak, z.nbytes)
+    # with the denominator's buffer given too, nothing of z's size is allocated
+    z = g.normal(0.0, 5.0, size=(64, 64))
+    expected, work = masked_sigmoid(z), np.empty_like(z)
+    assert traced_peak(lambda: sigmoid(z, out=z, work=work)) < z.size // 2
+    assert np.array_equal(z, expected)
+
+
 def test_mlp_ensemble_shapes_and_heterogeneity_validation():
     ens = build_mlp_synthetic_ensemble(hidden_width=4, N=3,
                                        samples_per_client=10,
@@ -391,55 +419,52 @@ def test_mlp_objective_grads_match_reference():
         assert np.array_equal(obj.grad_batch(x, idx), reference_mlp_grad(obj, x, idx))
 
 
-# ((client count,), rows per chunk); None: the module's budget. 10 rows in
-# chunks of 3 end with a partial chunk; one row is fewer than a chunk; a
-# budget below m * h gives one-row chunks.
-CHUNKINGS = [((10,), 3), ((1,), 3), ((4,), 1), ((9,), 9), ((10,), None)]
+# ((client count,), rows the budget holds); None: the module's budget. 10
+# rows in chunks of 3 end with a partial chunk; one row is fewer than a chunk;
+# a budget below m * h still gives chunks of two rows: 2, 2 and 1.
+CHUNKINGS = [((10,), 3), ((1,), 3), ((5,), 0), ((9,), 9), ((10,), None)]
 
 
-@pytest.mark.parametrize("lead, rows_per_chunk", CHUNKINGS)
+@pytest.mark.parametrize("lead, budget_rows", CHUNKINGS)
 @pytest.mark.parametrize("batch", [None, 1, 7, 30])
-def test_mlp_grad_stack_matches_per_client_reference(monkeypatch, lead, rows_per_chunk,
+def test_mlp_grad_stack_matches_per_client_reference(monkeypatch, lead, budget_rows,
                                                      batch):
     n, h = 12, 6
     (N,) = lead
     prob = mlp_federation(N, n, h, seed=1 + (batch or 0))
     m = n if batch is None else batch
-    if rows_per_chunk == 1:
-        monkeypatch.setattr(problems, "_MLP_CHUNK_ELEMENTS", m * h - 1)
-    elif rows_per_chunk is not None:
-        monkeypatch.setattr(problems, "_MLP_CHUNK_ELEMENTS",
-                            rows_per_chunk * m * h + m * h - 1)
+    if budget_rows is not None:
+        # the largest budget that holds budget_rows rows of m * h
+        monkeypatch.setattr(problems, "_MLP_CHUNK_ELEMENTS", (budget_rows + 1) * m * h - 1)
+    step = max(2, problems._MLP_CHUNK_ELEMENTS // (m * h))
+    # softplus runs once per chunk, on the chunk's (rows, m, h) pre-activations
+    chunks = []
+    monkeypatch.setattr(problems, "softplus",
+                        lambda z, out=None: chunks.append(len(z)) or softplus(z, out))
     g = rngmod.stream(1, "test-mlp-stack")
     W = g.normal(0.0, 1.5, size=(N, prob.dim))
     # with replacement: a batch of 30 of 12 samples repeats some of them
     idx = None if batch is None else g.integers(0, n, size=(N, batch))
     assert np.array_equal(prob.grad_stack(W, idx), reference_stack(prob, W, idx))
+    assert chunks == [min(step, N - lo) for lo in range(0, N, step)]
 
 
 def test_mlp_grad_stack_memory_stays_near_per_client_reference():
-    """One batched gradient keeps about three (rows, m, h) activations live
-    under the chunk budget; the per-client loop keeps one client's. The
-    batched peak stays within 25% of the per-client peak, full-batch and at
-    B = 16 (the minibatch of the mlp-build-replay benchmark workload)."""
-    prob = mlp_federation(8, 50, 32, seed=3, n_classes=4)
-    g = rngmod.stream(3, "test-mlp-memory")
-    W = g.normal(0.0, 0.5, size=(8, prob.dim))
-    idx = g.integers(0, 50, size=(8, 16))
-    prob.grad_stack(W)  # the stacked client data is cached, not measured
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    for picks in (None, idx):
-        batched = peak(lambda: prob.grad_stack(W, picks))
-        per_client = peak(lambda: reference_stack(prob, W, picks))
-        assert batched <= 1.25 * per_client, (picks is None, batched, per_client)
+    """A chunk of the batched gradient keeps two reused (rows, m, h) buffers
+    and its transients live; the per-client loop keeps one client's pass,
+    which peaks at about 6-7 activation-sized arrays. The batched peak stays
+    within 25% of the per-client peak at h = 32: full-batch at n = 50 and
+    n = 200, and at B = 16 (the minibatch of the mlp-build-replay benchmark
+    workload) and B = 30."""
+    for n, batch in ((50, None), (50, 16), (50, 30), (200, None)):
+        prob = mlp_federation(8, n, 32, seed=3, n_classes=4)
+        g = rngmod.stream(3, "test-mlp-memory")
+        W = g.normal(0.0, 0.5, size=(8, prob.dim))
+        idx = None if batch is None else g.integers(0, n, size=(8, batch))
+        prob.grad_stack(W)  # the stacked client data is cached, not measured
+        batched = traced_peak(lambda: prob.grad_stack(W, idx))
+        per_client = traced_peak(lambda: reference_stack(prob, W, idx))
+        assert batched <= 1.25 * per_client, (n, batch, batched, per_client)
 
 
 # (0 - b) ** 2 for these b: the C library's pow rounds them one unit in the
