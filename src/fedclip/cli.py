@@ -375,9 +375,16 @@ def load_config(path) -> ExperimentConfig:
 
 def write_artifacts(trace: engine.Trace, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
+    scatter = outdir / "scatter"
+    scatter.mkdir(exist_ok=True)
+    # each round is rendered once, into its rounds.jsonl line and its scatter
+    # file, and written before the next one is rendered
     with open(outdir / "rounds.jsonl", "w") as fh:
         for rec in trace.records:
-            fh.write(engine.record_to_json(rec) + "\n")
+            line, csv_text = engine.render_record(rec)
+            fh.write(line + "\n")
+            with open(scatter / f"round_{rec.t:04d}.csv", "w", newline="") as sc:
+                sc.write(csv_text)
 
     report = diagnostics.clip_bias_terms(trace)
     with open(outdir / "bias.csv", "w", newline="") as fh:
@@ -402,15 +409,6 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
         bound["calibration_note"] = privacy.CALIBRATION_NOTE
     with open(outdir / "bound.json", "w") as fh:
         json.dump(bound, fh, indent=2, allow_nan=False)
-
-    scatter = outdir / "scatter"
-    scatter.mkdir(exist_ok=True)
-    for row in diagnostics.update_distribution(trace):
-        with open(scatter / f"round_{row['t']:04d}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["magnitude", "angle_degrees"])
-            for mag, ang in row["pairs"]:
-                w.writerow([mag, "" if ang is None else ang])
 
     threshold = trace.config.policy.finite_threshold
     summary = {
@@ -553,8 +551,13 @@ def build_parser():
     return parser
 
 
+# built once: a parser is cyclic garbage, which would outlive each invocation
+# until the next collection
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args.config, out=args.out,

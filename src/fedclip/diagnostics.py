@@ -44,20 +44,22 @@ class BiasReport:
 
 
 def clip_bias_terms(trace: Trace) -> BiasReport:
-    """Per-round clipping-bias gaps and the averaged factors gamma1, gamma2."""
-    rounds = []
-    for rd in trace.rounds:
-        rec = rd.record
-        a = np.asarray(rec.alphas)
-        at = np.asarray(rec.alpha_tildes)
-        abar = rec.alpha_bar
-        rounds.append(BiasRound(
-            t=rec.t, alpha_bar=abar,
-            mean_abs_realized_gap=float(np.mean(np.abs(a - at))),
-            mean_abs_cross_gap=float(np.mean(np.abs(at - abar))),
-            mean_sq_realized_gap=float(np.mean((a - at) ** 2)),
-            mean_sq_cross_gap=float(np.mean((at - abar) ** 2))))
-    abars = np.array([r.alpha_bar for r in rounds])
+    """Per-round clipping-bias gaps and the averaged factors gamma1, gamma2.
+
+    The gaps are row means of (T, N) arrays: a mean along a row runs the
+    same pairwise sum as the mean of that row alone, so each round's values
+    are those of a per-round computation, bit for bit."""
+    recs = trace.records
+    abars = np.array([rec.alpha_bar for rec in recs])
+    # (T, N) arrays, computed in place: a - a~, then a~ - abar
+    realized = np.array([rec.alphas for rec in recs])
+    cross = np.array([rec.alpha_tildes for rec in recs])
+    realized -= cross
+    cross -= abars[:, None]
+    columns = (np.mean(np.abs(realized), axis=1), np.mean(np.abs(cross), axis=1),
+               np.mean(realized ** 2, axis=1), np.mean(cross ** 2, axis=1))
+    rounds = [BiasRound(rec.t, rec.alpha_bar, *gaps)
+              for rec, *gaps in zip(recs, *(c.tolist() for c in columns))]
     return BiasReport(rounds=rounds, gamma1=float(np.mean(abars)),
                       gamma2=float(np.mean(abars ** 2)))
 

@@ -10,7 +10,6 @@ sum over the sampled slots, so the result is the same bit for bit.
 """
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -457,11 +456,71 @@ def _auto_threshold(config, problem):
     return clipping.resolve_auto_threshold(norms, config.policy.rho)
 
 
-def record_to_json(record: RoundRecord) -> str:
-    """Stable JSONL encoding of one round record, keys in field order.
+# the JSON key of each RoundRecord field, in field order, with its separator
+_RECORD_KEYS = tuple((f'"{f.name}":', f.name) for f in dataclasses.fields(RoundRecord))
 
-    The fields are read shallowly: ``dataclasses.asdict`` would deep-copy
-    every list entry, several times slower for a 100-client record.
-    """
-    obj = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+def _json_text(v) -> str:
+    """``v`` as ``json.dumps(v, allow_nan=False)`` writes a None, an int (not
+    a bool) or a float."""
+    if v is None:
+        return "null"
+    if type(v) is int:
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_texts(values) -> list:
+    """``_json_text`` of each entry, with one C-level pass for a list of
+    finite floats."""
+    try:
+        if all(map(math.isfinite, values)):
+            return list(map(float.__repr__, values))
+    except (TypeError, OverflowError):  # None, or an int beyond float range
+        pass
+    return [_json_text(v) for v in values]
+
+
+def render_record(record: RoundRecord) -> tuple[str, str]:
+    """One round's ``rounds.jsonl`` line (without its newline) and the text
+    of its ``scatter/`` CSV file.
+
+    Each list is turned into text once, and a list that two fields share (the
+    realized alpha~ is the alphas list) once for both. A float is written as
+    ``float.__repr__``, its shortest round-trip text, as ``json`` and ``csv``
+    write it, so the scatter rows reuse the line's ``delta_norms`` and
+    ``angles`` texts. The line is ``json.dumps(..., separators=(",", ":"),
+    allow_nan=False)`` of the fields in field order, byte for byte. The CSV
+    is what ``csv.writer`` writes for the header ``magnitude,angle_degrees``
+    and each (magnitude, angle) pair, an angle of None as an empty field. A
+    NaN or infinite float raises ValueError, and a value other than None, an
+    int, a float or a list of them raises TypeError."""
+    texts = {}  # id of each list -> the texts of its entries
+    parts = []
+    for key, name in _RECORD_KEYS:
+        v = getattr(record, name)
+        if isinstance(v, list):
+            entries = texts.get(id(v))
+            if entries is None:
+                entries = texts[id(v)] = _json_texts(v)
+            parts.append(f"{key}[{','.join(entries)}]")
+        else:
+            parts.append(key + _json_text(v))
+    angles = texts[id(record.angles)]
+    if None in record.angles:
+        angles = ["" if a is None else s for a, s in zip(record.angles, angles)]
+    # a CRLF after every row, as csv.writer ends them
+    scatter = "\r\n".join(["magnitude,angle_degrees",
+                            *map(",".join, zip(texts[id(record.delta_norms)], angles)), ""])
+    return "{" + ",".join(parts) + "}", scatter
+
+
+def record_to_json(record: RoundRecord) -> str:
+    """The record's ``rounds.jsonl`` line, without its newline: strict JSON,
+    keys in field order, no spaces, every float its shortest repr (see
+    ``render_record``)."""
+    return render_record(record)[0]

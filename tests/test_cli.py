@@ -1,6 +1,7 @@
 """End-to-end tests for the config loader, runner, and artifact writers."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -15,12 +16,16 @@ import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import event, given, settings, strategies as st
 
 import fedclip
-from fedclip import cli
+from fedclip import cli, engine
+from fedclip.clipping import ClippingPolicy
+from fedclip.privacy import PrivacyConfig
+from fedclip.problems import build_quadratic_ensemble
 from fedclip.cli import ConfigError, ExperimentConfig, load_config, load_yaml, main
 from record_golden import DIGESTS, configs, file_digest, version_mismatch
 
@@ -103,6 +108,47 @@ def test_run_writes_all_artifacts(tmp_path):
     with open(out / "summary.csv") as fh:
         srows = list(csv.reader(fh))
     assert srows[0][0] == "seed" and srows[1][0] == "7"
+
+
+def test_write_artifacts_peaks_below_the_rounds_file_it_writes(tmp_path):
+    # 40 rounds of 100 clients, as the benchmark's quad-fedavg-dp runs them
+    b = np.random.default_rng(0).normal(0.0, 2.0, size=100)
+    cfg = engine.RunConfig(
+        rounds=40, local_steps=5, n_clients=100, sampled_per_round=10, eta_l=0.05,
+        eta_g=1.0, policy=ClippingPolicy(mode="difference", threshold="auto"),
+        privacy=PrivacyConfig(enabled=True, epsilon=1.5, delta=1e-5), seed=11,
+        x0=np.array([3.0]))
+    trace = engine.run_experiment(cfg, build_quadratic_ensemble(b))
+    cli.write_artifacts(trace, tmp_path / "warm")  # imports and caches
+    tracemalloc.start()
+    try:
+        cli.write_artifacts(trace, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each round is rendered once and written at once: the file's text, and
+    # the (magnitude, angle) pairs of every round, are never held whole
+    assert peak < (tmp_path / "out" / "rounds.jsonl").stat().st_size
+    assert len(list((tmp_path / "out" / "scatter").iterdir())) == 40
+
+
+def test_main_leaves_less_cyclic_garbage_than_one_parser(tmp_path):
+    path = write_config(tmp_path, {"run": {"rounds": 1}})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    main(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        cli.build_parser()
+        parser_garbage = gc.collect()
+        main(argv)
+        main_garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    # main parses with one parser built at import, not a new one per call
+    assert main_garbage < parser_garbage
 
 
 def test_replicates_write_per_seed_directories(tmp_path):

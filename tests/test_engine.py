@@ -1,18 +1,22 @@
 """Tests for the simulation engine: local phases, rounds, and full runs."""
 
+import csv
 import dataclasses
+import io
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedclip import engine, rng as rngmod
 from fedclip.clipping import ClippingPolicy, clip, norms
 from fedclip.engine import (ALPHA_TILDE_EXACT, DivergenceError, Q_INF, RunConfig,
-                            alpha_tilde_method, local_phase, local_update,
-                            record_to_json, run_experiment, run_round,
-                            sample_clients)
+                            RoundRecord, alpha_tilde_method, local_phase,
+                            local_update, record_to_json, render_record,
+                            run_experiment, run_round, sample_clients)
 from fedclip.privacy import NoiseSpec, PrivacyConfig, draw_noise
 from fedclip.problems import (GradientOracle, LinearRegressionObjective,
                               ScalarQuadratic, StackedOracle,
@@ -257,6 +261,97 @@ def test_record_json_is_stable():
     line = record_to_json(trace.records[0])
     assert line.startswith('{"t":0,"x":[1.0],"sampled":[0],')
     assert '"angles":[null]' in line
+
+
+def reference_json(record):
+    """The record's line as ``json`` encodes it: the encoder ``render_record``
+    replaced in ``rounds.jsonl``."""
+    obj = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def reference_scatter(record):
+    """The record's scatter file as ``csv.writer`` writes it."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["magnitude", "angle_degrees"])
+    for mag, ang in zip(record.delta_norms, record.angles):
+        w.writerow([mag, "" if ang is None else ang])
+    return buf.getvalue()
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 1e22, 0.1,
+               1.7976931348623157e308, 2.2250738585072014e-308, 1.0, 90.0)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def round_records(draw):
+    n = draw(st.integers(1, 12))
+    floats = st.lists(FINITE, min_size=n, max_size=n)
+    alphas = draw(floats)
+    # the realized method shares the alphas list; equal copies and other
+    # lists must render the same way
+    tildes = draw(st.sampled_from(("same", "copy", "other")))
+    alpha_tildes = {"same": alphas, "copy": list(alphas)}.get(tildes) or draw(floats)
+    return RoundRecord(
+        t=draw(st.integers(0, 10 ** 6)),
+        x=draw(st.lists(FINITE, min_size=1, max_size=4)),
+        sampled=draw(st.lists(st.one_of(st.integers(0, 200),
+                                        st.integers(-2 ** 80, 2 ** 80),
+                                        st.just(10 ** 400)), max_size=n)),
+        loss=draw(FINITE), global_grad_norm=draw(FINITE), alpha_bar=draw(FINITE),
+        delta_norms=draw(floats), alphas=alphas, alpha_tildes=alpha_tildes,
+        angles=draw(st.lists(st.one_of(st.none(), FINITE), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(round_records())
+def test_render_record_matches_json_and_csv(record):
+    line, scatter = render_record(record)
+    assert line == reference_json(record) == record_to_json(record)
+    assert scatter == reference_scatter(record)
+
+
+def test_render_record_matches_json_and_csv_on_a_run():
+    # numpy float scalars (the loss) are floats to json and to the renderer
+    ens = build_quadratic_ensemble([-1.0, 0.5, 2.0])
+    cfg = make_config(rounds=3, n_clients=3, sampled_per_round=2, local_steps=2,
+                      policy=ClippingPolicy(mode="difference", threshold=0.1))
+    for record in run_experiment(cfg, ens).records:
+        line, scatter = render_record(record)
+        assert line == reference_json(record)
+        assert scatter == reference_scatter(record)
+
+
+def valid_record():
+    return RoundRecord(t=3, x=[1.5], sampled=[0, 1], loss=0.25, global_grad_norm=1.0,
+                       alpha_bar=0.5, delta_norms=[0.5, 2.0], alphas=[1.0, 0.25],
+                       alpha_tildes=[1.0, 0.25], angles=[None, 45.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x", "loss", "global_grad_norm", "alpha_bar",
+                                  "delta_norms", "alphas", "alpha_tildes", "angles"])
+def test_render_record_refuses_non_finite_floats(name, value):
+    record = valid_record()
+    old = getattr(record, name)
+    setattr(record, name, [*old[:-1], value] if isinstance(old, list) else value)
+    with pytest.raises(ValueError):
+        reference_json(record)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        render_record(record)
+
+
+@pytest.mark.parametrize("name, value", [("x", ["1.5"]), ("sampled", [np.int64(1)]),
+                                         ("sampled", [True]), ("loss", "0.25"),
+                                         ("angles", [None, [45.0]])])
+def test_render_record_refuses_other_types(name, value):
+    record = valid_record()
+    setattr(record, name, value)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        render_record(record)
 
 
 def reference_round(problem, cfg, x, t, noise_spec=None):
