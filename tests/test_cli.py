@@ -23,10 +23,10 @@ from hypothesis import event, given, settings, strategies as st
 
 import fedclip
 from fedclip import cli, engine
+from fedclip.cli import ConfigError, ExperimentConfig, load_config, load_yaml, main
 from fedclip.clipping import ClippingPolicy
 from fedclip.privacy import PrivacyConfig
 from fedclip.problems import build_quadratic_ensemble
-from fedclip.cli import ConfigError, ExperimentConfig, load_config, load_yaml, main
 from record_golden import DIGESTS, configs, file_digest, version_mismatch
 
 BASE_CONFIG = {

@@ -294,7 +294,12 @@ def round_records(draw):
     # the realized method shares the alphas list; equal copies and other
     # lists must render the same way
     tildes = draw(st.sampled_from(("same", "copy", "other")))
-    alpha_tildes = {"same": alphas, "copy": list(alphas)}.get(tildes) or draw(floats)
+    if tildes == "same":
+        alpha_tildes = alphas
+    elif tildes == "copy":
+        alpha_tildes = list(alphas)
+    else:
+        alpha_tildes = draw(floats)
     return RoundRecord(
         t=draw(st.integers(0, 10 ** 6)),
         x=draw(st.lists(FINITE, min_size=1, max_size=4)),
@@ -306,7 +311,7 @@ def round_records(draw):
         angles=draw(st.lists(st.one_of(st.none(), FINITE), min_size=n, max_size=n)))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(round_records())
 def test_render_record_matches_json_and_csv(record):
     line, scatter = render_record(record)
@@ -315,7 +320,8 @@ def test_render_record_matches_json_and_csv(record):
 
 
 def test_render_record_matches_json_and_csv_on_a_run():
-    # numpy float scalars (the loss) are floats to json and to the renderer
+    # a run's records: the realized alpha~ is the alphas list, and round 0
+    # has no angles
     ens = build_quadratic_ensemble([-1.0, 0.5, 2.0])
     cfg = make_config(rounds=3, n_clients=3, sampled_per_round=2, local_steps=2,
                       policy=ClippingPolicy(mode="difference", threshold=0.1))
