@@ -373,31 +373,38 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _csv_row(values) -> str:
+    """The line ``csv.writer`` writes for ``values``: a float as its repr,
+    anything else as ``str``, comma-separated, ending in CRLF. It is for
+    numbers and plain names only: it never quotes, so no value may hold a
+    comma, a quote or a line break, and a row may not be one empty field."""
+    return ",".join([float.__repr__(v) if isinstance(v, float) else str(v)
+                     for v in values]) + "\r\n"
+
+
 def write_artifacts(trace: engine.Trace, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     scatter = outdir / "scatter"
     scatter.mkdir(exist_ok=True)
-    # each round is rendered once, into its rounds.jsonl line and its scatter
-    # file, and written before the next one is rendered
+    # each round's record is built and rendered once, into its rounds.jsonl
+    # line and its scatter file, and written before the next one is built
     with open(outdir / "rounds.jsonl", "w") as fh:
-        for rec in trace.records:
-            line, csv_text = engine.render_record(rec)
+        for t in range(trace.config.rounds):
+            line, csv_text = engine.render_record(trace.record(t))
             fh.write(line + "\n")
-            with open(scatter / f"round_{rec.t:04d}.csv", "w", newline="") as sc:
+            with open(scatter / f"round_{t:04d}.csv", "w", newline="") as sc:
                 sc.write(csv_text)
 
     report = diagnostics.clip_bias_terms(trace)
     with open(outdir / "bias.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "alpha_bar", "mean_abs_realized_gap", "mean_abs_cross_gap",
-                    "mean_sq_realized_gap", "mean_sq_cross_gap"])
-        for r in report.rounds:
-            w.writerow([r.t, r.alpha_bar, r.mean_abs_realized_gap,
-                        r.mean_abs_cross_gap, r.mean_sq_realized_gap,
-                        r.mean_sq_cross_gap])
+        fh.write(_csv_row(["t", "alpha_bar", "mean_abs_realized_gap",
+                           "mean_abs_cross_gap", "mean_sq_realized_gap",
+                           "mean_sq_cross_gap"]))
+        fh.writelines(_csv_row([r.t, r.alpha_bar, r.mean_abs_realized_gap,
+                                r.mean_abs_cross_gap, r.mean_sq_realized_gap,
+                                r.mean_sq_cross_gap]) for r in report.rounds)
 
     prob = trace.problem
-    last = trace.rounds[-1]
     f_gap, f_gap_method = diagnostics.initial_gap(trace)
     bound = diagnostics.theorem1_bound(
         diagnostics.bound_inputs_from_trace(trace, f_gap, report))
@@ -414,9 +421,9 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
     summary = {
         "seed": trace.config.seed,
         "rounds": trace.config.rounds,
-        "final_loss": last.record.loss,
-        "final_grad_norm": last.record.global_grad_norm,
-        "final_x_norm": float(np.linalg.norm(last.x_next)),
+        "final_loss": float(trace.loss[-1]),
+        "final_grad_norm": float(trace.global_grad_norm[-1]),
+        "final_x_norm": float(np.linalg.norm(trace.x[-1])),
         "gamma1": report.gamma1,
         "gamma2": report.gamma2,
         "sigma2": 0.0 if trace.noise_spec is None else trace.noise_spec.sigma2,
@@ -424,9 +431,7 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
         "oracle_violations": trace.oracle_violations(),
     }
     with open(outdir / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(summary))
-        w.writerow(list(summary.values()))
+        fh.write(_csv_row(summary) + _csv_row(summary.values()))
     return summary
 
 
@@ -462,23 +467,20 @@ def cmd_run(config_path, out=None, seed_override=None) -> int:
     if len(seeds) > 1:
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "summary.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(list(summaries[0]))
-            for s in summaries:
-                w.writerow(list(s.values()))
+            fh.write(_csv_row(summaries[0]))
+            fh.writelines(_csv_row(s.values()) for s in summaries)
     return 0
 
 
 def cmd_table1(out) -> int:
     grid = fixedpoint.table1_grid()
     with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["local_steps", "threshold", "fixed_point", "solver_residual",
-                    "simulation", "sim_gap"])
-        for (q, c), cell in sorted(grid.items()):
-            w.writerow([q, c, cell["solver"], cell["solver_residual"],
-                        cell["simulation"],
-                        abs(cell["simulation"] - cell["solver"])])
+        fh.write(_csv_row(["local_steps", "threshold", "fixed_point",
+                           "solver_residual", "simulation", "sim_gap"]))
+        fh.writelines(_csv_row([q, c, cell["solver"], cell["solver_residual"],
+                                cell["simulation"],
+                                abs(cell["simulation"] - cell["solver"])])
+                      for (q, c), cell in sorted(grid.items()))
     return 0
 
 

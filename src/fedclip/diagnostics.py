@@ -49,19 +49,22 @@ def clip_bias_terms(trace: Trace) -> BiasReport:
     The gaps are row means of (T, N) arrays: a mean along a row runs the
     same pairwise sum as the mean of that row alone, so each round's values
     are those of a per-round computation, bit for bit."""
-    recs = trace.records
-    abars = np.array([rec.alpha_bar for rec in recs])
-    # (T, N) arrays, computed in place: a - a~, then a~ - abar
-    realized = np.array([rec.alphas for rec in recs])
-    cross = np.array([rec.alpha_tildes for rec in recs])
-    realized -= cross
-    cross -= abars[:, None]
-    columns = (np.mean(np.abs(realized), axis=1), np.mean(np.abs(cross), axis=1),
-               np.mean(realized ** 2, axis=1), np.mean(cross ** 2, axis=1))
-    rounds = [BiasRound(rec.t, rec.alpha_bar, *gaps)
-              for rec, *gaps in zip(recs, *(c.tolist() for c in columns))]
+    abars = trace.alpha_bar
+    abs_realized, sq_realized = _row_gaps(trace.alphas - trace.alpha_tildes)
+    abs_cross, sq_cross = _row_gaps(trace.alpha_tildes - abars[:, None])
+    columns = (abars, abs_realized, abs_cross, sq_realized, sq_cross)
+    rounds = [BiasRound(t, *row) for t, row in
+              enumerate(zip(*(c.tolist() for c in columns)))]
     return BiasReport(rounds=rounds, gamma1=float(np.mean(abars)),
                       gamma2=float(np.mean(abars ** 2)))
+
+
+def _row_gaps(v):
+    """The mean |v| and the mean v ** 2 of each row of the (T, N) array
+    ``v``, which is overwritten: |v| squared rounds as v ** 2 does, so one
+    array serves both."""
+    mean_abs = np.mean(np.abs(v, out=v), axis=1)
+    return mean_abs, np.mean(np.square(v, out=v), axis=1)
 
 
 @dataclass
@@ -147,7 +150,7 @@ def initial_gap(trace: Trace) -> tuple[float, str]:
     f0 = prob.loss_mean(trace.config.x0)
     if prob.f_star is not None:
         return f0 - prob.f_star, "analytic f_star"
-    return f0 - min(rd.record.loss for rd in trace.rounds), "min-observed-loss proxy"
+    return f0 - min(trace.loss.tolist()), "min-observed-loss proxy"
 
 
 def bound_inputs_from_trace(trace: Trace, f_gap: float, report: BiasReport) -> BoundInputs:
@@ -167,9 +170,9 @@ def bound_inputs_from_trace(trace: Trace, f_gap: float, report: BiasReport) -> B
 
 def measured_stationarity(trace: Trace) -> float:
     """(1/T) sum_t abar^t ||grad f(x_t)||^2, the quantity the bound dominates."""
-    vals = [rd.record.alpha_bar * rd.record.global_grad_norm ** 2
-            for rd in trace.rounds]
-    return float(np.mean(vals))
+    # float_power calls the C library's pow, as a float's ** 2 does; a
+    # square would round differently
+    return float(np.mean(trace.alpha_bar * np.float_power(trace.global_grad_norm, 2)))
 
 
 def corollary1_bound(eta_g, eta_l, Q, T, P, d, N, epsilon, delta,
@@ -206,9 +209,9 @@ def drift_check(trace: Trace) -> dict:
     el = cfg.eta_l
     rows = []
     ok = True
-    for rd in trace.rounds:
-        x0 = np.asarray(rd.record.x)
-        gn2 = rd.record.global_grad_norm ** 2
+    # pow, as in measured_stationarity
+    for t, gn2 in enumerate(np.float_power(trace.global_grad_norm, 2).tolist()):
+        x0 = trace.x[t]
         rhs = (5.0 * Q * el ** 2 * (prob.sigma_l ** 2 + 6.0 * Q * prob.sigma_g ** 2)
                + 30.0 * Q ** 2 * el ** 2 * gn2)
         X = np.tile(x0, (prob.n_clients, 1))
@@ -217,7 +220,7 @@ def drift_check(trace: Trace) -> dict:
             lhs = float(client_sum(np.vecdot(D, D))) / prob.n_clients
             passed = lhs <= rhs + 1e-15
             ok = ok and passed
-            rows.append({"t": rd.record.t, "q": q, "lhs": lhs,
+            rows.append({"t": t, "q": q, "lhs": lhs,
                          "rhs": rhs, "pass": passed})
             X = X - el * prob.grad_stack(X)
     return {"rows": rows, "pass": ok}
@@ -231,12 +234,10 @@ def update_distribution(trace: Trace) -> list:
     data (pairs carry None).
     """
     out = []
-    for rd in trace.rounds:
-        rec = rd.record
-        mags = np.asarray(rec.delta_norms)
+    for t, mags in enumerate(trace.delta_norms):
         out.append({
-            "t": rec.t,
-            "pairs": list(zip([float(m) for m in mags], rec.angles)),
+            "t": t,
+            "pairs": list(zip(mags.tolist(), trace.record(t).angles)),
             "magnitude_mean": float(np.mean(mags)),
             "magnitude_var": float(np.var(mags)),
         })

@@ -108,7 +108,10 @@ class RunConfig:
 
 @dataclass
 class RoundRecord:
-    """Public per-round telemetry (serialized to JSONL)."""
+    """One round's public telemetry, as its ``rounds.jsonl`` line holds it
+    (``render_record``). A run keeps its rounds as the columns of a
+    ``Trace``; a record is a view of one round, built from row t on demand
+    (``Trace.record``) as plain Python lists and numbers."""
 
     t: int
     x: list
@@ -118,33 +121,129 @@ class RoundRecord:
     alpha_bar: float
     delta_norms: list
     alphas: list
-    alpha_tildes: list
+    alpha_tildes: list  # the alphas list itself when alpha~ is the realized factor
     angles: list  # degrees vs previous round's mean transmitted update; None at t=0
+
+
+def _round_record(t, x, sampled, loss, global_grad_norm, alpha_bar, delta_norms,
+                  alphas, alpha_tildes, angles) -> RoundRecord:
+    """The RoundRecord of one round's arrays. ``alpha_tildes`` is None for
+    the realized factor, which shares the alphas list. ``angles`` is None
+    when the round has no reference update, and every angle is then None;
+    otherwise an angle is None where its client's update is zero."""
+    norms, alphas = delta_norms.tolist(), alphas.tolist()
+    if angles is None:
+        angles = [None] * len(norms)
+    else:
+        angles = [None if n == 0.0 else a for n, a in zip(norms, angles.tolist())]
+    return RoundRecord(
+        t=t, x=x.tolist(), sampled=sampled.tolist(), loss=float(loss),
+        global_grad_norm=float(global_grad_norm), alpha_bar=float(alpha_bar),
+        delta_norms=norms, alphas=alphas,
+        alpha_tildes=alphas if alpha_tildes is None else alpha_tildes.tolist(),
+        angles=angles)
 
 
 @dataclass
 class RoundData:
-    """Round record plus in-memory internals needed by diagnostics."""
+    """One round's results as arrays, as ``run_round`` returns them; row t of
+    a ``Trace`` holds the same values. ``record`` builds the round's
+    RoundRecord from them."""
 
-    record: RoundRecord
+    t: int
+    x: np.ndarray  # the round's starting iterate
+    sampled: np.ndarray
+    loss: float
+    global_grad_norm: float
+    alpha_bar: float
+    delta_norms: np.ndarray
+    alphas: np.ndarray
+    alpha_tildes: np.ndarray  # alphas itself when alpha~ is the realized factor
+    angles: np.ndarray | None  # degrees, NaN on a zero update; None with no reference
     x_next: np.ndarray
     mean_transmitted: np.ndarray
     violations: int  # oracle bound violations of the realized local phases
 
+    @property
+    def record(self) -> RoundRecord:
+        return _round_record(
+            self.t, self.x, self.sampled, self.loss, self.global_grad_norm,
+            self.alpha_bar, self.delta_norms, self.alphas,
+            None if self.alpha_tildes is self.alphas else self.alpha_tildes,
+            self.angles)
+
 
 @dataclass
 class Trace:
+    """A run's rounds as columns: arrays with a leading round axis, row t
+    filled by round t (``store``). ``record(t)`` builds round t's
+    RoundRecord, so a run holds no per-round Python objects.
+
+    ``x`` has T + 1 rows: row t is the iterate that starts round t, and row
+    T the final iterate. ``alpha_tildes`` is the ``alphas`` array itself when
+    alpha~ is the realized factor. ``angles`` is NaN where a round has no
+    reference update (``referenced`` False: round 0, or a zero mean
+    transmitted update) and on a client whose update is zero; the record
+    writes None there, and a NaN from any other cause stays NaN."""
+
     config: RunConfig
     problem: ProblemInstance
-    rounds: list  # of RoundData
+    x: np.ndarray                 # (T + 1, d)
+    sampled: np.ndarray           # (T, P) client indices
+    loss: np.ndarray              # (T,)
+    global_grad_norm: np.ndarray  # (T,)
+    alpha_bar: np.ndarray         # (T,)
+    delta_norms: np.ndarray       # (T, N)
+    alphas: np.ndarray            # (T, N)
+    alpha_tildes: np.ndarray      # (T, N)
+    angles: np.ndarray            # (T, N) degrees
+    referenced: np.ndarray        # (T,) bool
+    violations: np.ndarray        # (T,) oracle bound violations per round
     noise_spec: privacy.NoiseSpec | None = None
 
+    @classmethod
+    def allocate(cls, config: RunConfig, problem: ProblemInstance, noise_spec=None):
+        """An unfilled trace with room for ``config.rounds`` rounds."""
+        T, N = config.rounds, config.n_clients
+        alphas = np.empty((T, N))
+        realized = alpha_tilde_method(config, problem) == ALPHA_TILDE_REALIZED
+        return cls(config=config, problem=problem, x=np.empty((T + 1, problem.dim)),
+                   sampled=np.empty((T, config.sampled_per_round), dtype=np.intp),
+                   loss=np.empty(T), global_grad_norm=np.empty(T),
+                   alpha_bar=np.empty(T), delta_norms=np.empty((T, N)),
+                   alphas=alphas, alpha_tildes=alphas if realized else np.empty((T, N)),
+                   angles=np.empty((T, N)), referenced=np.empty(T, dtype=bool),
+                   violations=np.empty(T, dtype=np.intp), noise_spec=noise_spec)
+
+    def store(self, data: RoundData):
+        """Fill row ``data.t`` (and row t + 1 of ``x``) from one round."""
+        t = data.t
+        self.x[t], self.x[t + 1] = data.x, data.x_next
+        self.sampled[t] = data.sampled
+        self.loss[t], self.global_grad_norm[t] = data.loss, data.global_grad_norm
+        self.alpha_bar[t] = data.alpha_bar
+        self.delta_norms[t], self.alphas[t] = data.delta_norms, data.alphas
+        if self.alpha_tildes is not self.alphas:
+            self.alpha_tildes[t] = data.alpha_tildes
+        self.referenced[t] = data.angles is not None
+        self.angles[t] = math.nan if data.angles is None else data.angles
+        self.violations[t] = data.violations
+
+    def record(self, t: int) -> RoundRecord:
+        """Round ``t``'s RoundRecord, built from row t."""
+        return _round_record(
+            t, self.x[t], self.sampled[t], self.loss[t], self.global_grad_norm[t],
+            self.alpha_bar[t], self.delta_norms[t], self.alphas[t],
+            None if self.alpha_tildes is self.alphas else self.alpha_tildes[t],
+            self.angles[t] if self.referenced[t] else None)
+
     @property
-    def records(self):
-        return [rd.record for rd in self.rounds]
+    def records(self) -> list:
+        """Every round's RoundRecord, built at once."""
+        return [self.record(t) for t in range(self.config.rounds)]
 
     def oracle_violations(self) -> int:
-        return sum(rd.violations for rd in self.rounds)
+        return int(self.violations.sum())
 
 
 def local_update(objective, oracle, x_start, Q, eta_l):
@@ -336,7 +435,6 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
     X, _ = local_phase(oracle, x, config.local_steps, config.eta_l, t)
     deltas = X - x
     transmitted, alphas = clipping.apply_policy(config.policy, X, x)
-    alphas = alphas.tolist()
     method = alpha_tilde_method(config, problem)
     if method == ALPHA_TILDE_REALIZED:
         alpha_tildes = alphas
@@ -351,7 +449,7 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
                 gsum += local_phase(rep, x, config.local_steps, config.eta_l, t)[1]
             gsum /= config.replay_count
         alpha_tildes = clipping.clip_factor(config.eta_l * gsum,
-                                            float(config.policy.threshold)).tolist()
+                                            float(config.policy.threshold))
 
     N = config.n_clients
     if config.sampled_per_round == N:
@@ -382,30 +480,25 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
         raise DivergenceError(t, grad_norm, what="loss or gradient norm is not finite")
 
     delta_norms = clipping.norms(deltas)
-    if prev_update is None:
-        angles = [None] * N
-    else:
-        angles = _angles_degrees(deltas, delta_norms, prev_update)
-    record = RoundRecord(
-        t=t, x=x.tolist(), sampled=sampled.tolist(),
-        loss=loss, global_grad_norm=grad_norm,
-        alpha_bar=float(np.mean(alpha_tildes)),
-        delta_norms=delta_norms.tolist(), alphas=alphas,
-        alpha_tildes=alpha_tildes, angles=angles)
-    return RoundData(record=record, x_next=x_next, mean_transmitted=agg,
-                     violations=oracle.violations)
+    return RoundData(
+        t=t, x=x, sampled=sampled, loss=loss, global_grad_norm=grad_norm,
+        alpha_bar=float(np.mean(alpha_tildes)), delta_norms=delta_norms,
+        alphas=alphas, alpha_tildes=alpha_tildes,
+        angles=_angles_degrees(deltas, delta_norms, prev_update),
+        x_next=x_next, mean_transmitted=agg, violations=oracle.violations)
 
 
 def _angles_degrees(deltas, delta_norms, ref):
-    """Angle in degrees between each row of ``deltas`` and ``ref``; None
-    where either vector is zero."""
+    """Angle in degrees between each row of ``deltas`` and ``ref``, NaN on a
+    zero row; None when there is no reference (``ref`` None or zero)."""
+    if ref is None:
+        return None
     ref_norm = clipping.norms(ref)
     if ref_norm == 0.0:
-        return [None] * len(deltas)
-    with np.errstate(invalid="ignore"):  # a zero row gives 0/0, reported as None
+        return None
+    with np.errstate(invalid="ignore"):  # a zero row gives 0/0
         cos = np.vecdot(deltas, ref) / (delta_norms * ref_norm)
-    deg = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).tolist()
-    return [None if n == 0.0 else a for n, a in zip(delta_norms.tolist(), deg)]
+    return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
 def run_experiment(config: RunConfig, problem: ProblemInstance) -> Trace:
@@ -435,15 +528,15 @@ def run_experiment(config: RunConfig, problem: ProblemInstance) -> Trace:
             cfg.privacy, c, cfg.sampled_per_round, cfg.n_clients, cfg.rounds,
             dim=problem.dim)
 
+    trace = Trace.allocate(cfg, problem, noise_spec)
     x = np.array(cfg.x0, dtype=float, copy=True)
-    rounds = []
     prev_update = None
     for t in range(cfg.rounds):
         data = run_round(x, t, cfg, problem, noise_spec=noise_spec,
                          prev_update=prev_update)
         x, prev_update = data.x_next, data.mean_transmitted
-        rounds.append(data)
-    return Trace(config=cfg, problem=problem, rounds=rounds, noise_spec=noise_spec)
+        trace.store(data)
+    return trace
 
 
 def _auto_threshold(config, problem):
@@ -451,9 +544,8 @@ def _auto_threshold(config, problem):
     phase-1 run of the same configuration (its trace is dropped here)."""
     phase1 = dataclasses.replace(config, policy=clipping.ClippingPolicy(mode="none"),
                                  privacy=privacy.PrivacyConfig(enabled=False))
-    pre = run_experiment(phase1, problem)
-    norms = [n for rd in pre.rounds for n in rd.record.delta_norms]
-    return clipping.resolve_auto_threshold(norms, config.policy.rho)
+    norms = run_experiment(phase1, problem).delta_norms
+    return clipping.resolve_auto_threshold(norms.ravel(), config.policy.rho)
 
 
 # the JSON key of each RoundRecord field, in field order, with its separator

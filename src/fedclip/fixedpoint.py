@@ -219,7 +219,7 @@ def table1_grid():
             **sims[key])
         trace = run_experiment(cfg, ens)
         out[key] = {"solver": float(x_inf[0]), "solver_residual": res,
-                    "simulation": float(trace.rounds[-1].x_next[0])}
+                    "simulation": float(trace.x[-1, 0])}
     return out
 
 

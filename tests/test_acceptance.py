@@ -61,7 +61,7 @@ def test_criterion_02_model_clipping_counterexample():
                         policy=ClippingPolicy(mode="model", threshold=c),
                         privacy=NO_PRIVACY, seed=0, x0=np.array([0.0]))
         trace = run_experiment(cfg, ens)
-        assert abs(trace.rounds[-1].x_next[0] - target) < 1e-4
+        assert abs(trace.x[-1, 0] - target) < 1e-4
     assert time.monotonic() - t0 < 10.0
     report(2, "model-clipping non-convergence")
 
@@ -90,7 +90,7 @@ def test_criterion_03_preconditioned_recipe_recovers_optimum():
                         privacy=NO_PRIVACY, seed=case,
                         x0=x_star + master.uniform(-1.0, 1.0, size=d))
         trace = run_experiment(cfg, ens)
-        err = float(np.linalg.norm(trace.rounds[-1].x_next - x_star))
+        err = float(np.linalg.norm(trace.x[-1] - x_star))
         assert err <= 1e-8, (case, err)
     assert time.monotonic() - t0 < 30.0
     report(3, "single-step preconditioned recipe")
@@ -114,7 +114,7 @@ def test_criterion_04_closed_form_map_matches_engine_round():
                         policy=ClippingPolicy(mode="difference", threshold=c),
                         privacy=NO_PRIVACY, seed=0, x0=x)
         trace = run_experiment(cfg, ens)
-        gap = float(np.linalg.norm(trace.rounds[-1].x_next - mapped))
+        gap = float(np.linalg.norm(trace.x[-1] - mapped))
         assert gap <= 1e-10, (trial, gap)
     report(4, "closed-form map vs engine round")
 

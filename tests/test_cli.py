@@ -110,15 +110,19 @@ def test_run_writes_all_artifacts(tmp_path):
     assert srows[0][0] == "seed" and srows[1][0] == "7"
 
 
-def test_write_artifacts_peaks_below_the_rounds_file_it_writes(tmp_path):
-    # 40 rounds of 100 clients, as the benchmark's quad-fedavg-dp runs them
+def quad_dp_run():
+    """40 rounds of 100 clients, as the benchmark's quad-fedavg-dp runs them."""
     b = np.random.default_rng(0).normal(0.0, 2.0, size=100)
     cfg = engine.RunConfig(
         rounds=40, local_steps=5, n_clients=100, sampled_per_round=10, eta_l=0.05,
         eta_g=1.0, policy=ClippingPolicy(mode="difference", threshold="auto"),
         privacy=PrivacyConfig(enabled=True, epsilon=1.5, delta=1e-5), seed=11,
         x0=np.array([3.0]))
-    trace = engine.run_experiment(cfg, build_quadratic_ensemble(b))
+    return cfg, build_quadratic_ensemble(b)
+
+
+def test_write_artifacts_peaks_below_the_rounds_file_it_writes(tmp_path):
+    trace = engine.run_experiment(*quad_dp_run())
     cli.write_artifacts(trace, tmp_path / "warm")  # imports and caches
     tracemalloc.start()
     try:
@@ -130,6 +134,36 @@ def test_write_artifacts_peaks_below_the_rounds_file_it_writes(tmp_path):
     # the (magnitude, angle) pairs of every round, are never held whole
     assert peak < (tmp_path / "out" / "rounds.jsonl").stat().st_size
     assert len(list((tmp_path / "out" / "scatter").iterdir())) == 40
+    # the CSV files are written as joined lines: a csv.writer alone would
+    # allocate a 128 KiB record buffer on its first row
+    assert peak < 128 * 1024
+
+
+def test_trace_holds_its_columns_and_little_else():
+    cfg, problem = quad_dp_run()
+    engine.run_experiment(cfg, problem)  # imports and caches
+    tracemalloc.start()
+    try:
+        trace = engine.run_experiment(cfg, problem)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # per round: four (N,) columns, the sampled clients, the iterate and four
+    # scalars, 8 B each; a record of Python lists per round holds far more
+    T, N, P, d = cfg.rounds, cfg.n_clients, cfg.sampled_per_round, problem.dim
+    assert held <= 1.5 * 8 * T * (4 * N + P + d + 4)
+    assert trace.loss.shape == (T,) and trace.x.shape == (T + 1, d)
+
+
+@pytest.mark.parametrize("row", [
+    ["t", "alpha_bar", "mean_abs_realized_gap"],
+    [3, 0.1, 1e-7, -0.0, 5e-324, 1e22, math.inf, math.nan, np.float64(0.25)],
+    [7, 40, 0.5, "", np.int64(2), 1.7976931348623157e308],
+])
+def test_csv_rows_match_csv_writer(row):
+    buf = io.StringIO()
+    csv.writer(buf).writerow(row)
+    assert cli._csv_row(row) == buf.getvalue()
 
 
 def test_main_leaves_less_cyclic_garbage_than_one_parser(tmp_path):

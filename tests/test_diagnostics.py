@@ -144,8 +144,8 @@ def test_initial_gap_without_f_star_uses_the_lowest_observed_loss():
 
 def test_measured_stationarity_definition():
     trace = run([-1.0, 1.0], rounds=3)
-    manual = np.mean([rd.record.alpha_bar * rd.record.global_grad_norm ** 2
-                      for rd in trace.rounds])
+    manual = np.mean([a * g ** 2 for a, g in zip(trace.alpha_bar.tolist(),
+                                                 trace.global_grad_norm.tolist())])
     assert measured_stationarity(trace) == pytest.approx(manual)
 
 
@@ -224,8 +224,7 @@ def reference_drift_rows(trace):
     cfg, prob = trace.config, trace.problem
     Q, el = int(cfg.local_steps), cfg.eta_l
     out = []
-    for rd in trace.rounds:
-        x0 = np.asarray(rd.record.x)
+    for t, x0 in enumerate(trace.x[:-1]):
         sq = np.zeros(Q)
         for obj in prob.clients:
             x = np.array(x0, copy=True)
@@ -233,7 +232,7 @@ def reference_drift_rows(trace):
                 sq[q] += float(np.dot(x - x0, x - x0))
                 x = x - el * obj.grad(x)
         sq /= prob.n_clients
-        out.extend((rd.record.t, q, float(sq[q])) for q in range(Q))
+        out.extend((t, q, float(sq[q])) for q in range(Q))
     return out
 
 

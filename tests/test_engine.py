@@ -57,7 +57,7 @@ def test_one_round_hand_value():
     ens = build_quadratic_ensemble([0.0])
     cfg = make_config(local_steps=2, eta_g=2.0)
     trace = run_experiment(cfg, ens)
-    np.testing.assert_allclose(trace.rounds[-1].x_next, [0.62])
+    np.testing.assert_allclose(trace.x[-1], [0.62])
 
 
 def test_engine_matches_reference_fedavg():
@@ -95,7 +95,7 @@ def test_engine_matches_reference_fedavg():
                 agg += u
             agg /= N
             x = x + eta_g * agg
-        np.testing.assert_array_equal(trace.rounds[-1].x_next, x)
+        np.testing.assert_array_equal(trace.x[-1], x)
 
 
 def test_single_client_single_step_equals_clipped_gd():
@@ -108,7 +108,7 @@ def test_single_client_single_step_equals_clipped_gd():
     x = np.array([0.0])
     for _ in range(30):
         x = x + clip(-0.1 * (x - 4.0), 0.05)
-    np.testing.assert_array_equal(trace.rounds[-1].x_next, x)
+    np.testing.assert_array_equal(trace.x[-1], x)
 
 
 def test_sampling_with_replacement_properties():
@@ -166,7 +166,7 @@ def test_gaussian_noise_refuses_local_steps_inf():
     with pytest.raises(ValueError, match="sigma_l"):
         run_experiment(cfg, dataclasses.replace(ens, sigma_l=0.5))
     # with sigma_l = 0 the gaussian oracle adds nothing and the phases stop
-    assert len(run_experiment(cfg, ens).rounds) == 1
+    assert len(run_experiment(cfg, ens).loss) == 1
 
 
 def test_noise_injection_changes_trajectory_only_when_enabled():
@@ -180,8 +180,7 @@ def test_noise_injection_changes_trajectory_only_when_enabled():
     t_clean = run_experiment(clean, ens)
     t_noisy = run_experiment(noisy, ens)
     assert t_noisy.noise_spec is not None and t_noisy.noise_spec.sigma2 > 0
-    assert not np.array_equal(t_clean.rounds[-1].x_next,
-                              t_noisy.rounds[-1].x_next)
+    assert not np.array_equal(t_clean.x[-1], t_noisy.x[-1])
 
 
 def test_privacy_requires_finite_threshold():
@@ -205,7 +204,7 @@ def test_auto_threshold_two_phase_resolution():
     phase1 = run_experiment(make_config(rounds=3, n_clients=2,
                                         sampled_per_round=2,
                                         x0=np.array([1.0])), ens)
-    norms = [n for rd in phase1.rounds for n in rd.record.delta_norms]
+    norms = phase1.delta_norms.ravel().tolist()
     assert resolved == pytest.approx(0.5 * np.mean(norms))
 
 
@@ -482,6 +481,112 @@ def test_mlp_round_replays_match_per_client_reference():
         assert max(alpha_tildes) < 1.0
         assert violations == ref_violations
         x = x_next
+
+
+def chained_rounds(trace):
+    """``run_round`` of each round of ``trace``'s run, each from the last
+    one's iterate and mean transmitted update, as ``run_experiment`` chains
+    them."""
+    x, prev = trace.config.x0, None
+    for t in range(trace.config.rounds):
+        data = run_round(x, t, trace.config, trace.problem,
+                         noise_spec=trace.noise_spec, prev_update=prev)
+        yield data
+        x, prev = data.x_next, data.mean_transmitted
+
+
+def quadratic_auto_dp_run():
+    cfg = make_config(rounds=4, n_clients=6, sampled_per_round=3, local_steps=3,
+                      eta_l=0.1, seed=3,
+                      policy=ClippingPolicy(mode="difference", threshold="auto"),
+                      privacy=PrivacyConfig(enabled=True, epsilon=1.5, delta=1e-5))
+    return cfg, build_quadratic_ensemble([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+
+
+def linreg_minibatch_run():
+    problem = linreg_problem((6, 6, 6), 3, seed=3, sigma_l=0.5)
+    return make_config(
+        rounds=3, n_clients=3, sampled_per_round=2, local_steps=3, eta_l=0.02,
+        policy=ClippingPolicy(mode="difference", threshold=0.05), seed=4,
+        x0=np.zeros(3), noise_mode="minibatch", batch_size=3), problem
+
+
+def mlp_replays_run():
+    problem = build_mlp_synthetic_ensemble(hidden_width=3, N=3, samples_per_client=10,
+                                           heterogeneity=0.5, seed=4)
+    return make_config(
+        rounds=2, n_clients=3, sampled_per_round=2, local_steps=2, eta_l=0.1,
+        policy=ClippingPolicy(mode="difference", threshold=0.02), seed=6,
+        x0=np.zeros(problem.dim), noise_mode="minibatch", batch_size=3,
+        replay_count=2), problem
+
+
+def q_inf_replays_run():
+    problem = linreg_problem((8, 8, 8), 3, seed=3, consistent=True)
+    return make_config(
+        rounds=2, n_clients=3, sampled_per_round=3, local_steps=Q_INF,
+        eta_l=0.3 / problem.L, policy=ClippingPolicy(mode="difference", threshold=0.05),
+        seed=5, x0=np.zeros(3), noise_mode="minibatch", batch_size=3,
+        replay_count=2), problem
+
+
+def q_inf_deterministic_run():
+    ens = build_linear_regression_ensemble(
+        [np.array([[1.0]]), np.array([[2.0]]), np.array([[6.0]])],
+        [np.array([4.0]), np.array([1.0]), np.array([-1.0])])
+    return make_config(
+        rounds=3, n_clients=3, sampled_per_round=3, local_steps=Q_INF, eta_l=0.05,
+        policy=ClippingPolicy(mode="difference", threshold=1.0)), ens
+
+
+@pytest.mark.parametrize("run, method", [
+    (quadratic_auto_dp_run, engine.ALPHA_TILDE_REALIZED),
+    (linreg_minibatch_run, ALPHA_TILDE_EXACT),
+    (mlp_replays_run, "mean of 2 replays"),
+    (q_inf_replays_run, "mean of 2 replays"),
+    (q_inf_deterministic_run, engine.ALPHA_TILDE_REALIZED),
+], ids=["quadratic-auto-dp", "linreg-minibatch-exact", "mlp-replays",
+        "q-inf-replays", "q-inf-deterministic"])
+def test_records_built_from_the_columns_equal_run_round_records(run, method):
+    trace = run_experiment(*run())
+    assert alpha_tilde_method(trace.config, trace.problem) == method
+    realized = method == engine.ALPHA_TILDE_REALIZED
+    assert (trace.alpha_tildes is trace.alphas) == realized
+    for t, data in enumerate(chained_rounds(trace)):
+        record = trace.record(t)
+        assert record == data.record
+        assert (record.alpha_tildes is record.alphas) == realized
+        assert (record.angles == [None] * trace.config.n_clients) == (t == 0)
+        np.testing.assert_array_equal(trace.x[t + 1], data.x_next)
+        assert trace.violations[t] == data.violations
+    assert trace.records == [trace.record(t) for t in range(trace.config.rounds)]
+
+
+@pytest.mark.parametrize("b, x0, angles", [
+    # the updates of round 0 cancel, so round 1 has a zero reference
+    ([-1.0, 0.0, 1.0], 0.0, [[None] * 3, [None] * 3]),
+    # round 0 lands on the optimum 0.75 of clients 0 and 2: their round-1
+    # updates are zero, and client 1's has the reference's direction
+    ([0.75, 0.0, 0.75], 1.0, [[None] * 3, [None, 0.0, None]]),
+])
+def test_angles_are_null_without_a_reference_and_on_zero_updates(b, x0, angles):
+    cfg = make_config(rounds=2, n_clients=3, sampled_per_round=3, eta_l=0.5,
+                      x0=np.array([x0]))
+    trace = run_experiment(cfg, build_quadratic_ensemble(b))
+    for t, data in enumerate(chained_rounds(trace)):
+        record = trace.record(t)
+        assert record == data.record
+        assert record.angles == angles[t]
+
+
+def test_a_nan_angle_is_not_written_as_null():
+    cfg = make_config(rounds=2, n_clients=3, sampled_per_round=3, eta_l=0.5)
+    trace = run_experiment(cfg, build_quadratic_ensemble([0.75, 0.0, 0.75]))
+    trace.angles[1, 1] = math.nan
+    angles = trace.record(1).angles
+    assert angles[0] is None and math.isnan(angles[1])
+    with pytest.raises(ValueError, match="JSON compliant"):
+        render_record(trace.record(1))
 
 
 @pytest.mark.parametrize("problem_kind, noise_mode", [

@@ -80,7 +80,7 @@ def test_difference_map_matches_one_engine_round():
                         policy=ClippingPolicy(mode="difference", threshold=c),
                         privacy=PrivacyConfig(enabled=False), seed=0, x0=x)
         trace = run_experiment(cfg, ens)
-        np.testing.assert_allclose(trace.rounds[-1].x_next, mapped, atol=1e-12)
+        np.testing.assert_allclose(trace.x[-1], mapped, atol=1e-12)
 
 
 def test_difference_map_preconditioner_consistency():
