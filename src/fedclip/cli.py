@@ -1,7 +1,9 @@
 """Experiment runner: declarative configs in, JSONL/CSV/JSON artifacts out.
 
-Exit codes: 0 success, 2 config error, 3 divergence. Errors are emitted as
-one machine-readable JSON object per line on stderr.
+Exit codes: 0 success, 2 config error (a bad config, or a run directory that
+``compare`` cannot read), 3 divergence, 4 output error (an output path that
+cannot be written). Errors are emitted as one machine-readable JSON object
+per line on stderr.
 """
 
 import argparse
@@ -180,15 +182,20 @@ _NOT_NUMBERS = frozenset({bool, type(None)})
 
 def _parse_floats(v, name):
     """``_parse_float`` for a number or a nested list of numbers, as a float
-    array: a bool or a null anywhere in it is refused, and so is any other
-    entry that is not a number, and a list whose siblings are not all lists
-    of its length."""
+    array of finite entries: a bool, a null, a NaN or an infinity anywhere in
+    it is refused, and so is any other entry that is not a number, and a list
+    whose siblings are not all lists of its length."""
     obj = np.asarray(v, dtype=object)
     if _NOT_NUMBERS.isdisjoint(map(type, obj.flat)):
         try:
-            return obj.astype(float)
+            values = obj.astype(float)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            finite = np.isfinite(values)
+            if finite.all():
+                return values
+            raise ConfigError(f"{name} must be finite, got {float(values[~finite][0])!r}")
     for x in obj.flat:  # name the entry at fault
         if isinstance(x, list):
             raise ConfigError(f"{name} is ragged: the entries of each list must be "
@@ -400,9 +407,11 @@ def write_artifacts(trace: engine.Trace, outdir: Path):
         fh.write(_csv_row(["t", "alpha_bar", "mean_abs_realized_gap",
                            "mean_abs_cross_gap", "mean_sq_realized_gap",
                            "mean_sq_cross_gap"]))
-        fh.writelines(_csv_row([r.t, r.alpha_bar, r.mean_abs_realized_gap,
-                                r.mean_abs_cross_gap, r.mean_sq_realized_gap,
-                                r.mean_sq_cross_gap]) for r in report.rounds)
+        columns = (trace.alpha_bar, report.mean_abs_realized_gap,
+                   report.mean_abs_cross_gap, report.mean_sq_realized_gap,
+                   report.mean_sq_cross_gap)
+        fh.writelines(map(_csv_row, zip(range(trace.config.rounds),
+                                        *(c.tolist() for c in columns))))
 
     prob = trace.problem
     f_gap, f_gap_method = diagnostics.initial_gap(trace)
@@ -484,18 +493,44 @@ def cmd_table1(out) -> int:
     return 0
 
 
+def _read_lines(path: Path) -> list:
+    """The lines of a file of a run directory; one that cannot be read is a
+    ConfigError that names it."""
+    try:
+        return path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def _load_runs(dirpath: Path):
-    """Map seed -> list of round dicts for a completed run directory."""
+    """Map seed -> (per-round losses, per-round gradient norms) for a
+    completed run directory. A file that is missing or holds no rounds or
+    seed, and a line that is not a round record, are ConfigErrors that name
+    the file and the line."""
     direct = dirpath / "rounds.jsonl"
     paths = [direct] if direct.exists() else sorted(dirpath.glob("rep_*/rounds.jsonl"))
     if not paths:
         raise ConfigError(f"no rounds.jsonl under {dirpath}")
     runs = {}
     for p in paths:
-        rows = [json.loads(line) for line in p.read_text().splitlines()]
-        with open(p.parent / "summary.csv") as fh:
-            rows_csv = list(csv.DictReader(fh))
-        runs[int(rows_csv[0]["seed"])] = rows
+        losses, grad_norms = [], []
+        for n, line in enumerate(_read_lines(p), 1):
+            try:
+                row = json.loads(line)
+                losses.append(float(row["loss"]))
+                grad_norms.append(float(row["global_grad_norm"]))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"{p} line {n} is not a round record: "
+                                  f"{type(exc).__name__}: {exc}") from None
+        if not losses:
+            raise ConfigError(f"{p} holds no rounds")
+        summary = p.parent / "summary.csv"
+        lines = _read_lines(summary)
+        try:
+            seed = int(next(csv.DictReader(lines))["seed"])
+        except (StopIteration, KeyError, TypeError, ValueError):
+            raise ConfigError(f"{summary} holds no seed") from None
+        runs[seed] = losses, grad_norms
     return runs
 
 
@@ -507,12 +542,12 @@ def cmd_compare(dir_a, dir_b, out=None) -> int:
     per_seed = {}
     final_loss_deltas = []
     for seed in sorted(runs_a):
-        a, b = runs_a[seed], runs_b[seed]
-        if len(a) != len(b):
-            raise ConfigError(f"round counts differ for seed {seed}: {len(a)} vs {len(b)}")
-        loss_delta = [ra["loss"] - rb["loss"] for ra, rb in zip(a, b)]
-        grad_delta = [ra["global_grad_norm"] - rb["global_grad_norm"]
-                      for ra, rb in zip(a, b)]
+        (loss_a, grad_a), (loss_b, grad_b) = runs_a[seed], runs_b[seed]
+        if len(loss_a) != len(loss_b):
+            raise ConfigError(f"round counts differ for seed {seed}: "
+                              f"{len(loss_a)} vs {len(loss_b)}")
+        loss_delta = [a - b for a, b in zip(loss_a, loss_b)]
+        grad_delta = [a - b for a, b in zip(grad_a, grad_b)]
         per_seed[seed] = {
             "per_round_loss_delta": loss_delta,
             "per_round_grad_norm_delta": grad_delta,
@@ -535,7 +570,11 @@ def cmd_compare(dir_a, dir_b, out=None) -> int:
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="fedclip")
+    parser = argparse.ArgumentParser(
+        prog="fedclip",
+        epilog="exit codes: 0 success, 2 config error (or a run directory that "
+               "compare cannot read), 3 divergence, 4 output path that cannot be "
+               "written; each error is one JSON line on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
@@ -575,6 +614,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "divergence", "round": exc.round_index,
                           "message": str(exc)}), file=sys.stderr)
         return 3
+    except OSError as exc:  # an input that cannot be read is a ConfigError
+        print(json.dumps({"error": "output", "path": exc.filename,
+                          "message": str(exc)}), file=sys.stderr)
+        return 4
     return 0
 
 

@@ -17,30 +17,26 @@ from .problems import client_sum
 
 
 @dataclass
-class BiasRound:
-    t: int
-    alpha_bar: float
-    mean_abs_realized_gap: float   # mean_i |alpha_i - alpha_tilde_i|
-    mean_abs_cross_gap: float      # mean_i |alpha_tilde_i - alpha_bar|
-    mean_sq_realized_gap: float
-    mean_sq_cross_gap: float
-
-
-@dataclass
 class BiasReport:
-    rounds: list
+    """The clipping-bias gaps of each round, as (T,) arrays, and the
+    averaged factors gamma1 and gamma2; each round's alpha_bar is the
+    trace's ``alpha_bar`` column."""
+
+    mean_abs_realized_gap: np.ndarray  # mean_i |alpha_i - alpha_tilde_i|
+    mean_abs_cross_gap: np.ndarray     # mean_i |alpha_tilde_i - alpha_bar|
+    mean_sq_realized_gap: np.ndarray
+    mean_sq_cross_gap: np.ndarray
     gamma1: float
     gamma2: float
 
     def bias_abs_avg(self) -> float:
         """(1/T) sum_t mean_i (|a - a~| + |a~ - abar|)."""
-        return float(np.mean([r.mean_abs_realized_gap + r.mean_abs_cross_gap
-                              for r in self.rounds]))
+        return float(np.mean(self.mean_abs_realized_gap + self.mean_abs_cross_gap))
 
     def bias_sq_sum(self, n_clients: int) -> float:
         """(1/T) sum_t sum_i (|a - a~|^2 + |a~ - abar|^2)."""
-        return float(np.mean([(r.mean_sq_realized_gap + r.mean_sq_cross_gap) * n_clients
-                              for r in self.rounds]))
+        return float(np.mean((self.mean_sq_realized_gap + self.mean_sq_cross_gap)
+                             * n_clients))
 
 
 def clip_bias_terms(trace: Trace) -> BiasReport:
@@ -52,11 +48,9 @@ def clip_bias_terms(trace: Trace) -> BiasReport:
     abars = trace.alpha_bar
     abs_realized, sq_realized = _row_gaps(trace.alphas - trace.alpha_tildes)
     abs_cross, sq_cross = _row_gaps(trace.alpha_tildes - abars[:, None])
-    columns = (abars, abs_realized, abs_cross, sq_realized, sq_cross)
-    rounds = [BiasRound(t, *row) for t, row in
-              enumerate(zip(*(c.tolist() for c in columns)))]
-    return BiasReport(rounds=rounds, gamma1=float(np.mean(abars)),
-                      gamma2=float(np.mean(abars ** 2)))
+    return BiasReport(mean_abs_realized_gap=abs_realized, mean_abs_cross_gap=abs_cross,
+                      mean_sq_realized_gap=sq_realized, mean_sq_cross_gap=sq_cross,
+                      gamma1=float(np.mean(abars)), gamma2=float(np.mean(abars ** 2)))
 
 
 def _row_gaps(v):

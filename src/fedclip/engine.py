@@ -7,6 +7,10 @@ sequential. Within a round, all N clients run their local phases together
 as one (N, d) stack of iterates; every row is computed exactly as a
 single-client phase would compute it, and the aggregate is a fixed-order
 sum over the sampled slots, so the result is the same bit for bit.
+
+A run's results live in one place, the columns of its ``Trace``:
+``run_round`` writes round t's row, and ``Trace.record`` builds the
+round's ``RoundRecord`` view from that row.
 """
 
 import dataclasses
@@ -125,58 +129,10 @@ class RoundRecord:
     angles: list  # degrees vs previous round's mean transmitted update; None at t=0
 
 
-def _round_record(t, x, sampled, loss, global_grad_norm, alpha_bar, delta_norms,
-                  alphas, alpha_tildes, angles) -> RoundRecord:
-    """The RoundRecord of one round's arrays. ``alpha_tildes`` is None for
-    the realized factor, which shares the alphas list. ``angles`` is None
-    when the round has no reference update, and every angle is then None;
-    otherwise an angle is None where its client's update is zero."""
-    norms, alphas = delta_norms.tolist(), alphas.tolist()
-    if angles is None:
-        angles = [None] * len(norms)
-    else:
-        angles = [None if n == 0.0 else a for n, a in zip(norms, angles.tolist())]
-    return RoundRecord(
-        t=t, x=x.tolist(), sampled=sampled.tolist(), loss=float(loss),
-        global_grad_norm=float(global_grad_norm), alpha_bar=float(alpha_bar),
-        delta_norms=norms, alphas=alphas,
-        alpha_tildes=alphas if alpha_tildes is None else alpha_tildes.tolist(),
-        angles=angles)
-
-
-@dataclass
-class RoundData:
-    """One round's results as arrays, as ``run_round`` returns them; row t of
-    a ``Trace`` holds the same values. ``record`` builds the round's
-    RoundRecord from them."""
-
-    t: int
-    x: np.ndarray  # the round's starting iterate
-    sampled: np.ndarray
-    loss: float
-    global_grad_norm: float
-    alpha_bar: float
-    delta_norms: np.ndarray
-    alphas: np.ndarray
-    alpha_tildes: np.ndarray  # alphas itself when alpha~ is the realized factor
-    angles: np.ndarray | None  # degrees, NaN on a zero update; None with no reference
-    x_next: np.ndarray
-    mean_transmitted: np.ndarray
-    violations: int  # oracle bound violations of the realized local phases
-
-    @property
-    def record(self) -> RoundRecord:
-        return _round_record(
-            self.t, self.x, self.sampled, self.loss, self.global_grad_norm,
-            self.alpha_bar, self.delta_norms, self.alphas,
-            None if self.alpha_tildes is self.alphas else self.alpha_tildes,
-            self.angles)
-
-
 @dataclass
 class Trace:
     """A run's rounds as columns: arrays with a leading round axis, row t
-    filled by round t (``store``). ``record(t)`` builds round t's
+    written by ``run_round`` for round t. ``record(t)`` builds round t's
     RoundRecord, so a run holds no per-round Python objects.
 
     ``x`` has T + 1 rows: row t is the iterate that starts round t, and row
@@ -215,27 +171,23 @@ class Trace:
                    angles=np.empty((T, N)), referenced=np.empty(T, dtype=bool),
                    violations=np.empty(T, dtype=np.intp), noise_spec=noise_spec)
 
-    def store(self, data: RoundData):
-        """Fill row ``data.t`` (and row t + 1 of ``x``) from one round."""
-        t = data.t
-        self.x[t], self.x[t + 1] = data.x, data.x_next
-        self.sampled[t] = data.sampled
-        self.loss[t], self.global_grad_norm[t] = data.loss, data.global_grad_norm
-        self.alpha_bar[t] = data.alpha_bar
-        self.delta_norms[t], self.alphas[t] = data.delta_norms, data.alphas
-        if self.alpha_tildes is not self.alphas:
-            self.alpha_tildes[t] = data.alpha_tildes
-        self.referenced[t] = data.angles is not None
-        self.angles[t] = math.nan if data.angles is None else data.angles
-        self.violations[t] = data.violations
-
     def record(self, t: int) -> RoundRecord:
-        """Round ``t``'s RoundRecord, built from row t."""
-        return _round_record(
-            t, self.x[t], self.sampled[t], self.loss[t], self.global_grad_norm[t],
-            self.alpha_bar[t], self.delta_norms[t], self.alphas[t],
-            None if self.alpha_tildes is self.alphas else self.alpha_tildes[t],
-            self.angles[t] if self.referenced[t] else None)
+        """Round ``t``'s RoundRecord, built from row t. Every angle is None
+        when the round has no reference update; otherwise an angle is None
+        where its client's update is zero."""
+        norms, alphas = self.delta_norms[t].tolist(), self.alphas[t].tolist()
+        if self.referenced[t]:
+            angles = [None if n == 0.0 else a
+                      for n, a in zip(norms, self.angles[t].tolist())]
+        else:
+            angles = [None] * len(norms)
+        return RoundRecord(
+            t=t, x=self.x[t].tolist(), sampled=self.sampled[t].tolist(),
+            loss=float(self.loss[t]), global_grad_norm=float(self.global_grad_norm[t]),
+            alpha_bar=float(self.alpha_bar[t]), delta_norms=norms, alphas=alphas,
+            alpha_tildes=(alphas if self.alpha_tildes is self.alphas
+                          else self.alpha_tildes[t].tolist()),
+            angles=angles)
 
     @property
     def records(self) -> list:
@@ -422,9 +374,11 @@ def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
     return f"mean of {config.replay_count} replays"
 
 
-def run_round(x, t, config: RunConfig, problem: ProblemInstance,
-              noise_spec=None, prev_update=None):
-    """Execute one round and return its RoundData.
+def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
+              prev_update=None):
+    """Execute round t from ``x``: write row t of ``trace`` (and row t + 1 of
+    its ``x``) and return the round's mean transmitted update, the next
+    round's ``prev_update``. The noise spec is ``trace.noise_spec``.
 
     All N clients are evaluated (diagnostics average over the full
     federation); only the sampled multiset contributes to the aggregate.
@@ -460,6 +414,7 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
                                  rngmod.stream(config.seed, "sample", t))
     if config.policy.mode == "model":
         transmitted = transmitted - x
+    noise_spec = trace.noise_spec
     agg = np.zeros_like(x)
     for slot, i in enumerate(sampled):
         v = transmitted[i]
@@ -479,13 +434,19 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance,
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):
         raise DivergenceError(t, grad_norm, what="loss or gradient norm is not finite")
 
-    delta_norms = clipping.norms(deltas)
-    return RoundData(
-        t=t, x=x, sampled=sampled, loss=loss, global_grad_norm=grad_norm,
-        alpha_bar=float(np.mean(alpha_tildes)), delta_norms=delta_norms,
-        alphas=alphas, alpha_tildes=alpha_tildes,
-        angles=_angles_degrees(deltas, delta_norms, prev_update),
-        x_next=x_next, mean_transmitted=agg, violations=oracle.violations)
+    trace.x[t], trace.x[t + 1] = x, x_next
+    trace.sampled[t] = sampled
+    trace.loss[t], trace.global_grad_norm[t] = loss, grad_norm
+    trace.alpha_bar[t] = np.mean(alpha_tildes)
+    delta_norms = trace.delta_norms[t] = clipping.norms(deltas)
+    trace.alphas[t] = alphas
+    if trace.alpha_tildes is not trace.alphas:
+        trace.alpha_tildes[t] = alpha_tildes
+    angles = _angles_degrees(deltas, delta_norms, prev_update)
+    trace.referenced[t] = angles is not None
+    trace.angles[t] = math.nan if angles is None else angles
+    trace.violations[t] = oracle.violations
+    return agg
 
 
 def _angles_degrees(deltas, delta_norms, ref):
@@ -529,13 +490,10 @@ def run_experiment(config: RunConfig, problem: ProblemInstance) -> Trace:
             dim=problem.dim)
 
     trace = Trace.allocate(cfg, problem, noise_spec)
-    x = np.array(cfg.x0, dtype=float, copy=True)
-    prev_update = None
+    x, prev = cfg.x0, None
     for t in range(cfg.rounds):
-        data = run_round(x, t, cfg, problem, noise_spec=noise_spec,
-                         prev_update=prev_update)
-        x, prev_update = data.x_next, data.mean_transmitted
-        trace.store(data)
+        prev = run_round(x, t, cfg, problem, trace, prev)
+        x = trace.x[t + 1]
     return trace
 
 

@@ -132,10 +132,6 @@ class ScalarQuadratic:
     # the gradient is affine in x (see ProblemInstance.affine_grads)
     affine_grad = True
 
-    @property
-    def dim(self) -> int:
-        return 1
-
     def loss(self, x) -> float:
         return 0.5 * float((x[0] - self.b) ** 2)
 

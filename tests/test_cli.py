@@ -250,6 +250,68 @@ def test_compare_rejects_mismatched_seed_sets(tmp_path, capsys):
     capsys.readouterr()
 
 
+def truncate_third_line(out):
+    rounds = out / "rounds.jsonl"
+    lines = rounds.read_text().splitlines()
+    rounds.write_text("\n".join(lines[:2] + [lines[2][:40]]) + "\n")
+    return f"{rounds} line 3 is not a round record: JSONDecodeError: "
+
+
+def drop_first_line_key(out):
+    rounds = out / "rounds.jsonl"
+    lines = rounds.read_text().splitlines()
+    rounds.write_text("\n".join([lines[0].replace('"loss"', '"lost"'), *lines[1:]]))
+    return f"{rounds} line 1 is not a round record: KeyError: 'loss'"
+
+
+def delete_summary(out):
+    (out / "summary.csv").unlink()
+    return f"cannot read {out / 'summary.csv'}: [Errno 2] No such file or directory"
+
+
+def empty_rounds(out):
+    (out / "rounds.jsonl").write_text("")
+    return f"{out / 'rounds.jsonl'} holds no rounds"
+
+
+@pytest.mark.parametrize("damage", [truncate_third_line, drop_first_line_key,
+                                    delete_summary, empty_rounds])
+def test_compare_reports_an_unreadable_run_directory(tmp_path, capsys, damage):
+    """A run directory that compare cannot read is one JSON error line and
+    exit 2, naming the file and, for a bad line, its line number."""
+    path = write_config(tmp_path)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    for out in (out_a, out_b):
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    message = damage(out_b)
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "config" and err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("command", ["run", "table1", "compare"])
+def test_unwritable_output_path_exits_4(tmp_path, capsys, command):
+    """An output path under a regular file is one JSON error line and exit
+    4, for every command that writes."""
+    config, run_dir = write_config(tmp_path), tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
+    (tmp_path / "f").write_text("")
+    target = tmp_path / "f" / "out"
+    argv = {"run": ["run", "--config", str(config)], "table1": ["table1"],
+            "compare": ["compare", str(run_dir), str(run_dir)]}[command]
+    assert main([*argv, "--out", str(target)]) == 4
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0]) == {"error": "output", "path": str(target),
+                                  "message": f"[Errno 20] Not a directory: '{target}'"}
+    assert "4 output path that cannot be written" in " ".join(
+        cli.build_parser().format_help().split())
+
+
 def test_mlp_problem_kind_builds_and_runs(tmp_path):
     cfg = {
         "problem": {"kind": "mlp", "hidden_width": 3, "n_clients": 2,
@@ -716,6 +778,18 @@ MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_clien
      "problem.A must hold one matrix per client"),
     ({"problem": {**LINREG_DATA, "b_list": [[[1.0]], [[-1.0]]]}},
      "problem.b_list must hold one vector per client"),
+    # a NaN or an infinity in a data list is refused by key, as a null is:
+    # problem.A failed in LAPACK's least squares, and a NaN in b or b_list
+    # failed with a message that named no key
+    ({"problem": {"b": [math.nan, 1.0]}}, "problem.b must be finite, got nan"),
+    ({"problem": {"b": [-1.0, -math.inf]}}, "problem.b must be finite, got -inf"),
+    ({"problem": {**LINREG_DATA, "A": [[[1.0, math.inf]], [[0.0, 1.0]]]}},
+     "problem.A must be finite, got inf"),
+    ({"problem": {**LINREG_DATA, "A": [[[1.0, 0.0]], [[math.nan, 1.0]]]}},
+     "problem.A must be finite, got nan"),
+    ({"problem": {**LINREG_DATA, "b_list": [[1.0], [math.nan]]}},
+     "problem.b_list must be finite, got nan"),
+    ({"run": {"x0": [math.inf]}}, "run.x0 must be finite, got inf"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -727,6 +801,22 @@ def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     assert code == 2
     assert err["error"] == "config" and message in err["message"]
     assert not (tmp_path / "out").exists()  # refused before any run writes
+
+
+def test_infinite_matrix_entry_prints_nothing_on_stdout(tmp_path, capfd):
+    """An infinite ``problem.A`` entry is refused before LAPACK sees it, so
+    nothing is printed on the process's stdout, which C code writes to
+    without going through ``sys.stdout``."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["problem"] = {**LINREG_DATA, "A": [[[1.0, math.inf]], [[0.0, 1.0]]]}
+    cfg["run"]["sampled_per_round"] = 2
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "config",
+                               "message": "problem.A must be finite, got inf"}
 
 
 @pytest.mark.parametrize("section, value", [

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fedclip import engine, rng as rngmod
 from fedclip.clipping import ClippingPolicy, clip, norms
 from fedclip.engine import (ALPHA_TILDE_EXACT, DivergenceError, Q_INF, RunConfig,
-                            RoundRecord, alpha_tilde_method, local_phase,
+                            RoundRecord, Trace, alpha_tilde_method, local_phase,
                             local_update, record_to_json, render_record,
                             run_experiment, run_round, sample_clients)
 from fedclip.privacy import NoiseSpec, PrivacyConfig, draw_noise
@@ -435,23 +435,24 @@ def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
     problem = linreg_problem(rows, d, seed=len(rows), consistent=consistent,
                              g_bound=2.0, sigma_l=0.7)
     eta_l = 0.3 / problem.L if local_steps == Q_INF else 0.02
-    cfg = make_config(local_steps=local_steps, n_clients=len(rows),
+    cfg = make_config(rounds=3, local_steps=local_steps, n_clients=len(rows),
                       sampled_per_round=P, eta_l=eta_l, eta_g=0.9,
                       policy=ClippingPolicy(mode="difference", threshold=0.05),
                       seed=5, x0=np.zeros(d), noise_mode=noise_mode,
                       batch_size=3, replay_count=3)
     spec = NoiseSpec(sigma2=0.01, dim=d)
     x = rngmod.stream(5, "batched-x").normal(size=d)
+    trace = Trace.allocate(cfg, problem, spec)
     for t in range(3):  # fresh streams each round
-        data = run_round(x, t, cfg, problem, noise_spec=spec)
-        x_next, violations = data.x_next, data.violations
+        agg = run_round(x, t, cfg, problem, trace)
+        x_next, violations, record = trace.x[t + 1], trace.violations[t], trace.record(t)
         ref_agg, ref_x, norms, alphas, alpha_tildes, ref_violations = reference_round(
             problem, cfg, x, t, noise_spec=spec)
-        np.testing.assert_array_equal(data.mean_transmitted, ref_agg)
+        np.testing.assert_array_equal(agg, ref_agg)
         np.testing.assert_array_equal(x_next, ref_x)
-        assert data.record.delta_norms == norms
-        assert data.record.alphas == alphas
-        assert data.record.alpha_tildes == alpha_tildes
+        assert record.delta_norms == norms
+        assert record.alphas == alphas
+        assert record.alpha_tildes == alpha_tildes
         assert violations == ref_violations > 0
 
 
@@ -461,38 +462,39 @@ def test_mlp_round_replays_match_per_client_reference():
     streams."""
     problem = build_mlp_synthetic_ensemble(hidden_width=3, N=3, samples_per_client=10,
                                            heterogeneity=0.5, seed=4)
-    cfg = make_config(local_steps=2, n_clients=3, sampled_per_round=2, eta_l=0.1,
-                      policy=ClippingPolicy(mode="difference", threshold=0.02),
+    cfg = make_config(rounds=2, local_steps=2, n_clients=3, sampled_per_round=2,
+                      eta_l=0.1, policy=ClippingPolicy(mode="difference", threshold=0.02),
                       seed=6, x0=np.zeros(problem.dim), noise_mode="minibatch",
                       batch_size=3, replay_count=3)
     assert alpha_tilde_method(cfg, problem) == "mean of 3 replays"
     spec = NoiseSpec(sigma2=0.01, dim=problem.dim)
     x = rngmod.stream(6, "mlp-x").normal(0.0, 0.5, size=problem.dim)
+    trace = Trace.allocate(cfg, problem, spec)
     for t in range(2):
-        data = run_round(x, t, cfg, problem, noise_spec=spec)
-        x_next, violations = data.x_next, data.violations
+        agg = run_round(x, t, cfg, problem, trace)
+        x_next, violations, record = trace.x[t + 1], trace.violations[t], trace.record(t)
         ref_agg, ref_x, norms, alphas, alpha_tildes, ref_violations = reference_round(
             problem, cfg, x, t, noise_spec=spec)
-        np.testing.assert_array_equal(data.mean_transmitted, ref_agg)
+        np.testing.assert_array_equal(agg, ref_agg)
         np.testing.assert_array_equal(x_next, ref_x)
-        assert data.record.delta_norms == norms
-        assert data.record.alphas == alphas
-        assert data.record.alpha_tildes == alpha_tildes
+        assert record.delta_norms == norms
+        assert record.alphas == alphas
+        assert record.alpha_tildes == alpha_tildes
         assert max(alpha_tildes) < 1.0
         assert violations == ref_violations
         x = x_next
 
 
 def chained_rounds(trace):
-    """``run_round`` of each round of ``trace``'s run, each from the last
-    one's iterate and mean transmitted update, as ``run_experiment`` chains
-    them."""
+    """A new trace of ``trace``'s run, filled by ``run_round`` of each round
+    from the last one's iterate and mean transmitted update, chained by
+    hand."""
+    hand = Trace.allocate(trace.config, trace.problem, trace.noise_spec)
     x, prev = trace.config.x0, None
     for t in range(trace.config.rounds):
-        data = run_round(x, t, trace.config, trace.problem,
-                         noise_spec=trace.noise_spec, prev_update=prev)
-        yield data
-        x, prev = data.x_next, data.mean_transmitted
+        prev = run_round(x, t, trace.config, trace.problem, hand, prev_update=prev)
+        x = hand.x[t + 1]
+    return hand
 
 
 def quadratic_auto_dp_run():
@@ -547,18 +549,24 @@ def q_inf_deterministic_run():
     (q_inf_deterministic_run, engine.ALPHA_TILDE_REALIZED),
 ], ids=["quadratic-auto-dp", "linreg-minibatch-exact", "mlp-replays",
         "q-inf-replays", "q-inf-deterministic"])
-def test_records_built_from_the_columns_equal_run_round_records(run, method):
+def test_hand_chained_trace_equals_run_experiment_trace(run, method):
+    """A trace filled by chaining ``run_round`` by hand equals
+    ``run_experiment``'s, column for column, and so do its records."""
     trace = run_experiment(*run())
     assert alpha_tilde_method(trace.config, trace.problem) == method
     realized = method == engine.ALPHA_TILDE_REALIZED
     assert (trace.alpha_tildes is trace.alphas) == realized
-    for t, data in enumerate(chained_rounds(trace)):
+    hand = chained_rounds(trace)
+    assert (hand.alpha_tildes is hand.alphas) == realized
+    for f in dataclasses.fields(Trace):
+        column = getattr(trace, f.name)
+        if isinstance(column, np.ndarray):
+            np.testing.assert_array_equal(getattr(hand, f.name), column, strict=True)
+    for t in range(trace.config.rounds):
         record = trace.record(t)
-        assert record == data.record
+        assert record == hand.record(t)
         assert (record.alpha_tildes is record.alphas) == realized
         assert (record.angles == [None] * trace.config.n_clients) == (t == 0)
-        np.testing.assert_array_equal(trace.x[t + 1], data.x_next)
-        assert trace.violations[t] == data.violations
     assert trace.records == [trace.record(t) for t in range(trace.config.rounds)]
 
 
@@ -573,9 +581,10 @@ def test_angles_are_null_without_a_reference_and_on_zero_updates(b, x0, angles):
     cfg = make_config(rounds=2, n_clients=3, sampled_per_round=3, eta_l=0.5,
                       x0=np.array([x0]))
     trace = run_experiment(cfg, build_quadratic_ensemble(b))
-    for t, data in enumerate(chained_rounds(trace)):
+    hand = chained_rounds(trace)
+    for t in range(trace.config.rounds):
         record = trace.record(t)
-        assert record == data.record
+        assert record == hand.record(t)
         assert record.angles == angles[t]
 
 
@@ -608,12 +617,14 @@ def test_exact_alpha_tilde_within_monte_carlo_error(problem_kind, noise_mode):
         problem = dataclasses.replace(build_quadratic_ensemble([-2.0, 0.5, 3.0]),
                                       sigma_l=0.5)
     d, R, t, c = problem.dim, 2000, 1, 0.02
-    cfg = make_config(local_steps=3, n_clients=3, sampled_per_round=3, eta_l=0.05,
-                      policy=ClippingPolicy(mode="difference", threshold=c), seed=8,
-                      x0=np.zeros(d), noise_mode=noise_mode, batch_size=4)
+    cfg = make_config(rounds=2, local_steps=3, n_clients=3, sampled_per_round=3,
+                      eta_l=0.05, policy=ClippingPolicy(mode="difference", threshold=c),
+                      seed=8, x0=np.zeros(d), noise_mode=noise_mode, batch_size=4)
     assert alpha_tilde_method(cfg, problem) == ALPHA_TILDE_EXACT
     x = rngmod.stream(8, "mc-x").normal(size=d)
-    exact = run_round(x, t, cfg, problem).record.alpha_tildes
+    trace = Trace.allocate(cfg, problem)
+    run_round(x, t, cfg, problem, trace)
+    exact = trace.record(t).alpha_tildes
     for i, obj in enumerate(problem.clients):
         sums = np.array([
             local_update(obj, GradientOracle(
