@@ -6,7 +6,10 @@ its difference-clipped variant, and the differentially private variant
 sequential. Within a round, all N clients run their local phases together
 as one (N, d) stack of iterates; every row is computed exactly as a
 single-client phase would compute it, and the aggregate is a fixed-order
-sum over the sampled slots, so the result is the same bit for bit.
+sum over the sampled slots, so the result is the same bit for bit. The
+one exception is a run-to-convergence phase of deterministic quadratic or
+linear-regression clients, which goes straight to each client's exact
+local minimizer (``local_phase``).
 
 A run's results live in one place, the columns of its ``Trace``:
 ``run_round`` writes round t's row, and ``Trace.record`` builds the
@@ -31,11 +34,15 @@ _LOCAL_MAX_STEPS = 10 ** 6
 # max(1, _LOCAL_BLOCK_ELEMENTS // (N * d))) steps of the (N, d) stack. A block
 # runs on past a row's stopping step and throws those steps away, and each
 # block ends in one pass over its history, so the step cap trades wasted
-# steps against passes: 64 steps run the table1 grid fastest (32 and 128 are
-# slower). The element budget caps the steps a block records at 2,048
-# elements (16 KB) per history array, so a stack of more than 1,024 elements
-# runs one-step blocks, whose two history arrays of two rows each hold as
-# much as the step-by-step loop's four stacks.
+# steps against passes. 64 was tuned on the table1 grid while its Q = inf
+# cells still ran the block loop (32 and 128 were slower; BENCH_11.json).
+# Those cells now take the closed form (``_closed_form_phase``); the loop runs
+# the stochastic and MLP phases, and the deterministic ones the closed form
+# leaves to it, and the value has not been tuned on them. The element budget
+# caps the steps a block records at 2,048 elements (16 KB) per history array,
+# so a stack of more than 1,024 elements runs one-step blocks, whose two
+# history arrays of two rows each hold as much as the step-by-step loop's
+# four stacks.
 _LOCAL_BLOCK_STEPS = 64
 _LOCAL_BLOCK_ELEMENTS = 2048
 
@@ -205,7 +212,8 @@ def local_update(objective, oracle, x_start, Q, eta_l):
     With Q = Q_INF, iterate until the step norm falls below 1e-12 (capped at
     1e6 steps). For finite Q, x_final - x_start == -eta_l * grad_sum. The
     engine runs all clients at once (``local_phase``); this single-client
-    form is the reference that the batched one must match bit for bit.
+    form is the reference that the batched one must match bit for bit,
+    except where ``local_phase`` solves a Q_INF phase in closed form.
     """
     x = np.array(x_start, dtype=float, copy=True)
     gsum = np.zeros_like(x)
@@ -230,16 +238,24 @@ def local_update(objective, oracle, x_start, Q, eta_l):
 def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
     """Local phases of all N clients from ``x_start``, as one (N, d) stack.
 
-    Returns the final iterates and the gradient sums, row i for client i,
-    each bit-identical to ``local_update`` of that client with the same
-    oracle stream. With Q = Q_INF each row stops on the step where its own
-    step norm falls below 1e-12 (``_exhaustive_phase``). A row that
-    diverges, or that is still moving after 1e6 steps, raises
+    Returns the final iterates and the gradient sums, row i for client i.
+    For finite Q each row is bit-identical to ``local_update`` of that
+    client with the same oracle stream. With Q = Q_INF, a deterministic
+    oracle on quadratic or equal-row linear-regression clients goes
+    straight to each client's exact local minimizer when the step loop
+    would converge there (``_closed_form_phase``); its gradient sums are
+    (x_start - X) / eta_l, which no caller reads. Every other Q_INF phase
+    runs each row, bit-identical to ``local_update``, until its own step
+    norm falls below 1e-12 (``_exhaustive_phase``). A row that diverges,
+    or that is still moving after ``_LOCAL_MAX_STEPS`` steps, raises
     DivergenceError with ``round_index``.
     """
     # overflow and NaN are reported as a DivergenceError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if Q == Q_INF:
+            X = _closed_form_phase(oracle, x_start, eta_l, round_index)
+            if X is not None:
+                return X, (x_start - X) / eta_l
             return _exhaustive_phase(oracle, x_start, eta_l, round_index)
         X = np.tile(np.asarray(x_start, dtype=float), (oracle.problem.n_clients, 1))
         gsum = np.zeros_like(X)
@@ -251,9 +267,70 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
     return X, gsum
 
 
+def _closed_form_phase(oracle, x_start, eta_l, round_index):
+    """The iterates where ``_exhaustive_phase`` would stop, in closed form,
+    as an (N, d) stack; None where the step loop must run instead.
+
+    It applies to a deterministic oracle (a Gaussian one with sigma_l = 0
+    draws nothing) on clients with a closed-form minimizer
+    (``ProblemInstance.local_minimizers``). There, the gradient along a
+    row's path is (I - eta_l A_i^T A_i)^k g_0, and the loop would end at
+    the minimizer x_i^* without a violation or an error when all of these
+    hold:
+
+    - eta_l lambda < 2 for every eigenvalue lambda of every A_i^T A_i, so
+      every step contracts the gradient and the iterate's distance to x_i^*
+      by at most rho_i = max |1 - eta_l lambda| over the nonzero ones;
+    - no row's starting gradient is over ``grad_bound``, so no later one is;
+    - every row's steps fall below 1e-12 within the step cap:
+      rho_i^(cap - 1) eta_l ||g_0|| <= 1e-12, with ``_LOCAL_MAX_STEPS`` read
+      now;
+    - ||x_i^*|| + ||x_start - x_i^*|| is within the divergence limit, which
+      bounds every iterate on the path.
+
+    A row whose first step, eta_l g_0, is already at most 1e-12 stops after
+    it, as the loop does. The loop would reach x_i^* to within its stopping
+    tolerance; where it stalls in rounding a few ulps from a large x_i^*
+    (each step then rounds back to the same iterate), the closed form still
+    returns x_i^*.
+    """
+    if not (oracle.noise_mode == "deterministic"
+            or (oracle.noise_mode == "gaussian" and oracle.sigma_l == 0)):
+        return None
+    problem = oracle.problem
+    solved = problem.local_minimizers(x_start)
+    if solved is None:
+        return None
+    X, eigenvalues = solved
+    if not eta_l * eigenvalues.max() < 2:
+        return None
+    G = problem.grad_stack(np.tile(x_start, (problem.n_clients, 1)))
+    g_norms = clipping.norms(G)
+    if oracle.grad_bound is not None and (g_norms > oracle.grad_bound).any():
+        return None
+    first = eta_l * g_norms
+    rho = np.where(eigenvalues > 0, np.abs(1 - eta_l * eigenvalues), 0.0).max(axis=1)
+    stops = first <= _LOCAL_TOL
+    if not (stops | (rho ** (_LOCAL_MAX_STEPS - 1) * first <= _LOCAL_TOL)).all():
+        return None
+    if not (clipping.norms(X) + clipping.norms(x_start - X) <= _DIVERGENCE_NORM).all():
+        return None
+    if stops.any():
+        X[stops] = x_start - eta_l * G[stops]
+    _check_finite(X, round_index)
+    return X
+
+
 def _exhaustive_phase(oracle, x_start, eta_l, round_index):
     """Run every client's row from ``x_start`` to its own stopping step;
     return the rows' iterates and gradient sums there, as (N, d) stacks.
+    ``local_phase`` runs it for every local_steps: inf phase that
+    ``_closed_form_phase`` leaves to the loop: stochastic oracles, the MLP,
+    linear regressions of unequal row counts, and deterministic phases where
+    the loop would not end at the minimizer (a step too long to converge, a
+    starting gradient over the bound, a contraction too slow for the step
+    cap, or a path past the divergence limit). Each row is bit-identical to
+    ``local_update``.
 
     The steps run in blocks of 1, 2, 4, ... steps, up to the cap set by
     ``_LOCAL_BLOCK_STEPS`` and ``_LOCAL_BLOCK_ELEMENTS``. Inside a block a

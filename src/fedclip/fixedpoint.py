@@ -110,7 +110,7 @@ def make_local_min_clip_map(ensemble, c, step=0.2):
     """Exhaustive-local-phase stationarity map: fixed points satisfy
     sum_i clip(x - x_i^*, c) = 0, with x_i^* the client minimizers.
     """
-    minimizers = [obj.local_minimizer for obj in ensemble.clients]
+    minimizers = [getattr(obj, "local_minimizer", None) for obj in ensemble.clients]
     if any(m is None for m in minimizers):
         raise ValueError("all clients need closed-form local minimizers")
     M = np.stack(minimizers)

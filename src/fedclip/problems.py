@@ -244,10 +244,6 @@ class MLPObjective:
         return mlp_grads(x[None], self.X[None], self.y[None], self.hidden,
                          self.n_classes, idx=np.asarray(indices)[None])[0]
 
-    @property
-    def local_minimizer(self):
-        return None
-
 
 def _stack_clients(clients):
     """Client data on a leading client axis for ``ProblemInstance.grad_stack``:
@@ -292,6 +288,11 @@ class ProblemInstance:
     # from ``clients`` when not given; ``dataclasses.replace`` carries it
     # over, so a replaced instance must keep its clients
     _stacked: tuple | None = field(default=None, repr=False, compare=False)
+    # the linear kind's pseudo-inverses and eigenvalues (``local_minimizers``),
+    # computed on first use; an instance made by ``dataclasses.replace``
+    # starts without them
+    _spectrum: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if len(self.clients) < 1 or self.dim < 1:
@@ -358,6 +359,38 @@ class ProblemInstance:
             # grad_batch scales by n / batch size after the product
             out *= stacked[1].shape[1] / indices.shape[1]
         return out
+
+    def local_minimizers(self, x):
+        """Every client's minimizer nearest ``x`` and the eigenvalues of its
+        curvature, for a federation of quadratics or of linear regressions
+        with equal row counts; None for any other federation.
+
+        Row i of the (N, d) minimizer stack is x + A_i^+ (b_i - A_i x), the
+        point where gradient descent on client i from ``x`` converges: the
+        part of ``x`` in the null space of A_i stays. For a quadratic it is
+        b_i. Row i of the eigenvalue stack holds the eigenvalues of
+        A_i^T A_i, the squared singular values of A_i, with those that the
+        pseudo-inverse treats as zero (below 1e-15 of the largest singular
+        value, ``np.linalg.pinv``'s cut) set to 0; a quadratic's is 1. The
+        linear kind's pseudo-inverses and eigenvalues come from one SVD of
+        the client stack on the first call and are kept.
+        """
+        kind, *data = self._stacked or (None,)
+        if kind == "quadratic":
+            return data[0].copy(), np.ones((self.n_clients, 1))
+        if kind != "linear":
+            return None
+        A, b = data[:2]
+        if self._spectrum is None:
+            # np.linalg.pinv's computation, keeping the singular values
+            u, s, vt = np.linalg.svd(A, full_matrices=False)
+            large = s > 1e-15 * s.max(axis=-1, keepdims=True)
+            inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+            pinv = np.matmul(vt.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
+            object.__setattr__(self, "_spectrum", (pinv, np.where(large, s * s, 0.0)))
+        pinv, eigenvalues = self._spectrum
+        r = b - np.matmul(A, x)
+        return x + np.matmul(pinv, r[..., None])[..., 0], eigenvalues
 
     def client_grads(self, x):
         """Every client's gradient at the one point ``x``, as an (N, d) stack."""

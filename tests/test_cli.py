@@ -412,6 +412,23 @@ def test_local_phase_step_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert "still moving after 200 steps" in err["message"]
 
 
+@pytest.mark.parametrize("problem, eta_l, message", [
+    ({"kind": "quadratic", "b": [-1.0, 1.0]}, 2.5, "exceeded"),
+    ({"kind": "linear_regression", "A": [[[2.0]], [[1.0]]], "b_list": [[1.0], [0.0]]},
+     0.5, "still moving after 200 steps"),
+])
+def test_local_steps_inf_at_an_unstable_stepsize_exits_3(tmp_path, capsys, monkeypatch,
+                                                         problem, eta_l, message):
+    # eta_l lambda_max >= 2: the deterministic phase runs the step loop, which
+    # diverges (2.5) or oscillates for ever (eta_l lambda_max = 2 exactly)
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
+    code, err = run_cli_error(tmp_path, capsys, {
+        "problem": problem, "run": {**INF_RUN, "eta_l": eta_l, "x0": 5.0}})
+    assert code == 3
+    assert err["error"] == "divergence" and err["round"] == 0
+    assert message in err["message"]
+
+
 def test_gaussian_noise_with_local_steps_inf_exits_2(tmp_path, capsys, monkeypatch):
     # the small cap makes a missing refusal fail fast
     monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
@@ -1037,9 +1054,12 @@ _HUGE = st.sampled_from([1e60, 1e155, -1e200])
 def small_configs(draw):
     """Small `fedclip run` configs over every problem kind, oracle, clipping
     mode and privacy switch, including replay counts below 1, overflowing
-    data and divergent stepsizes. Q = inf is drawn only for quadratics: a stochastic
-    linear regression never meets the 1e-12 stopping rule and would run its
-    1e6-step cap."""
+    data and divergent stepsizes. Q = inf is drawn for quadratics and for
+    linear regressions under the deterministic or the noiseless Gaussian
+    oracle, whose phases go to the closed-form local minimizer where the
+    step loop would converge. It is not drawn for minibatch linear
+    regression, which never meets the 1e-12 stopping rule and would run its
+    step cap, nor for the MLP."""
     kind = draw(st.sampled_from(["quadratic", "linear_regression", "mlp"]))
     n = draw(st.integers(1, 3))
 
@@ -1067,7 +1087,7 @@ def small_configs(draw):
                                       ["deterministic", "gaussian"]))
     run = {"rounds": draw(st.integers(1, 3)),
            "local_steps": draw(st.sampled_from(
-               [1, 3, "inf"] if kind == "quadratic" else [1, 3])),
+               [1, 3] if kind == "mlp" or noise_mode == "minibatch" else ["inf", 1, 3])),
            "sampled_per_round": draw(st.integers(1, n)),
            "eta_l": draw(st.sampled_from([0.05, 0.5, 2.5])),
            "eta_g": draw(st.sampled_from([0.5, 1.0, 40.0])),
@@ -1090,8 +1110,19 @@ def small_configs(draw):
 def test_generated_configs_exit_cleanly(cfg):
     """Every run exits 0 with strict JSON and finite CSV artifacts, or exits
     2 or 3 with exactly one JSON line on stderr; never a traceback, and no
-    numpy warning (outside pytest it would print on stderr too)."""
-    with tempfile.TemporaryDirectory() as tmp:
+    numpy warning (outside pytest it would print on stderr too). A
+    local_steps: inf phase that runs the step loop runs it under a cap of
+    2,000 steps (an oscillating one would run 1e6); the closed-form branch
+    still decides under the full cap."""
+    loop = engine._exhaustive_phase
+
+    def capped_loop(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_LOCAL_MAX_STEPS", 2000)
+            return loop(*args)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_exhaustive_phase", capped_loop)
         path = Path(tmp) / "config.yaml"
         path.write_text(yaml.safe_dump(cfg))
         out, err = Path(tmp) / "out", io.StringIO()

@@ -651,7 +651,8 @@ class CountingOracle(GradientOracle):
 def test_exhaustive_local_phase_stops_each_row_on_its_own_step():
     problem = linreg_problem((4, 4, 4), 2, seed=9, consistent=True)
     x, eta_l = np.array([3.0, -2.0]), 0.1 / problem.L
-    X, gsum = local_phase(StackedOracle(problem), x, Q_INF, eta_l, 0)
+    # the block loop itself: local_phase takes the closed form here
+    X, gsum = engine._exhaustive_phase(StackedOracle(problem), x, eta_l, 0)
     steps = set()
     for i, obj in enumerate(problem.clients):
         oracle = CountingOracle(obj)
@@ -784,7 +785,8 @@ def test_rows_stopping_at_a_block_boundary_match_the_reference():
     # it falls below 1e-12 on step k for b half a step past the threshold
     b = [1e-12 / eta_l * (1 - eta_l) ** -(k - 1.5) for k in targets]
     problem = build_quadratic_ensemble(b)
-    X, gsum = local_phase(StackedOracle(problem), x, Q_INF, eta_l, 0)
+    # the block loop itself: local_phase takes the closed form here
+    X, gsum = engine._exhaustive_phase(StackedOracle(problem), x, eta_l, 0)
     for i, obj in enumerate(problem.clients):
         oracle = CountingOracle(obj)
         x_fin, ref_gsum = local_update(obj, oracle, x, Q_INF, eta_l)
@@ -878,3 +880,151 @@ def test_block_phase_memory_stays_near_the_masked_loop(monkeypatch, noise_mode):
     masked, masked_norm = peak(masked_exhaustive_phase)
     assert block_norm == masked_norm
     assert block <= 1.1 * masked, (block, masked)
+
+
+def random_affine_problem(kind, seed):
+    """A random quadratic or equal-row linear-regression federation; the
+    linear ones include rank-deficient clients: fewer rows than unknowns,
+    and a repeated column."""
+    g = rngmod.stream(seed, "closed-form")
+    if kind == "quadratic":
+        return build_quadratic_ensemble(g.normal(0.0, 3.0, size=4).tolist())
+    rows, d = (2, 3) if seed % 2 else (5, 3)
+    A_list = [g.normal(size=(rows, d)) for _ in range(4)]
+    A_list[0][:, 2] = A_list[0][:, 0]
+    return build_linear_regression_ensemble(
+        A_list, [g.normal(size=rows) for _ in range(4)])
+
+
+@pytest.mark.parametrize("kind, seed", [("quadratic", 1), ("quadratic", 2),
+                                        ("linear", 1), ("linear", 2),
+                                        ("linear", 3), ("linear", 4)])
+@pytest.mark.parametrize("noise_mode", ["deterministic", "gaussian"])
+def test_closed_form_phase_matches_the_block_loop(kind, seed, noise_mode):
+    """A deterministic local_steps: inf phase on affine clients draws
+    nothing from its oracle and returns each client's minimizer nearest the start, within
+    the loop's stopping tolerance of where the block loop stops; the part
+    of the start in a client's null space stays. A Gaussian oracle with
+    sigma_l = 0 draws nothing and takes the same branch."""
+    problem = random_affine_problem(kind, seed)
+    x = rngmod.stream(seed, "closed-form-x").normal(0.0, 2.0, size=problem.dim)
+    eta_l = 1.0 / problem.L
+    oracle = RecordingOracle(problem, noise_mode=noise_mode, grad_bound=problem.G,
+                             rngs=[rngmod.stream(seed, "closed-form", i) for i in range(4)])
+    X, gsum = local_phase(oracle, x, Q_INF, eta_l, 0)
+    assert oracle.draws == 0 and oracle.violations == 0
+    loop_X, _ = engine._exhaustive_phase(StackedOracle(problem), x, eta_l, 0)
+    np.testing.assert_allclose(X, loop_X, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(gsum, (x - X) / eta_l)
+    for obj, row in zip(problem.clients, X):
+        assert np.linalg.norm(obj.grad(row)) < 1e-12
+        if kind == "linear":  # the step from x lies in A_i's row space
+            null = np.eye(problem.dim) - np.linalg.pinv(obj.A) @ obj.A
+            np.testing.assert_allclose(null @ (row - x), 0.0, atol=1e-12)
+
+
+def test_closed_form_is_exact_on_quadratics():
+    problem = build_quadratic_ensemble([4.0, 0.5, -1.0 / 6.0])
+    X, _ = local_phase(StackedOracle(problem), np.array([0.3]), Q_INF, 0.05, 0)
+    assert X[:, 0].tolist() == [4.0, 0.5, -1.0 / 6.0]
+
+
+def test_pseudo_inverses_are_computed_once_on_first_use():
+    problem = random_affine_problem("linear", 1)
+    assert problem._spectrum is None  # not at build time
+    x = np.zeros(problem.dim)
+    local_phase(StackedOracle(problem), x, Q_INF, 0.5 / problem.L, 0)
+    spectrum = problem._spectrum
+    assert spectrum is not None
+    local_phase(StackedOracle(problem), x + 1.0, Q_INF, 0.5 / problem.L, 1)
+    assert problem._spectrum is spectrum
+    np.testing.assert_allclose(spectrum[1].max(), problem.L, rtol=1e-12)
+
+
+def test_rows_that_stop_on_their_first_step_take_that_step():
+    """A row whose first step is at most 1e-12 ends after it, bit for bit
+    as the loop does, not at its minimizer; the other rows reach theirs."""
+    x, eta_l = np.array([1.0]), 0.1
+    problem = build_quadratic_ensemble([1.0 + 2 ** -45, 3.0])
+    X, _ = local_phase(StackedOracle(problem), x, Q_INF, eta_l, 0)
+    first, _ = local_update(problem.clients[0], GradientOracle(problem.clients[0]),
+                            x, Q_INF, eta_l)
+    assert X[0].tolist() == first.tolist() != [1.0 + 2 ** -45]
+    assert X[1].tolist() == [3.0]
+
+
+def test_a_start_over_the_gradient_bound_takes_the_loop():
+    """One row starts with a gradient over G: the phase runs the block loop,
+    bit for bit as each client's step loop, and counts its violations."""
+    A = [np.array([[1.0, 0.0], [0.5, 1.0]]), np.array([[2.0, 0.3], [0.0, 0.7]])]
+    b = [np.array([0.5, -0.2]), np.array([1.0, 0.4])]
+    problem = build_linear_regression_ensemble(A, b, g_bound=1.0)
+    x, eta_l = np.array([1.0, -1.0]), 0.2
+    oracle = RecordingOracle(problem, grad_bound=1.0)
+    X, gsum = local_phase(oracle, x, Q_INF, eta_l, 0)
+    assert oracle.draws > 1
+    violations = 0
+    for i, obj in enumerate(problem.clients):
+        ref = GradientOracle(obj, grad_bound=1.0)
+        x_fin, ref_gsum = local_update(obj, ref, x, Q_INF, eta_l)
+        assert X[i].tolist() == x_fin.tolist()
+        assert gsum[i].tolist() == ref_gsum.tolist()
+        violations += ref.violations
+    assert oracle.violations == violations > 0
+
+
+def test_a_slow_contraction_takes_the_loop_under_a_small_step_cap(monkeypatch):
+    """At eta_l = 0.01 a quadratic's steps shrink by 0.99 a step: they need
+    about 2,300 steps to fall below 1e-12. Under a cap of 200 the phase runs
+    the loop and is still moving; under the default cap it is exact."""
+    problem = build_quadratic_ensemble([1.0, -1.0])
+    x = np.array([0.0])
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
+    oracle = RecordingOracle(problem)
+    with pytest.raises(DivergenceError, match="still moving after 200 steps") as err:
+        local_phase(oracle, x, Q_INF, 0.01, 3)
+    assert err.value.round_index == 3 and oracle.draws == 200
+    monkeypatch.undo()
+    X, _ = local_phase(StackedOracle(problem), x, Q_INF, 0.01, 3)
+    assert X[:, 0].tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("eta_l", [2.0, 2.5])
+def test_a_step_too_long_to_converge_takes_the_loop(monkeypatch, eta_l):
+    """At eta_l >= 2 / lambda_max the loop never converges: it oscillates
+    (eta_l = 2) or diverges, and the phase still raises."""
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
+    problem = build_quadratic_ensemble([1.0, -1.0])
+    with pytest.raises(DivergenceError, match="still moving" if eta_l == 2.0
+                       else "exceeded"):
+        local_phase(StackedOracle(problem), np.array([0.0]), Q_INF, eta_l, 0)
+
+
+def test_closed_form_reaches_a_minimizer_where_the_loop_stalls(monkeypatch):
+    """A few ulps from b = 1e5, each step of 0.05 (x - b) is above 1e-12
+    but rounds back to the same iterate, so the step loop never stops. The
+    closed form returns b."""
+    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 5000)
+    problem = build_quadratic_ensemble([1e5])
+    x = np.array([0.0])
+    with pytest.raises(DivergenceError, match="still moving after 5000 steps"):
+        engine._exhaustive_phase(StackedOracle(problem), x, 0.05, 0)
+    X, _ = local_phase(StackedOracle(problem), x, Q_INF, 0.05, 0)
+    assert X.tolist() == [[1e5]]
+
+
+@pytest.mark.parametrize("b, x, eta_l", [
+    (1e13, 0.0, 0.5),        # the minimizer itself is past the limit
+    (-9e11, 9e11, 1.9),      # both ends within it, but the first step overshoots
+])
+def test_a_path_past_the_divergence_limit_takes_the_loop(b, x, eta_l):
+    """Where ||x*|| + ||x - x*|| exceeds the divergence limit, the phase runs
+    the loop and raises its error: the first iterate past the limit."""
+    problem = build_quadratic_ensemble([b])
+    with pytest.raises(DivergenceError) as err:
+        local_phase(StackedOracle(problem), np.array([x]), Q_INF, eta_l, 2)
+    with pytest.raises(DivergenceError) as ref:
+        local_update(problem.clients[0], GradientOracle(problem.clients[0]),
+                     np.array([x]), Q_INF, eta_l)
+    assert err.value.norm == ref.value.norm
+    assert str(err.value) == str(ref.value).replace("round -1", "round 2")

@@ -16,7 +16,8 @@ from fedclip.fixedpoint import (FixedPointError, difference_clip_map,
                                 make_model_clip_map, model_clip_map,
                                 solve_fixed_point, table1_grid)
 from fedclip.privacy import PrivacyConfig
-from fedclip.problems import build_linear_regression_ensemble
+from fedclip.problems import (build_linear_regression_ensemble,
+                              build_mlp_synthetic_ensemble)
 
 
 def test_preconditioner_hand_values():
@@ -119,6 +120,10 @@ def test_local_min_map_requires_minimizers():
     x, _ = solve_fixed_point(m, np.array([0.0]), tol=1e-11)
     # unclipped: mean of client minimizers (4 + 1/2 - 1/6) / 3 = 13/9
     assert abs(x[0] - 13.0 / 9.0) < 1e-9
+    mlp = build_mlp_synthetic_ensemble(hidden_width=2, N=2, samples_per_client=4,
+                                       heterogeneity=0.5, seed=0)
+    with pytest.raises(ValueError, match="closed-form local minimizers"):
+        make_local_min_clip_map(mlp, math.inf)
 
 
 def test_huberized_loss_branches():
@@ -168,6 +173,15 @@ def test_example_grid_values():
     for key, target in expected.items():
         assert abs(grid[key]["solver"] - target) < 1e-6
         assert abs(grid[key]["simulation"] - target) < 1e-3
+
+
+def test_local_steps_inf_simulations_are_exact():
+    """The Q = inf cells run to each client's exact local minimizer, so
+    their simulations reach the closed-form stationary points to within a
+    few ulps, not just to the step loop's stopping tolerance."""
+    grid = table1_grid()
+    assert abs(grid[("inf", "inf")]["simulation"] - 13.0 / 9.0) < 1e-13
+    assert abs(grid[("inf", "1")]["simulation"] - 2.0 / 3.0) < 1e-13
 
 
 def test_eq7_ensemble_shape():
