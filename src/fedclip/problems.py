@@ -368,11 +368,12 @@ class ProblemInstance:
         Row i of the (N, d) minimizer stack is x + A_i^+ (b_i - A_i x), the
         point where gradient descent on client i from ``x`` converges: the
         part of ``x`` in the null space of A_i stays. For a quadratic it is
-        b_i. Row i of the eigenvalue stack holds the eigenvalues of
-        A_i^T A_i, the squared singular values of A_i, with those that the
-        pseudo-inverse treats as zero (below 1e-15 of the largest singular
-        value, ``np.linalg.pinv``'s cut) set to 0; a quadratic's is 1. The
-        linear kind's pseudo-inverses and eigenvalues come from one SVD of
+        b_i. Row i of the (N, min(n, d)) eigenvalue stack holds the
+        eigenvalues of A_i^T A_i that can be nonzero, the squared singular
+        values of A_i, with those that the pseudo-inverse treats as zero
+        (below 1e-15 of the largest singular value, ``np.linalg.pinv``'s
+        cut) set to 0; a quadratic's is 1. The linear kind's pseudo-inverses,
+        equal to ``np.linalg.pinv``'s, and eigenvalues come from one SVD of
         the client stack on the first call and are kept.
         """
         kind, *data = self._stacked or (None,)
