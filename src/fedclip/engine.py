@@ -271,44 +271,41 @@ def _closed_form_phase(oracle, x_start, eta_l, round_index):
     """The iterates where ``_exhaustive_phase`` would stop, in closed form,
     as an (N, d) stack; None where the step loop must run instead.
 
-    It applies to a deterministic oracle (a Gaussian one with sigma_l = 0
-    draws nothing) on clients with a closed-form minimizer
-    (``ProblemInstance.local_minimizers``). There, the gradient along a
-    row's path is (I - eta_l A_i^T A_i)^k g_0, and the loop would end at
-    the minimizer x_i^* without a violation or an error when all of these
-    hold:
+    It applies to a deterministic oracle on clients with a closed-form
+    minimizer (``ProblemInstance.local_minimizers``). There, the gradient
+    along a row's path is (I - eta_l A_i^T A_i)^k g_0, and the loop would
+    end at the minimizer x_i^* without a violation or an error when all of
+    these hold:
 
-    - eta_l lambda < 2 for every eigenvalue lambda of every A_i^T A_i, so
-      every step contracts the gradient and the iterate's distance to x_i^*
-      by at most rho_i = max |1 - eta_l lambda| over the nonzero ones;
     - no row's starting gradient is over ``grad_bound``, so no later one is;
     - every row's steps fall below 1e-12 within the step cap:
-      rho_i^(cap - 1) eta_l ||g_0|| <= 1e-12, with ``_LOCAL_MAX_STEPS`` read
-      now;
+      rho_i^(cap - 1) ||eta_l g_0|| <= 1e-12, with rho_i = max |1 - eta_l
+      lambda| over the nonzero eigenvalues lambda of A_i^T A_i and
+      ``_LOCAL_MAX_STEPS`` read now. This needs rho_i < 1, i.e. eta_l lambda
+      < 2: every step then contracts the gradient and the iterate's
+      distance to x_i^* by at least rho_i;
     - ||x_i^*|| + ||x_start - x_i^*|| is within the divergence limit, which
       bounds every iterate on the path.
 
     A row whose first step, eta_l g_0, is already at most 1e-12 stops after
-    it, as the loop does. The loop would reach x_i^* to within its stopping
-    tolerance; where it stalls in rounding a few ulps from a large x_i^*
-    (each step then rounds back to the same iterate), the closed form still
-    returns x_i^*.
+    it, as the loop does (the step's norm is computed as the loop computes
+    it), and needs no step-cap test. The loop would reach x_i^* to within its
+    stopping tolerance; where it stalls in rounding a few ulps from a large
+    x_i^* (each step then rounds back to the same iterate), the closed form
+    still returns x_i^*.
     """
-    if not (oracle.noise_mode == "deterministic"
-            or (oracle.noise_mode == "gaussian" and oracle.sigma_l == 0)):
+    if oracle.noise_mode != "deterministic":
         return None
     problem = oracle.problem
     solved = problem.local_minimizers(x_start)
     if solved is None:
         return None
     X, eigenvalues = solved
-    if not eta_l * eigenvalues.max() < 2:
-        return None
     G = problem.grad_stack(np.tile(x_start, (problem.n_clients, 1)))
-    g_norms = clipping.norms(G)
-    if oracle.grad_bound is not None and (g_norms > oracle.grad_bound).any():
+    if oracle.grad_bound is not None and (clipping.norms(G) > oracle.grad_bound).any():
         return None
-    first = eta_l * g_norms
+    step = eta_l * G
+    first = clipping.norms(step)
     rho = np.where(eigenvalues > 0, np.abs(1 - eta_l * eigenvalues), 0.0).max(axis=1)
     stops = first <= _LOCAL_TOL
     if not (stops | (rho ** (_LOCAL_MAX_STEPS - 1) * first <= _LOCAL_TOL)).all():
@@ -316,7 +313,7 @@ def _closed_form_phase(oracle, x_start, eta_l, round_index):
     if not (clipping.norms(X) + clipping.norms(x_start - X) <= _DIVERGENCE_NORM).all():
         return None
     if stops.any():
-        X[stops] = x_start - eta_l * G[stops]
+        X[stops] = x_start - step[stops]
     _check_finite(X, round_index)
     return X
 

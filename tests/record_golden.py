@@ -1,6 +1,6 @@
 """Golden artifact digests: record them, and the helpers their tests use.
 
-    PYTHONPATH=src python tests/record_golden.py [--check]
+    PYTHONPATH=src python tests/record_golden.py
 
 runs ``fedclip run`` on every config in ``tests/golden/`` and ``fedclip
 table1``, and writes the sha256 of every file they write to
@@ -8,13 +8,8 @@ table1``, and writes the sha256 of every file they write to
 hold for. It prints every entry it changed, added or removed. Rerun it only
 for a change that is meant to alter artifact bits, and list each changed
 file, and why it changed, in CHANGES.md.
-
-With ``--check`` it prints the entries that would change, writes nothing,
-and exits 1 if any would change (0 if none would): a change meant to alter
-bits can list the digests it moves before re-recording them.
 """
 
-import argparse
 import hashlib
 import json
 import platform
@@ -79,32 +74,18 @@ def changes(old, new) -> list:
             + [f"removed {k}" for k in sorted(old.keys() - new.keys())])
 
 
-def current_digests() -> dict:
-    """The digests mapping that the configs and ``fedclip table1`` give now."""
+def record():
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         runs = {c.stem: run_digests(c, tmp / c.stem) for c in configs()}
         grid = tmp / "grid.csv"
         if main(["table1", "--out", str(grid)]) != 0:
             raise RuntimeError("fedclip table1 failed")
-        return {**versions(), "runs": runs, "table1_grid": file_digest(grid)}
-
-
-def record(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Record the golden artifact digests.")
-    parser.add_argument("--check", action="store_true",
-                        help="print the entries that would change, write nothing, "
-                             "and exit 1 if any would change")
-    args = parser.parse_args(argv)
-    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    new = current_digests()
-    lines = changes(old, new)
-    print("\n".join(lines) or "no digest changed")
-    if args.check:
-        return 1 if lines else 0
-    DIGESTS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
-    return 0
+        out = {**versions(), "runs": runs, "table1_grid": file_digest(grid)}
+    DIGESTS.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    print("\n".join(changes(old, out)) or "no digest changed")
 
 
 if __name__ == "__main__":
-    raise SystemExit(record())
+    record()

@@ -899,18 +899,15 @@ def random_affine_problem(kind, seed):
 @pytest.mark.parametrize("kind, seed", [("quadratic", 1), ("quadratic", 2),
                                         ("linear", 1), ("linear", 2),
                                         ("linear", 3), ("linear", 4)])
-@pytest.mark.parametrize("noise_mode", ["deterministic", "gaussian"])
-def test_closed_form_phase_matches_the_block_loop(kind, seed, noise_mode):
+def test_closed_form_phase_matches_the_block_loop(kind, seed):
     """A deterministic local_steps: inf phase on affine clients draws
-    nothing from its oracle and returns each client's minimizer nearest the start, within
-    the loop's stopping tolerance of where the block loop stops; the part
-    of the start in a client's null space stays. A Gaussian oracle with
-    sigma_l = 0 draws nothing and takes the same branch."""
+    nothing from its oracle and returns each client's minimizer nearest the
+    start, within the loop's stopping tolerance of where the block loop
+    stops; the part of the start in a client's null space stays."""
     problem = random_affine_problem(kind, seed)
     x = rngmod.stream(seed, "closed-form-x").normal(0.0, 2.0, size=problem.dim)
     eta_l = 1.0 / problem.L
-    oracle = RecordingOracle(problem, noise_mode=noise_mode, grad_bound=problem.G,
-                             rngs=[rngmod.stream(seed, "closed-form", i) for i in range(4)])
+    oracle = RecordingOracle(problem, grad_bound=problem.G)
     X, gsum = local_phase(oracle, x, Q_INF, eta_l, 0)
     assert oracle.draws == 0 and oracle.violations == 0
     loop_X, _ = engine._exhaustive_phase(StackedOracle(problem), x, eta_l, 0)

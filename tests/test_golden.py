@@ -9,15 +9,13 @@ replicates, ten-client federations (a pairwise client sum rounds
 differently from eight clients on), and an MLP whose batched gradient runs
 in several chunks of rows, the last one partial.
 ``test_table1_subcommand`` pins ``fedclip table1``'s grid the same way.
-Re-record with ``tests/record_golden.py``; its ``--check`` lists what would
-change and writes nothing.
+Re-record with ``tests/record_golden.py``.
 """
 
 import json
 
 import pytest
 
-import record_golden
 from record_golden import DIGESTS, configs, run_digests, version_mismatch
 
 RECORDED = json.loads(DIGESTS.read_text())
@@ -33,25 +31,3 @@ def test_artifacts_match_golden_digests(config, tmp_path):
     if reason:
         pytest.skip(reason)
     assert run_digests(config, tmp_path / "out") == RECORDED["runs"][config.stem]
-
-
-def test_check_leaves_the_digests_file_byte_identical(capsys):
-    before = DIGESTS.read_bytes()
-    code = record_golden.record(["--check"])
-    assert DIGESTS.read_bytes() == before
-    if version_mismatch(RECORDED) is None:
-        assert code == 0
-        assert capsys.readouterr().out == "no digest changed\n"
-
-
-def test_check_lists_what_would_change_and_exits_1(tmp_path, monkeypatch, capsys):
-    stale = json.loads(DIGESTS.read_text())
-    stale["table1_grid"] = "0" * 64
-    path = tmp_path / "digests.json"
-    path.write_text(json.dumps(stale, indent=2, sort_keys=True) + "\n")
-    before = path.read_bytes()
-    monkeypatch.setattr(record_golden, "DIGESTS", path)
-    assert record_golden.record(["--check"]) == 1
-    assert path.read_bytes() == before
-    if version_mismatch(RECORDED) is None:
-        assert capsys.readouterr().out == "changed table1_grid\n"
