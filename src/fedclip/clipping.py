@@ -114,4 +114,4 @@ def apply_policy(policy: ClippingPolicy, x_local_final, x_round_start):
         raise ValueError("auto threshold has not been resolved")
     v = x_local_final if policy.mode == "model" else x_local_final - x_round_start
     f = clip_factor(v, float(policy.threshold))
-    return v * np.expand_dims(f, -1), f
+    return v * f[..., None], f

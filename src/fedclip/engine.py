@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clipping, privacy, rng as rngmod
-from .problems import ProblemInstance, StackedOracle
+from .problems import ProblemInstance, StackedOracle, client_sum
 
 Q_INF = math.inf
 
@@ -166,17 +166,23 @@ class Trace:
 
     @classmethod
     def allocate(cls, config: RunConfig, problem: ProblemInstance, noise_spec=None):
-        """An unfilled trace with room for ``config.rounds`` rounds."""
+        """An unfilled trace with room for ``config.rounds`` rounds. A round
+        count whose columns cannot be allocated raises ValueError naming
+        ``run.rounds``."""
         T, N = config.rounds, config.n_clients
-        alphas = np.empty((T, N))
         realized = alpha_tilde_method(config, problem) == ALPHA_TILDE_REALIZED
-        return cls(config=config, problem=problem, x=np.empty((T + 1, problem.dim)),
-                   sampled=np.empty((T, config.sampled_per_round), dtype=np.intp),
-                   loss=np.empty(T), global_grad_norm=np.empty(T),
-                   alpha_bar=np.empty(T), delta_norms=np.empty((T, N)),
-                   alphas=alphas, alpha_tildes=alphas if realized else np.empty((T, N)),
-                   angles=np.empty((T, N)), referenced=np.empty(T, dtype=bool),
-                   violations=np.empty(T, dtype=np.intp), noise_spec=noise_spec)
+        try:
+            alphas = np.empty((T, N))
+            return cls(config=config, problem=problem, x=np.empty((T + 1, problem.dim)),
+                       sampled=np.empty((T, config.sampled_per_round), dtype=np.intp),
+                       loss=np.empty(T), global_grad_norm=np.empty(T),
+                       alpha_bar=np.empty(T), delta_norms=np.empty((T, N)),
+                       alphas=alphas, alpha_tildes=alphas if realized else np.empty((T, N)),
+                       angles=np.empty((T, N)), referenced=np.empty(T, dtype=bool),
+                       violations=np.empty(T, dtype=np.intp), noise_spec=noise_spec)
+        except (MemoryError, ValueError) as exc:  # ValueError: "Maximum allowed dimension"
+            raise ValueError(f"run.rounds is too large: its trace cannot be "
+                             f"allocated ({exc})") from None
 
     def record(self, t: int) -> RoundRecord:
         """Round ``t``'s RoundRecord, built from row t. Every angle is None
@@ -257,8 +263,9 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
             if X is not None:
                 return X, (x_start - X) / eta_l
             return _exhaustive_phase(oracle, x_start, eta_l, round_index)
-        X = np.tile(np.asarray(x_start, dtype=float), (oracle.problem.n_clients, 1))
-        gsum = np.zeros_like(X)
+        X = np.empty((oracle.problem.n_clients, len(x_start)))
+        X[...] = x_start
+        gsum = np.zeros(X.shape)
         for _ in range(int(Q)):
             G = oracle.sample(X)
             X -= eta_l * G
@@ -458,16 +465,17 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
     federation); only the sampled multiset contributes to the aggregate.
     The expected-path passes draw only from their own streams, so they never
     change the realized trajectory, and their violations are not counted.
+    The aggregate is ``client_sum`` of the sampled slots' rows in slot order,
+    each plus its own ("noise", t, slot) draw under privacy: bit for bit the
+    sum that adds the slots one by one to a zero vector.
     """
     oracle = _oracle(config, problem, "grad", t)
     X, _ = local_phase(oracle, x, config.local_steps, config.eta_l, t)
     deltas = X - x
     transmitted, alphas = clipping.apply_policy(config.policy, X, x)
-    method = alpha_tilde_method(config, problem)
-    if method == ALPHA_TILDE_REALIZED:
-        alpha_tildes = alphas
-    else:
-        if method == ALPHA_TILDE_EXACT:
+    alpha_tildes = alphas
+    if trace.alpha_tildes is not trace.alphas:  # alpha~ is not the realized factor
+        if alpha_tilde_method(config, problem) == ALPHA_TILDE_EXACT:
             gsum = local_phase(StackedOracle(problem), x, config.local_steps,
                                config.eta_l, t)[1]
         else:
@@ -479,44 +487,40 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
         alpha_tildes = clipping.clip_factor(config.eta_l * gsum,
                                             float(config.policy.threshold))
 
-    N = config.n_clients
-    if config.sampled_per_round == N:
-        # full participation: every client exactly once
-        sampled = np.arange(N)
-    else:
-        sampled = sample_clients(N, config.sampled_per_round,
-                                 rngmod.stream(config.seed, "sample", t))
+    N, P = config.n_clients, config.sampled_per_round
+    sampled = (np.arange(N) if P == N else
+               sample_clients(N, P, rngmod.stream(config.seed, "sample", t)))
     if config.policy.mode == "model":
         transmitted = transmitted - x
+    rows = transmitted[sampled]
     noise_spec = trace.noise_spec
-    agg = np.zeros_like(x)
-    for slot, i in enumerate(sampled):
-        v = transmitted[i]
-        if noise_spec is not None and noise_spec.sigma2 > 0:
-            # the aggregate only ever sees clipped-update-plus-noise
-            v = v + privacy.draw_noise(noise_spec,
-                                       rngmod.stream(config.seed, "noise", t, slot))
-        agg += v
-    agg /= config.sampled_per_round
-    x_next = x + config.eta_g * agg
-    _check_finite(x_next, t)
-
-    # large data can overflow the loss or the gradient at a finite iterate
+    if noise_spec is not None and noise_spec.sigma2 > 0:
+        for slot in range(P):
+            rows[slot] += privacy.draw_noise(noise_spec,
+                                             rngmod.stream(config.seed, "noise", t, slot))
+    # an overflow or a NaN is a DivergenceError, not a numpy warning: in the
+    # iterate, or in the loss or gradient of large data at a finite iterate;
+    # and a zero update gives a 0/0 angle
     with np.errstate(over="ignore", invalid="ignore"):
+        # + 0.0 turns a sum of -0.0 rows into the zero vector's +0.0
+        agg = client_sum(rows) + 0.0
+        agg /= P
+        x_next = x + config.eta_g * agg
+        _check_finite(x_next, t)
         loss = problem.loss_mean(x)
-        grad_norm = float(np.linalg.norm(problem.grad_mean(x)))
-    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-        raise DivergenceError(t, grad_norm, what="loss or gradient norm is not finite")
-
-    trace.x[t], trace.x[t + 1] = x, x_next
-    trace.sampled[t] = sampled
-    trace.loss[t], trace.global_grad_norm[t] = loss, grad_norm
-    trace.alpha_bar[t] = np.mean(alpha_tildes)
-    delta_norms = trace.delta_norms[t] = clipping.norms(deltas)
-    trace.alphas[t] = alphas
-    if trace.alpha_tildes is not trace.alphas:
-        trace.alpha_tildes[t] = alpha_tildes
-    angles = _angles_degrees(deltas, delta_norms, prev_update)
+        g = problem.grad_mean(x)
+        grad_norm = math.sqrt(np.vecdot(g, g))
+        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+            raise DivergenceError(t, grad_norm, what="loss or gradient norm is not finite")
+        trace.x[t], trace.x[t + 1] = x, x_next
+        trace.sampled[t] = sampled
+        trace.loss[t], trace.global_grad_norm[t] = loss, grad_norm
+        trace.alpha_bar[t] = np.add.reduce(alpha_tildes) / N
+        delta_norms = trace.delta_norms[t] = clipping.norms(deltas)
+        trace.alphas[t] = alphas
+        if alpha_tildes is not alphas:
+            trace.alpha_tildes[t] = alpha_tildes
+        angles = _angles_degrees(deltas, delta_norms, prev_update)
     trace.referenced[t] = angles is not None
     trace.angles[t] = math.nan if angles is None else angles
     trace.violations[t] = oracle.violations
@@ -525,15 +529,17 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
 
 def _angles_degrees(deltas, delta_norms, ref):
     """Angle in degrees between each row of ``deltas`` and ``ref``, NaN on a
-    zero row; None when there is no reference (``ref`` None or zero)."""
+    zero row (0/0, a warning the caller silences); None when there is no
+    reference (``ref`` None or zero)."""
     if ref is None:
         return None
     ref_norm = clipping.norms(ref)
     if ref_norm == 0.0:
         return None
-    with np.errstate(invalid="ignore"):  # a zero row gives 0/0
-        cos = np.vecdot(deltas, ref) / (delta_norms * ref_norm)
-    return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    cos = np.vecdot(deltas, ref) / (delta_norms * ref_norm)
+    np.minimum(cos, 1.0, out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    return np.degrees(np.arccos(cos, out=cos), out=cos)
 
 
 def run_experiment(config: RunConfig, problem: ProblemInstance) -> Trace:
@@ -554,20 +560,20 @@ def run_experiment(config: RunConfig, problem: ProblemInstance) -> Trace:
         cfg = dataclasses.replace(
             cfg, policy=cfg.policy.resolved(_auto_threshold(cfg, problem)))
 
-    noise_spec = None
+    # allocated first: a round count too large for it also overflows the noise
+    # calibration's floats
+    trace = Trace.allocate(cfg, problem)
     if cfg.privacy.enabled:
         c = cfg.policy.finite_threshold
         if c is None:
             raise ValueError("privacy requires a finite clipping threshold")
-        noise_spec = privacy.calibrate_noise(
+        trace.noise_spec = privacy.calibrate_noise(
             cfg.privacy, c, cfg.sampled_per_round, cfg.n_clients, cfg.rounds,
             dim=problem.dim)
 
-    trace = Trace.allocate(cfg, problem, noise_spec)
-    x, prev = cfg.x0, None
+    trace.x[0], prev = cfg.x0, None
     for t in range(cfg.rounds):
-        prev = run_round(x, t, cfg, problem, trace, prev)
-        x = trace.x[t + 1]
+        prev = run_round(trace.x[t], t, cfg, problem, trace, prev)
     return trace
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 import fedclip
 from fedclip import cli, engine
@@ -807,6 +807,17 @@ MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_clien
     ({"problem": {**LINREG_DATA, "b_list": [[1.0], [math.nan]]}},
      "problem.b_list must be finite, got nan"),
     ({"run": {"x0": [math.inf]}}, "run.x0 must be finite, got inf"),
+    # a trace too large to allocate exited 1 with numpy's MemoryError, or 2
+    # with "Maximum allowed dimension exceeded"; every count here is past the
+    # 128 TiB user address space, so the allocation fails at once
+    ({"run": {"rounds": 10**17}}, "run.rounds is too large"),
+    ({"run": {"rounds": 10**14}}, "run.rounds is too large"),
+    ({"run": {"rounds": 10**51}}, "run.rounds is too large"),
+    ({"run": {"rounds": 10**17}, "clipping": {"threshold": "auto"}},
+     "run.rounds is too large"),
+    # the noise calibration's floats overflowed first, with a traceback
+    ({"run": {"rounds": 10**400}, "privacy": {"enabled": True}},
+     "run.rounds is too large"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -1105,24 +1116,65 @@ def small_configs(draw):
     return {"problem": problem, "run": run, "clipping": clipping, "privacy": privacy}
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(small_configs())
-def test_generated_configs_exit_cleanly(cfg):
-    """Every run exits 0 with strict JSON and finite CSV artifacts, or exits
-    2 or 3 with exactly one JSON line on stderr; never a traceback, and no
-    numpy warning (outside pytest it would print on stderr too). A
-    local_steps: inf phase that runs the step loop runs it under a cap of
-    2,000 steps (an oscillating one would run 1e6); the closed-form branch
-    still decides under the full cap."""
+def _linear_closed_form_config(noise_mode):
+    """A two-client linear regression at local_steps: inf whose deterministic
+    (or sigma_l: 0 Gaussian) phases take the closed form: eta_l lambda_max
+    is about 0.26, well under 2."""
+    problem = {"kind": "linear_regression",
+               "A": [[[1.0, 0.5], [0.0, -0.5]], [[0.5, 0.0], [-2.0, 1.0]]],
+               "b_list": [[0.5, -2.0], [1.0, 0.0]]}
+    if noise_mode == "gaussian":
+        problem["sigma_l"] = 0.0
+    return {"problem": problem,
+            "run": {"rounds": 3, "local_steps": "inf", "sampled_per_round": 2,
+                    "eta_l": 0.05, "eta_g": 1.0, "x0": 1.5, "seed": 0,
+                    "noise_mode": noise_mode},
+            "clipping": {"mode": "difference", "threshold": 1.0},
+            "privacy": {"enabled": False}}
+
+
+@pytest.mark.parametrize("noise_mode", ["deterministic", "gaussian"])
+def test_linear_local_steps_inf_takes_the_closed_form(tmp_path, monkeypatch, noise_mode):
+    closed_form, stacks = engine._closed_form_phase, []
+
+    def spy(*args):
+        stacks.append(closed_form(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(engine, "_closed_form_phase", spy)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(_linear_closed_form_config(noise_mode)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(stacks) == 3 and all(X is not None for X in stacks)
+
+
+def _capped_step_loop(mp):
+    """Run every local_steps: inf phase that takes the step loop under a cap
+    of 2,000 steps (an oscillating one would run 1e6); the closed-form
+    branch still decides under the full cap."""
     loop = engine._exhaustive_phase
 
     def capped_loop(*args):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_LOCAL_MAX_STEPS", 2000)
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(engine, "_LOCAL_MAX_STEPS", 2000)
             return loop(*args)
 
+    mp.setattr(engine, "_exhaustive_phase", capped_loop)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(small_configs())
+@example(_linear_closed_form_config("deterministic"))
+@example(_linear_closed_form_config("gaussian"))
+def test_generated_configs_exit_cleanly(cfg):
+    """Every run exits 0 with strict JSON and finite CSV artifacts, or exits
+    2 or 3 with exactly one JSON line on stderr; never a traceback, and no
+    numpy warning (outside pytest it would print on stderr too). The step
+    loop of local_steps: inf phases is capped (``_capped_step_loop``). The
+    explicit examples are linear regressions whose phases take the closed
+    form, which the drawn ones do not reach."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_exhaustive_phase", capped_loop)
+        _capped_step_loop(mp)
         path = Path(tmp) / "config.yaml"
         path.write_text(yaml.safe_dump(cfg))
         out, err = Path(tmp) / "out", io.StringIO()
@@ -1143,3 +1195,71 @@ def test_generated_configs_exit_cleanly(cfg):
         else:
             assert code in (2, 3) and len(lines) == 1, err.getvalue()
             assert json.loads(lines[0])["error"] == {2: "config", 3: "divergence"}[code]
+
+
+def _golden_leaves(node, path=()):
+    """(path, value) of every scalar and every list in a loaded config."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _golden_leaves(value, path + (key,))
+        return
+    yield path, node
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _golden_leaves(value, path + (i,))
+
+
+_MUTANTS = ["fast", True, None, [1.0], {"a": 1.0}, 0, -1, 2.5, math.nan, math.inf,
+            -math.inf, 1e308, -1e308]
+
+
+@st.composite
+def golden_mutations(draw):
+    """A golden config's stem, the path of one of its leaves, and a new value:
+    a wrong type, or a number at or past a limit. A leaf that holds an int
+    (a count or a seed) gets no number larger than its golden value, so every
+    run stays as short as the golden one."""
+    config = draw(st.sampled_from(configs()))
+    leaves = list(_golden_leaves(yaml.safe_load(config.read_text())))
+    path, golden = draw(st.sampled_from([leaf for leaf in leaves if leaf[0]]))
+    values = _MUTANTS
+    if type(golden) is int:
+        values = [v for v in values if not (type(v) in (int, float) and v > golden)]
+    return config.stem, path, draw(st.sampled_from(values))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(golden_mutations())
+@example(("quad_dp_auto", ("run", "rounds"), 10**17))
+@example(("linreg_inf_replays", ("run", "eta_g"), 1e308))
+@example(("quad_dp_auto", ("clipping", "threshold"), 1e308))
+def test_mutated_golden_configs_exit_cleanly(capfd, mutation):
+    """A golden config with one leaf replaced exits 0, 2 or 3, prints nothing
+    on stdout, and prints nothing or exactly one JSON error line on stderr:
+    never a traceback or a numpy warning. The step loop of local_steps: inf
+    phases is capped (``_capped_step_loop``). The explicit examples failed
+    once: a trace too large to allocate, an iterate whose norm overflows, and
+    an infinite noise variance whose draws sum to NaN; the last two printed
+    numpy's warning before their JSON line."""
+    stem, path, value = mutation
+    cfg = yaml.safe_load((DIGESTS.parent / f"{stem}.yaml").read_text())
+    holder = cfg
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    capfd.readouterr()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        _capped_step_loop(mp)
+        config = Path(tmp) / "config.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    out, err = capfd.readouterr()
+    event(f"exit {code}")
+    assert out == ""
+    if code == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert code in (2, 3) and len(lines) == 1, err
+        assert json.loads(lines[0])["error"] == {2: "config", 3: "divergence"}[code]

@@ -5,14 +5,15 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedclip import engine, rng as rngmod
-from fedclip.clipping import ClippingPolicy, clip, norms
+from fedclip import engine, fixedpoint, rng as rngmod
+from fedclip.clipping import ClippingPolicy, apply_policy, clip, norms
 from fedclip.engine import (ALPHA_TILDE_EXACT, DivergenceError, Q_INF, RunConfig,
                             RoundRecord, Trace, alpha_tilde_method, local_phase,
                             local_update, record_to_json, render_record,
@@ -23,6 +24,7 @@ from fedclip.problems import (GradientOracle, LinearRegressionObjective,
                               build_linear_regression_ensemble,
                               build_mlp_synthetic_ensemble,
                               build_quadratic_ensemble)
+from record_golden import DIGESTS, version_mismatch
 
 NO_PRIVACY = PrivacyConfig(enabled=False)
 
@@ -596,6 +598,99 @@ def test_a_nan_angle_is_not_written_as_null():
     assert angles[0] is None and math.isnan(angles[1])
     with pytest.raises(ValueError, match="JSON compliant"):
         render_record(trace.record(1))
+
+
+def slot_by_slot_aggregate(problem, cfg, x, t, noise_spec=None):
+    """Round t's mean transmitted update, added slot by slot to a zero
+    vector, each slot's row plus its own ("noise", t, slot) draw under
+    privacy; and the round's sampled slots and transmitted rows."""
+    X, _ = local_phase(engine._oracle(cfg, problem, "grad", t), x, cfg.local_steps,
+                       cfg.eta_l, t)
+    transmitted, _ = apply_policy(cfg.policy, X, x)
+    if cfg.policy.mode == "model":
+        transmitted = transmitted - x
+    N, P = cfg.n_clients, cfg.sampled_per_round
+    sampled = (np.arange(N) if P == N else
+               sample_clients(N, P, rngmod.stream(cfg.seed, "sample", t)))
+    agg = np.zeros_like(x)
+    for slot, i in enumerate(sampled):
+        v = transmitted[i]
+        if noise_spec is not None:
+            v = v + draw_noise(noise_spec, rngmod.stream(cfg.seed, "noise", t, slot))
+        agg += v
+    agg /= P
+    return agg, sampled, transmitted
+
+
+@pytest.mark.parametrize("case", ["repeated-slots", "model-clipping",
+                                  "negative-zero-rows", "private"])
+def test_aggregate_equals_the_slot_by_slot_sum(case):
+    """``run_round``'s aggregate equals the slot-by-slot sum bit for bit, the
+    sign of every zero included: over slots that repeat a client, under
+    model clipping, on rows that are all -0.0 (a factor c / ||delta|| that
+    underflows to 0 times a negative update; the loop's sum is +0.0), and
+    with each slot's noise from its own stream."""
+    problem = build_quadratic_ensemble([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+    kw = dict(rounds=3, n_clients=6, sampled_per_round=5, local_steps=2, eta_l=0.1,
+              policy=ClippingPolicy(mode="difference", threshold=0.05), seed=2)
+    spec = None
+    if case == "model-clipping":
+        problem = linreg_problem((4, 4, 4, 4), 3, seed=1)
+        kw.update(n_clients=4, sampled_per_round=3, x0=np.zeros(3),
+                  policy=ClippingPolicy(mode="model", threshold=0.5))
+    elif case == "negative-zero-rows":
+        problem = build_quadratic_ensemble([-10.0, -20.0, -30.0])
+        kw.update(n_clients=3, sampled_per_round=3, eta_l=0.5,
+                  policy=ClippingPolicy(mode="difference", threshold=5e-324))
+    elif case == "private":
+        spec = NoiseSpec(sigma2=0.01, dim=1)
+    cfg = make_config(**kw)
+    trace = Trace.allocate(cfg, problem, spec)
+    x, repeats = np.zeros(problem.dim), 0
+    for t in range(cfg.rounds):
+        ref, sampled, transmitted = slot_by_slot_aggregate(problem, cfg, x, t, spec)
+        agg = run_round(x, t, cfg, problem, trace)
+        assert (agg == ref).all()
+        assert (np.signbit(agg) == np.signbit(ref)).all()
+        np.testing.assert_array_equal(trace.x[t + 1], x + cfg.eta_g * ref, strict=True)
+        repeats += len(set(sampled.tolist())) < len(sampled)
+        if case == "negative-zero-rows":
+            assert (transmitted == 0.0).all() and np.signbit(transmitted).all()
+            assert (ref == 0.0).all() and not np.signbit(ref).any()
+        x = trace.x[t + 1]
+    assert repeats > 0 or case == "negative-zero-rows"
+
+
+def test_a_noise_free_round_makes_few_python_calls():
+    """One noise-free round of the table1 grid's (Q = 1, c = 1) cell makes at
+    most 50 Python-level calls (``sys.setprofile`` "call" events; numpy's
+    Python wrappers count). numpy's wrappers change between versions, so the
+    count is checked only under the Python and numpy that the golden digests
+    were recorded with."""
+    reason = version_mismatch(json.loads(DIGESTS.read_text()))
+    if reason:
+        pytest.skip(f"call count pinned to the golden versions: {reason}")
+    cfg = RunConfig(rounds=2, local_steps=1, n_clients=3, sampled_per_round=3,
+                    eta_l=0.02, eta_g=1.0,
+                    policy=ClippingPolicy(mode="difference", threshold=0.02),
+                    privacy=NO_PRIVACY, seed=0, x0=np.array([1.0]))
+    problem = fixedpoint.eq7_ensemble()
+    trace = Trace.allocate(cfg, problem)
+    prev = run_round(cfg.x0, 0, cfg, problem, trace)
+    run_round(trace.x[1], 1, cfg, problem, trace, prev)  # warm
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run_round(trace.x[1], 1, cfg, problem, trace, prev)
+    finally:
+        sys.setprofile(None)
+    assert trace.referenced[1]  # the round computed its angles
+    assert len(calls) <= 50, calls
 
 
 @pytest.mark.parametrize("problem_kind, noise_mode", [
