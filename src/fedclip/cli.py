@@ -50,12 +50,12 @@ def load_yaml(stream):
     A plain scalar that matches ``_PLAIN_FLOAT`` becomes a ``float`` at
     once. Every other scalar goes through a throwaway ``ScalarNode``, yaml's
     resolver and its constructor, so YAML 1.1's rules and explicit tags
-    hold. Lists and mappings are filled as their events arrive, and an alias
-    returns its anchor's object. A document that yaml would build another
-    way or refuse is loaded again by yaml itself, so it gets yaml's result
-    or yaml's error: a merge key ``<<`` or a ``=``, an explicit tag on a
-    list or mapping, an undefined or repeated anchor, an unhashable key, a
-    scalar that yaml's constructor refuses, a second document.
+    hold. Lists and mappings are filled as their events arrive. A document
+    that yaml would build another way or refuse is loaded again by yaml
+    itself, so it gets yaml's result or yaml's error: an anchor or an alias,
+    a merge key ``<<`` or a ``=``, an explicit tag on a list or mapping, an
+    unhashable key, a scalar that yaml's constructor refuses, a second
+    document.
 
     yaml.load first composes the whole node tree, one ``ScalarNode`` and two
     ``Mark`` objects per number, and only then builds the config. Reading a
@@ -81,7 +81,6 @@ def _build(loader):
     """``load_yaml``'s pass over the events of ``loader``'s stream."""
     get_event = loader.get_event
     is_float = _PLAIN_FLOAT.match
-    anchors = {}
     get_event()  # StreamStartEvent
     if loader.check_event(StreamEndEvent):
         return None
@@ -104,21 +103,14 @@ def _build(loader):
             if event.tag is not None or (type(top) is dict and key is _NO_KEY):
                 raise _Fallback  # a tagged collection, or one as a key
             value = [] if kind is SequenceStartEvent else {}
-        elif kind is AliasEvent:
-            try:
-                value = anchors[event.anchor]
-            except KeyError:
-                raise _Fallback from None
         elif kind is DocumentEndEvent:
             break
-        else:  # the end of the innermost list or mapping
+        elif kind is not AliasEvent:  # the end of the innermost list or mapping
             stack.pop()
             top = stack[-1]
             continue
-        if kind is not AliasEvent and event.anchor is not None:
-            if event.anchor in anchors:
-                raise _Fallback
-            anchors[event.anchor] = value
+        if event.anchor is not None:  # an anchor, or an alias (it names one)
+            raise _Fallback
         if type(top) is list:
             top.append(value)
         elif key is _NO_KEY:
@@ -213,17 +205,15 @@ def _parse_count(v, name):
     return v
 
 
-def _parse_threshold(v):
-    if v is None:
-        return None
-    if v == AUTO:
-        return AUTO
+def _parse_threshold(v, name):
+    if v is None or v == AUTO:
+        return v
     if v in ("inf", ".inf"):
         return math.inf
-    return _parse_float(v, "clipping.threshold")
+    return _parse_float(v, name)
 
 
-def _parse_constant(v, name, positive):
+def _parse_constant(v, name, positive=False):
     """A problem constant: a finite number, not a bool, that is > 0 if
     ``positive`` and >= 0 otherwise."""
     try:
@@ -233,7 +223,7 @@ def _parse_constant(v, name, positive):
         ok = False
     if not ok:
         sign = ">" if positive else ">="
-        raise ConfigError(f"problem.{name} must be finite and {sign} 0, got {v!r}")
+        raise ConfigError(f"{name} must be finite and {sign} 0, got {v!r}")
     return x
 
 
@@ -277,19 +267,29 @@ class ExperimentConfig:
             sections[section] = dict(values)
         return cls(**sections)
 
+    def _given(self, section, *keys, **converters):
+        """Keyword arguments for a dataclass or builder whose own defaults
+        stand for the keys that config section ``section`` does not hold:
+        each of ``keys`` that it holds as it is, then each key of
+        ``converters`` that it holds as ``convert(value, "<section>.<key>")``."""
+        values = getattr(self, section)
+        return {**{k: values[k] for k in keys if k in values},
+                **{k: f(values[k], f"{section}.{k}") for k, f in converters.items()
+                   if k in values}}
+
     def build_problem(self):
         p = self.problem
         kind = p.get("kind")
         g_bound = p.get("g_bound")
         if g_bound is not None:  # absent: the builders estimate G
-            g_bound = _parse_constant(g_bound, "g_bound", positive=True)
-        sigma_l = _parse_constant(p.get("sigma_l", 0.0), "sigma_l", positive=False)
+            g_bound = _parse_constant(g_bound, "problem.g_bound", positive=True)
+        constants = dict(g_bound=g_bound, **self._given("problem", sigma_l=_parse_constant))
         if kind == "quadratic":
             b = _parse_floats(p["b"], "problem.b")
             if b.ndim != 1:
                 raise ConfigError("problem.b must be a list of numbers, one per "
                                   f"client, got {reprlib.repr(p['b'])}")
-            return build_quadratic_ensemble(b, g_bound=g_bound, sigma_l=sigma_l)
+            return build_quadratic_ensemble(b, **constants)
         if kind == "linear_regression":
             for key in ("A", "b_list"):
                 if not isinstance(p[key], list):
@@ -301,23 +301,22 @@ class ExperimentConfig:
                 raise ConfigError("problem.A must hold one matrix per client")
             if any(v.ndim > 1 for v in b):
                 raise ConfigError("problem.b_list must hold one vector per client")
-            return build_linear_regression_ensemble(A, b, g_bound=g_bound,
-                                                    sigma_l=sigma_l)
+            return build_linear_regression_ensemble(A, b, **constants)
         if kind == "mlp":
-            seed = p.get("seed", 0)
-            if not engine._integer(seed):
-                raise ConfigError(f"problem.seed must be an integer, got {seed!r}")
+            if "seed" in p and not engine._integer(p["seed"]):
+                raise ConfigError(f"problem.seed must be an integer, got {p['seed']!r}")
             return build_mlp_synthetic_ensemble(
                 hidden_width=_parse_count(p["hidden_width"], "problem.hidden_width"),
                 N=_parse_count(p["n_clients"], "problem.n_clients"),
                 samples_per_client=_parse_count(p["samples_per_client"],
                                                 "problem.samples_per_client"),
-                heterogeneity=_parse_float(p.get("heterogeneity", 0.0),
-                                           "problem.heterogeneity"),
-                seed=seed, n_classes=_parse_count(p.get("n_classes", 2), "problem.n_classes"),
-                input_dim=_parse_count(p.get("input_dim", 2), "problem.input_dim"),
-                g_bound=g_bound, sigma_l=sigma_l)
+                **self._given("problem", "seed", heterogeneity=_parse_float,
+                              n_classes=_parse_count, input_dim=_parse_count),
+                **constants)
         raise ConfigError(f"unknown problem kind {kind!r}")
+
+    def _run_seed(self):
+        return self.run.get("seed", 0)
 
     def build_run_config(self, problem, seed=None) -> engine.RunConfig:
         r = self.run
@@ -330,17 +329,10 @@ class ExperimentConfig:
             x0 = _parse_floats(x0, "run.x0")
         if x0.shape != (problem.dim,):
             raise ConfigError(f"x0 has dimension {x0.shape}, problem needs {problem.dim}")
-        c = self.clipping
-        policy = ClippingPolicy(mode=c.get("mode", "none"),
-                                threshold=_parse_threshold(c.get("threshold")),
-                                rho=_parse_float(c.get("rho", 0.5), "clipping.rho"))
-        pv = self.privacy
-        privacy_cfg = PrivacyConfig(
-            enabled=pv.get("enabled", False),
-            epsilon=_parse_float(pv.get("epsilon", 1.0), "privacy.epsilon"),
-            delta=_parse_float(pv.get("delta", 1e-5), "privacy.delta"),
-            u=_parse_float(pv.get("u", 1.0), "privacy.u"),
-            v=_parse_float(pv.get("v", 2.0), "privacy.v"))
+        policy = ClippingPolicy(**self._given("clipping", "mode", threshold=_parse_threshold,
+                                              rho=_parse_float))
+        privacy_cfg = PrivacyConfig(**self._given("privacy", "enabled", epsilon=_parse_float,
+                                                  delta=_parse_float, u=_parse_float, v=_parse_float))
         # counts and seeds go unconverted, so RunConfig refuses a non-integer
         return engine.RunConfig(
             rounds=r["rounds"], local_steps=q,
@@ -349,15 +341,13 @@ class ExperimentConfig:
             eta_l=_parse_float(r["eta_l"], "run.eta_l"),
             eta_g=_parse_float(r["eta_g"], "run.eta_g"),
             policy=policy, privacy=privacy_cfg,
-            seed=r.get("seed", 0) if seed is None else seed, x0=x0,
-            noise_mode=r.get("noise_mode", "deterministic"),
-            batch_size=r.get("batch_size"),
-            replay_count=r.get("replay_count", 32))
+            seed=self._run_seed() if seed is None else seed, x0=x0,
+            **self._given("run", "noise_mode", "batch_size", "replay_count"))
 
     def replicate_seeds(self):
         seeds = self.replicates.get("seeds")
         if seeds is None:
-            return [self.run.get("seed", 0)]
+            return [self._run_seed()]
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError("replicates.seeds must be a non-empty list")
         for seed in seeds:

@@ -94,6 +94,14 @@ def stepsize_regime(inputs: BoundInputs) -> dict:
     }
 
 
+def _square(x):
+    """``x ** 2``, or inf where that overflows: a float's ** raises instead."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def theorem1_bound(inputs: BoundInputs) -> dict:
     """Breakdown of the convergence bound on (1/T) sum_t abar^t ||grad f(x_t)||^2.
 
@@ -111,12 +119,12 @@ def theorem1_bound(inputs: BoundInputs) -> dict:
     L, G = inputs.L, inputs.G
     terms = {
         "initial_gap": 4.0 * inputs.f_gap / (eg * el * Q * T),
-        "drift": 12.5 * el ** 2 * L * Q * (inputs.sigma_l ** 2
-                                           + 6.0 * Q * inputs.sigma_g ** 2) * inputs.gamma1,
-        "sampling_variance": 6.0 * eg * el * L * inputs.sigma_l ** 2 * inputs.gamma2 / P,
+        "drift": 12.5 * _square(el) * L * Q * (
+            _square(inputs.sigma_l) + 6.0 * Q * _square(inputs.sigma_g)) * inputs.gamma1,
+        "sampling_variance": 6.0 * eg * el * L * _square(inputs.sigma_l) * inputs.gamma2 / P,
         "privacy_noise": 2.0 * eg * L * inputs.d * inputs.sigma2 / (el * P * Q),
-        "clipping_bias_abs": 4.0 * G ** 2 * inputs.bias_abs_avg,
-        "clipping_bias_sq": 6.0 * eg * el * L * Q * G ** 2 * inputs.bias_sq_sum / P,
+        "clipping_bias_abs": 4.0 * _square(G) * inputs.bias_abs_avg,
+        "clipping_bias_sq": 6.0 * eg * el * L * Q * _square(G) * inputs.bias_sq_sum / P,
     }
     regime = stepsize_regime(inputs)
     out = dict(terms)

@@ -50,13 +50,22 @@ def calibrate_noise(cfg: PrivacyConfig, c: float, P: int, N: int, T: int,
     """Noise variance sigma2 = v c^2 P T ln(1/delta) / (N^2 epsilon^2).
 
     Also checks the validity regime epsilon <= u (P/N)^2 T; the result is
-    flagged rather than rejected when the inequality fails.
+    flagged rather than rejected when the inequality fails. A sigma2 that
+    float64 cannot hold is refused: one that overflows, and one that
+    underflows to 0 although c > 0 (a run would then add no noise).
     """
     if c < 0:
         raise ValueError("clipping threshold must be nonnegative")
     if P <= 0 or N <= 0 or T <= 0:
         raise ValueError("P, N, T must be positive")
-    sigma2 = cfg.v * c * c * P * T * math.log(1.0 / cfg.delta) / (N * N * cfg.epsilon ** 2)
+    try:  # a float's ** raises OverflowError, and epsilon^2 may underflow to 0
+        sigma2 = cfg.v * c * c * P * T * math.log(1.0 / cfg.delta) / (N * N * cfg.epsilon ** 2)
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not (sigma2 < math.inf and (sigma2 > 0.0 or c == 0.0)):  # False for NaN
+        raise ValueError("noise variance overflows float64 or underflows to 0: "
+                         f"privacy.epsilon = {cfg.epsilon!r}, clipping.threshold = {c!r}, "
+                         f"privacy.delta = {cfg.delta!r}, privacy.v = {cfg.v!r}")
     q = P / N
     in_regime = cfg.epsilon <= cfg.u * q * q * T
     return NoiseSpec(sigma2=sigma2, dim=dim, in_regime=in_regime)

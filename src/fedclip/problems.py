@@ -621,7 +621,7 @@ def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
 
 
 def build_mlp_synthetic_ensemble(hidden_width, N, samples_per_client,
-                                 heterogeneity, seed, n_classes=2,
+                                 heterogeneity=0.0, seed=0, n_classes=2,
                                  input_dim=2, g_bound=None,
                                  sigma_l=0.0) -> ProblemInstance:
     """Synthetic federation of one-hidden-layer classifiers.

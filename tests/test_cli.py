@@ -818,6 +818,17 @@ MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_clien
     # the noise calibration's floats overflowed first, with a traceback
     ({"run": {"rounds": 10**400}, "privacy": {"enabled": True}},
      "run.rounds is too large"),
+    # a noise variance that float64 cannot hold: epsilon ** 2 overflowed or
+    # underflowed to 0, with a traceback; an infinite variance diverged at
+    # round 0 (exit 3); a variance that underflowed to 0 ran with no noise
+    ({"privacy": {"enabled": True, "epsilon": 1e308}},
+     "privacy.epsilon = 1e+308, clipping.threshold = 0.1,"),
+    ({"privacy": {"enabled": True, "epsilon": 1e-200}},
+     "privacy.epsilon = 1e-200, clipping.threshold = 0.1,"),
+    ({"privacy": {"enabled": True}, "clipping": {"threshold": 1e308}},
+     "privacy.epsilon = 1.0, clipping.threshold = 1e+308,"),
+    ({"privacy": {"enabled": True}, "clipping": {"threshold": 1e-170}},
+     "privacy.epsilon = 1.0, clipping.threshold = 1e-170,"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -829,6 +840,22 @@ def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     assert code == 2
     assert err["error"] == "config" and message in err["message"]
     assert not (tmp_path / "out").exists()  # refused before any run writes
+
+
+def test_gradient_bound_whose_square_overflows_writes_null_terms(tmp_path, capfd):
+    """``G ** 2`` overflows at g_bound: 1e308; it raised OverflowError (exit
+    1), and now the bound terms it enters, and the total, are null."""
+    cfg = yaml.safe_load((DIGESTS.parent / "linreg_inf_replays.yaml").read_text())
+    cfg["problem"]["g_bound"] = 1e308
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capfd.readouterr() == ("", "")
+    bound = json.loads((tmp_path / "out" / "bound.json").read_text())
+    assert bound["clipping_bias_abs"] is None and bound["clipping_bias_sq"] is None
+    assert bound["drift"] is None and bound["total"] is None
+    assert bound["null_reason"] == "not applicable for Q=inf; overflows float64"
+    assert bound["constant_methods"]["G"] == "declared"
 
 
 def test_infinite_matrix_entry_prints_nothing_on_stdout(tmp_path, capfd):
@@ -1234,6 +1261,11 @@ def golden_mutations(draw):
 @example(("quad_dp_auto", ("run", "rounds"), 10**17))
 @example(("linreg_inf_replays", ("run", "eta_g"), 1e308))
 @example(("quad_dp_auto", ("clipping", "threshold"), 1e308))
+# each of these three ended in a traceback: OverflowError and
+# ZeroDivisionError in the noise calibration, OverflowError in the bound
+@example(("quad_dp_auto", ("privacy", "epsilon"), 1e308))
+@example(("quad_dp_auto", ("privacy", "epsilon"), 1e-200))
+@example(("linreg_inf_replays", ("problem", "g_bound"), 1e308))
 def test_mutated_golden_configs_exit_cleanly(capfd, mutation):
     """A golden config with one leaf replaced exits 0, 2 or 3, prints nothing
     on stdout, and prints nothing or exactly one JSON error line on stderr:

@@ -209,6 +209,21 @@ def test_bound_terms_that_overflow_are_null():
     assert at_inf["null_reason"] == "not applicable for Q=inf; overflows float64"
 
 
+def test_bound_terms_whose_square_overflows_are_null():
+    # G ** 2 on a float raised OverflowError at G = 1e308; the terms without
+    # G keep their bits
+    inputs = BoundInputs(f_gap=1.0, L=1.0, sigma_l=0.5, sigma_g=0.5, G=1e308,
+                         d=1, eta_l=0.1, eta_g=1.0, Q=2, T=10, P=2,
+                         bias_abs_avg=0.25, bias_sq_sum=0.5)
+    out = theorem1_bound(inputs)
+    assert out["clipping_bias_abs"] is None and out["clipping_bias_sq"] is None
+    assert out["total"] is None and out["null_reason"] == "overflows float64"
+    finite = theorem1_bound(BoundInputs(**{**vars(inputs), "G": 1.0}))
+    for key in ("initial_gap", "drift", "sampling_variance", "privacy_noise"):
+        assert out[key] == finite[key] and math.isfinite(out[key])
+    json.dumps(out, allow_nan=False)
+
+
 def test_drift_lemma_holds_on_deterministic_runs():
     trace = run([-2.0, 0.0, 2.0], rounds=6, local_steps=4, eta_l=0.02)
     out = drift_check(trace)
