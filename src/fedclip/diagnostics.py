@@ -102,6 +102,13 @@ def _square(x):
         return math.inf
 
 
+def _quotient(num, den):
+    """``num / den``, or None where the stepsize product ``den`` has
+    underflowed: to 0, where a float's / raises, or at Q = inf to 0 * inf,
+    which is NaN."""
+    return num / den if den > 0 else None
+
+
 def theorem1_bound(inputs: BoundInputs) -> dict:
     """Breakdown of the convergence bound on (1/T) sum_t abar^t ||grad f(x_t)||^2.
 
@@ -110,7 +117,8 @@ def theorem1_bound(inputs: BoundInputs) -> dict:
     not-certified when the stepsize regime fails or oracle bound violations
     were recorded. At Q = Q_INF the terms that grow with Q, and the total,
     are None, and ``null_reason`` says why; so is a term (and the total)
-    that overflows float64, as with very large problem constants.
+    that overflows float64, as with very large problem constants, or that
+    divides by a stepsize product that underflows to 0.
     """
     if (inputs.eta_g <= 0 or inputs.eta_l <= 0 or inputs.Q <= 0 or inputs.T <= 0
             or inputs.P <= 0 or inputs.L <= 0 or inputs.sigma2 < 0):
@@ -118,28 +126,31 @@ def theorem1_bound(inputs: BoundInputs) -> dict:
     el, eg, Q, T, P = inputs.eta_l, inputs.eta_g, inputs.Q, inputs.T, inputs.P
     L, G = inputs.L, inputs.G
     terms = {
-        "initial_gap": 4.0 * inputs.f_gap / (eg * el * Q * T),
+        "initial_gap": _quotient(4.0 * inputs.f_gap, eg * el * Q * T),
         "drift": 12.5 * _square(el) * L * Q * (
             _square(inputs.sigma_l) + 6.0 * Q * _square(inputs.sigma_g)) * inputs.gamma1,
         "sampling_variance": 6.0 * eg * el * L * _square(inputs.sigma_l) * inputs.gamma2 / P,
-        "privacy_noise": 2.0 * eg * L * inputs.d * inputs.sigma2 / (el * P * Q),
+        "privacy_noise": _quotient(2.0 * eg * L * inputs.d * inputs.sigma2, el * P * Q),
         "clipping_bias_abs": 4.0 * _square(G) * inputs.bias_abs_avg,
         "clipping_bias_sq": 6.0 * eg * el * L * Q * _square(G) * inputs.bias_sq_sum / P,
     }
     regime = stepsize_regime(inputs)
     out = dict(terms)
+    reasons = []
     if Q == Q_INF:
         # drift and the second-order bias term grow with Q: inf or 0 * inf
-        out.update(drift=None, clipping_bias_sq=None, total=None,
-                   null_reason="not applicable for Q=inf")
-    else:
-        out["total"] = sum(terms.values())
+        out.update(drift=None, clipping_bias_sq=None)
+        reasons.append("not applicable for Q=inf")
+    if None in terms.values():
+        reasons.append("divides by a stepsize product that underflows to 0")
+    out["total"] = None if reasons else sum(terms.values())
     overflow = [k for k in (*terms, "total")
                 if out[k] is not None and not math.isfinite(out[k])]
     if overflow:
-        out.update(dict.fromkeys(overflow + ["total"]),
-                   null_reason="; ".join(filter(None, [out.get("null_reason"),
-                                                       "overflows float64"])))
+        out.update(dict.fromkeys(overflow + ["total"]))
+        reasons.append("overflows float64")
+    if reasons:
+        out["null_reason"] = "; ".join(reasons)
     out["regime"] = regime
     out["certified"] = inputs.certified and all(regime.values())
     return out

@@ -246,7 +246,11 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
 
     Returns the final iterates and the gradient sums, row i for client i.
     For finite Q each row is bit-identical to ``local_update`` of that
-    client with the same oracle stream. With Q = Q_INF, a deterministic
+    client with the same oracle stream: every step draws the gradients into
+    one (N, d) buffer (``StackedOracle.draw`` with ``out``), counts their
+    violations, adds them to the sums, and scales the buffer in place into
+    the step eta_l * G, so a step allocates no stack of its own. With
+    Q = Q_INF, a deterministic
     oracle on quadratic or equal-row linear-regression clients goes
     straight to each client's exact local minimizer when the step loop
     would converge there (``_closed_form_phase``); its gradient sums are
@@ -266,10 +270,13 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
         X = np.empty((oracle.problem.n_clients, len(x_start)))
         X[...] = x_start
         gsum = np.zeros(X.shape)
+        G = np.empty(X.shape)
         for _ in range(int(Q)):
-            G = oracle.sample(X)
-            X -= eta_l * G
+            oracle.draw(X, out=G)
+            oracle.count_violations(G)
             gsum += G
+            G *= eta_l  # the step, rounded as eta_l * G
+            X -= G
         _check_finite(X, round_index)
     return X, gsum
 
@@ -468,31 +475,28 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
     The aggregate is ``client_sum`` of the sampled slots' rows in slot order,
     each plus its own ("noise", t, slot) draw under privacy: bit for bit the
     sum that adds the slots one by one to a zero vector.
+
+    An array lives only while it is read: the sampled slots' rows are taken
+    before the expected-path passes run, which then hold neither the final
+    iterates nor the transmitted stack, and their gradient sums are freed
+    once alpha~ is formed (``_expected_path_factors``). The passes still run
+    before the aggregate and its divergence check.
     """
     oracle = _oracle(config, problem, "grad", t)
     X, _ = local_phase(oracle, x, config.local_steps, config.eta_l, t)
     deltas = X - x
     transmitted, alphas = clipping.apply_policy(config.policy, X, x)
-    alpha_tildes = alphas
-    if trace.alpha_tildes is not trace.alphas:  # alpha~ is not the realized factor
-        if alpha_tilde_method(config, problem) == ALPHA_TILDE_EXACT:
-            gsum = local_phase(StackedOracle(problem), x, config.local_steps,
-                               config.eta_l, t)[1]
-        else:
-            gsum = np.zeros_like(X)
-            for r in range(config.replay_count):
-                rep = _oracle(config, problem, "replay", t, r)
-                gsum += local_phase(rep, x, config.local_steps, config.eta_l, t)[1]
-            gsum /= config.replay_count
-        alpha_tildes = clipping.clip_factor(config.eta_l * gsum,
-                                            float(config.policy.threshold))
-
     N, P = config.n_clients, config.sampled_per_round
     sampled = (np.arange(N) if P == N else
                sample_clients(N, P, rngmod.stream(config.seed, "sample", t)))
     if config.policy.mode == "model":
         transmitted = transmitted - x
     rows = transmitted[sampled]
+    # the replays need neither stack: free them first
+    del X, transmitted
+    alpha_tildes = alphas
+    if trace.alpha_tildes is not trace.alphas:  # alpha~ is not the realized factor
+        alpha_tildes = _expected_path_factors(x, t, config, problem)
     noise_spec = trace.noise_spec
     if noise_spec is not None and noise_spec.sigma2 > 0:
         for slot in range(P):
@@ -525,6 +529,23 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
     trace.angles[t] = math.nan if angles is None else angles
     trace.violations[t] = oracle.violations
     return agg
+
+
+def _expected_path_factors(x, t, config, problem):
+    """Round t's alpha~, the clip factor of eta_l times each client's
+    expected gradient sum from ``x``, by ``alpha_tilde_method``: one
+    noise-free local phase, or the mean of R replays."""
+    if alpha_tilde_method(config, problem) == ALPHA_TILDE_EXACT:
+        gsum = local_phase(StackedOracle(problem), x, config.local_steps,
+                           config.eta_l, t)[1]
+    else:
+        gsum = np.zeros((problem.n_clients, len(x)))
+        for r in range(config.replay_count):
+            rep = _oracle(config, problem, "replay", t, r)
+            gsum += local_phase(rep, x, config.local_steps, config.eta_l, t)[1]
+        gsum /= config.replay_count
+    gsum *= config.eta_l  # rounded as eta_l * gsum
+    return clipping.clip_factor(gsum, float(config.policy.threshold))
 
 
 def _angles_degrees(deltas, delta_norms, ref):

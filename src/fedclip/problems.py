@@ -54,12 +54,14 @@ def sigmoid(z, out=None, work=None):
 # the full-batch shapes, whose m * h exceeds the budget, without leaving the
 # memory of the per-client pass: that pass itself peaks at about 6-7
 # activation-sized arrays, and a chunk keeps two (rows, m, h) buffers, reused
-# by every chunk, plus transients. Measured with tracemalloc on eight shapes
-# (m = 16 to 200, h = 8 to 64), two rows peak at 1.01-1.05x of the per-client
-# pass, or below it; three rows reach 1.44x at m = 50, h = 32 (1.36x at
-# m = 16). One transient is not avoidable: the broadcast ``Z1 += b1`` makes
-# numpy's ufunc buffer (up to 8,192 elements) allocate one more chunk-sized
-# array, so the budget gives only two rows at m = 16, h = 32.
+# by every chunk, plus transients. The broadcast bias add ``Z1 += b1`` makes
+# numpy allocate a ufunc buffer (up to 8,192 elements) as large as the array
+# it adds to, so the bias is added row by row: the buffer is one (m, h) row,
+# not a chunk. Measured with tracemalloc at h = 32 and N = 8, two rows then
+# peak at 0.87-0.96x of the per-client pass (m = 50, 200 and minibatches of
+# 16 and 30). A budget of 1,536, three rows at m = 16, was measured and not
+# taken (BENCH_22.json): it peaks at 1.18x, and on mlp-build-replay it won
+# only 7 of 10 run_s pairs while its peak_alloc_mb rose by 0.009 MB.
 _MLP_CHUNK_ELEMENTS = 1280
 
 
@@ -71,8 +73,10 @@ def mlp_grads(W, X, y, hidden, n_classes, idx=None, out=None):
     ``idx`` (N, m), on samples idx[i]. Rows run in chunks of at least two
     (see ``_MLP_CHUNK_ELEMENTS``), each one batched forward and backward pass
     on buffers allocated once per call; each row is what the pass would give
-    for that row alone. The gradients are written into ``out`` (N, d) if it
-    is given, else into a new array, which is returned.
+    for that row alone. The hidden bias is added one row of the chunk at a
+    time, so numpy's ufunc buffer for that broadcast add is one row's size,
+    not the chunk's. The gradients are written into ``out`` (N, d) if it is
+    given, else into a new array, which is returned.
     """
     N, d = W.shape
     n, din = X.shape[1:]
@@ -100,7 +104,8 @@ def mlp_grads(W, X, y, hidden, n_classes, idx=None, out=None):
         Wc = W[lo:hi]
         Z1 = np.matmul(Xc, Wc[:, :o1].reshape(r, h, din).transpose(0, 2, 1),
                        out=Z1_buf[:r])
-        Z1 += Wc[:, None, o1:o2]
+        for Z1_row, b1 in zip(Z1, Wc[:, o1:o2]):
+            Z1_row += b1
         H = softplus(Z1, out=H_buf[:r])
         W2 = Wc[:, o2:o3].reshape(r, C, h)
         logits = np.matmul(H, W2.transpose(0, 2, 1), out=logits_buf[:r])
@@ -534,7 +539,8 @@ def _probe_grid(center, radius, dim):
 
 def _probe_constants(problem, pts):
     """Max gradient norm and max client-vs-mean gradient gap over the points
-    ``pts``, one client-stack evaluation per point."""
+    ``pts`` (rows of an array, or any iterable of points), one client-stack
+    evaluation per point."""
     gmax = 0.0
     divmax = 0.0
     for x in pts:
@@ -662,7 +668,9 @@ def build_mlp_synthetic_ensemble(hidden_width, N, samples_per_client,
         num = norms(prob.client_grads(x1) - prob.client_grads(x2))
         L = max(L, float(num.max()) / np.linalg.norm(x1 - x2))
     L *= 1.5
-    gmax, divmax = _probe_constants(prob, est.normal(0.0, 1.0, size=(50, dim)))
+    # one point at a time: the stream gives the rows of one (50, dim) draw
+    gmax, divmax = _probe_constants(
+        prob, (est.normal(0.0, 1.0, size=dim) for _ in range(50)))
     methods = {"L": "sampled pair estimate (x1.5 margin)",
                "sigma_g": "sampled estimate",
                "G": "declared" if g_bound is not None else "sampled estimate"}

@@ -1266,6 +1266,9 @@ def golden_mutations(draw):
 @example(("quad_dp_auto", ("privacy", "epsilon"), 1e308))
 @example(("quad_dp_auto", ("privacy", "epsilon"), 1e-200))
 @example(("linreg_inf_replays", ("problem", "g_bound"), 1e308))
+# eta_g * eta_l underflows to 0, and the bound's initial gap divided by it
+# raised ZeroDivisionError (as with eta_l = eta_g = 1e-200)
+@example(("quad_dp_auto", ("run", "eta_g"), 5e-324))
 def test_mutated_golden_configs_exit_cleanly(capfd, mutation):
     """A golden config with one leaf replaced exits 0, 2 or 3, prints nothing
     on stdout, and prints nothing or exactly one JSON error line on stderr:

@@ -224,6 +224,29 @@ def test_bound_terms_whose_square_overflows_are_null():
     json.dumps(out, allow_nan=False)
 
 
+@pytest.mark.parametrize("f_gap", [1.0, 0.0])
+def test_bound_terms_over_a_stepsize_product_that_underflows_are_null(f_gap):
+    # eta_g * eta_l = 1e-400 underflows to 0.0: the initial gap over it
+    # raised ZeroDivisionError, as 1 / 0 and as 0 / 0; the other terms keep
+    # their values
+    inputs = BoundInputs(f_gap=f_gap, L=1.0, sigma_l=0.5, sigma_g=0.5, G=1.0,
+                         d=1, eta_l=1e-200, eta_g=1e-200, Q=3, T=6, P=9,
+                         bias_abs_avg=0.25, bias_sq_sum=0.5)
+    out = theorem1_bound(inputs)
+    assert out["initial_gap"] is None and out["total"] is None
+    assert out["null_reason"] == "divides by a stepsize product that underflows to 0"
+    for key in ("drift", "sampling_variance", "privacy_noise", "clipping_bias_abs",
+                "clipping_bias_sq"):
+        assert math.isfinite(out[key])
+    json.dumps(out, allow_nan=False)
+    # at Q = inf the product is 0 * inf, NaN
+    at_inf = theorem1_bound(BoundInputs(**{**vars(inputs), "Q": math.inf}))
+    assert at_inf["initial_gap"] is None and at_inf["total"] is None
+    assert at_inf["null_reason"] == ("not applicable for Q=inf; "
+                                     "divides by a stepsize product that underflows to 0")
+    json.dumps(at_inf, allow_nan=False)
+
+
 def test_drift_lemma_holds_on_deterministic_runs():
     trace = run([-2.0, 0.0, 2.0], rounds=6, local_steps=4, eta_l=0.02)
     out = drift_check(trace)

@@ -2,11 +2,12 @@
 Huberized surrogate."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from fedclip import rng as rngmod
+from fedclip import fixedpoint, rng as rngmod
 from fedclip.clipping import ClippingPolicy, clip
 from fedclip.engine import Q_INF, RunConfig, run_experiment
 from fedclip.fixedpoint import (FixedPointError, difference_clip_map,
@@ -182,6 +183,23 @@ def test_local_steps_inf_simulations_are_exact():
     grid = table1_grid()
     assert abs(grid[("inf", "inf")]["simulation"] - 13.0 / 9.0) < 1e-13
     assert abs(grid[("inf", "1")]["simulation"] - 2.0 / 3.0) < 1e-13
+
+
+def test_table1_grid_holds_no_earlier_cell_trace(monkeypatch):
+    """Each cell keeps only its simulation's final iterate: when a cell's
+    simulation starts, no earlier cell's trace is alive (the 80-round
+    cell's, for one, during the 700-round one)."""
+    traces = []
+
+    def run(config, problem):
+        assert all(ref() is None for ref in traces), len(traces)
+        trace = run_experiment(config, problem)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(fixedpoint, "run_experiment", run)
+    table1_grid()
+    assert len(traces) == 4 and traces[-1]() is None
 
 
 def test_eq7_ensemble_shape():

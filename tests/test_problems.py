@@ -279,6 +279,40 @@ def test_mlp_ensemble_shapes_and_heterogeneity_validation():
                                      heterogeneity=1.5, seed=0)
 
 
+def mlp_benchmark_federation():
+    """The mlp-build-replay benchmark workload's federation: h = 32, N = 8,
+    n = 50, C = 4."""
+    return build_mlp_synthetic_ensemble(hidden_width=32, N=8, samples_per_client=50,
+                                        heterogeneity=0.5, seed=1, n_classes=4)
+
+
+def test_mlp_build_peaks_below_twice_one_full_batch_gradient():
+    """At the benchmark's MLP shape the build's tracemalloc peak stays below
+    twice that of one full-batch ``client_grads`` call: the build holds the
+    client data, a gradient stack per L pair and the kernel's buffers. It
+    was 2.6 times while the 50 G / sigma_g probe points were drawn as one
+    (50, d) block and the kernel's bias add took a chunk-sized ufunc
+    buffer."""
+    prob = mlp_benchmark_federation()
+    x = rngmod.stream(1, "test-mlp-build-memory").normal(0.0, 1.0, size=prob.dim)
+    prob.client_grads(x)  # the first call's one-time allocations are not measured
+    one_call = traced_peak(lambda: prob.client_grads(x))
+    build = traced_peak(mlp_benchmark_federation)
+    assert build <= 2.0 * one_call, (build, one_call)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 226, 227, 1001])
+def test_successive_normal_draws_equal_one_block_draw(d):
+    """The MLP builder draws its 50 G / sigma_g probe points one at a time;
+    they are the rows of one (50, d) draw from the same stream, which then
+    stands where the one-at-a-time draws leave theirs."""
+    rows, block = rngmod.stream(1, "mlp-constants"), rngmod.stream(1, "mlp-constants")
+    drawn = np.stack([rows.normal(0.0, 1.0, size=d) for _ in range(50)])
+    expected = block.normal(0.0, 1.0, size=(50, d))
+    assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+    assert rows.normal() == block.normal()
+
+
 def test_rng_streams_are_reproducible_and_distinct():
     a = rngmod.stream(1, "grad", 0, 0).normal(size=4)
     b = rngmod.stream(1, "grad", 0, 0).normal(size=4)
