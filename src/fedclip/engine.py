@@ -476,14 +476,15 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
     each plus its own ("noise", t, slot) draw under privacy: bit for bit the
     sum that adds the slots one by one to a zero vector.
 
-    An array lives only while it is read: the sampled slots' rows are taken
-    before the expected-path passes run, which then hold neither the final
-    iterates nor the transmitted stack, and their gradient sums are freed
-    once alpha~ is formed (``_expected_path_factors``). The passes still run
+    An array lives only while it is read: the realized gradient sums are
+    dropped as the local phase returns, and the sampled slots' rows are
+    taken before the expected-path passes run, which then hold neither the
+    final iterates nor the transmitted stack; their own gradient sums are
+    freed once alpha~ is formed (``_expected_path_factors``). The passes still run
     before the aggregate and its divergence check.
     """
     oracle = _oracle(config, problem, "grad", t)
-    X, _ = local_phase(oracle, x, config.local_steps, config.eta_l, t)
+    X = local_phase(oracle, x, config.local_steps, config.eta_l, t)[0]
     deltas = X - x
     transmitted, alphas = clipping.apply_policy(config.policy, X, x)
     N, P = config.n_clients, config.sampled_per_round
