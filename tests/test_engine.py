@@ -983,7 +983,8 @@ def test_mlp_replay_run_peaks_below_twice_one_full_batch_gradient():
     Q = 2, four sampled slots), peaks below twice one full-batch
     ``client_grads`` call (tracemalloc). It was 2.1 times while each local
     step allocated a gradient stack and a step stack, and the round's final
-    iterates and transmitted stack stayed alive through the replays."""
+    iterates, gradient sums and transmitted stack stayed alive through the
+    replays; it is 1.55 times now."""
     problem = build_mlp_synthetic_ensemble(hidden_width=32, N=8, samples_per_client=50,
                                            heterogeneity=0.5, seed=1, n_classes=4)
     x0 = rngmod.stream(1, "mlp-run-memory").normal(0.0, 0.5, size=problem.dim)

@@ -292,7 +292,7 @@ def test_mlp_build_peaks_below_twice_one_full_batch_gradient():
     client data, a gradient stack per L pair and the kernel's buffers. It
     was 2.6 times while the 50 G / sigma_g probe points were drawn as one
     (50, d) block and the kernel's bias add took a chunk-sized ufunc
-    buffer."""
+    buffer; it is 1.8 times now."""
     prob = mlp_benchmark_federation()
     x = rngmod.stream(1, "test-mlp-build-memory").normal(0.0, 1.0, size=prob.dim)
     prob.client_grads(x)  # the first call's one-time allocations are not measured
