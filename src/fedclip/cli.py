@@ -278,6 +278,12 @@ class ExperimentConfig:
                    if k in values}}
 
     def build_problem(self):
+        """The federation the problem section describes. Each inline data list
+        of the section (``b``; each client's entry of ``A`` and ``b_list``) is
+        replaced, once its checks pass, by the float array ``_parse_floats``
+        makes of it, one client at a time: from then on the config holds
+        float64 arrays, not lists of Python floats, and a second call builds
+        the same problem from them, bit for bit."""
         p = self.problem
         kind = p.get("kind")
         g_bound = p.get("g_bound")
@@ -289,14 +295,18 @@ class ExperimentConfig:
             if b.ndim != 1:
                 raise ConfigError("problem.b must be a list of numbers, one per "
                                   f"client, got {reprlib.repr(p['b'])}")
+            p["b"] = b
             return build_quadratic_ensemble(b, **constants)
         if kind == "linear_regression":
             for key in ("A", "b_list"):
                 if not isinstance(p[key], list):
                     raise ConfigError(f"problem.{key} must be a list, one entry per "
                                       f"client, got {reprlib.repr(p[key])}")
-            A = [_parse_floats(a, "problem.A") for a in p["A"]]
-            b = [np.atleast_1d(_parse_floats(v, "problem.b_list")) for v in p["b_list"]]
+            A, b = p["A"], p["b_list"]
+            for i in range(len(A)):  # each client's lists are freed at once
+                A[i] = _parse_floats(A[i], "problem.A")
+            for i in range(len(b)):
+                b[i] = _parse_floats(b[i], "problem.b_list")
             if any(a.ndim > 2 for a in A):
                 raise ConfigError("problem.A must hold one matrix per client")
             if any(v.ndim > 1 for v in b):
@@ -319,6 +329,9 @@ class ExperimentConfig:
         return self.run.get("seed", 0)
 
     def build_run_config(self, problem, seed=None) -> engine.RunConfig:
+        """The run section as an ``engine.RunConfig`` for ``problem``; a
+        list-valued ``x0`` is replaced in the config by its float array, as
+        ``build_problem`` replaces the data lists."""
         r = self.run
         q = r["local_steps"]
         q = engine.Q_INF if q in ("inf", ".inf") else q
@@ -326,7 +339,7 @@ class ExperimentConfig:
         if np.isscalar(x0):
             x0 = np.full(problem.dim, _parse_float(x0, "run.x0"))
         else:
-            x0 = _parse_floats(x0, "run.x0")
+            x0 = r["x0"] = _parse_floats(x0, "run.x0")
         if x0.shape != (problem.dim,):
             raise ConfigError(f"x0 has dimension {x0.shape}, problem needs {problem.dim}")
         policy = ClippingPolicy(**self._given("clipping", "mode", threshold=_parse_threshold,
@@ -463,6 +476,7 @@ def cmd_run(config_path, out=None, seed_override=None) -> int:
             raise ConfigError(str(exc)) from exc
         dest = outdir if len(seeds) == 1 else outdir / f"rep_{run_cfg.seed}"
         summaries.append(write_artifacts(trace, dest))
+        del trace  # not alive through the next seed's run
     if len(seeds) > 1:
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "summary.csv", "w", newline="") as fh:

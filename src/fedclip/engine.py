@@ -477,36 +477,42 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
     sum that adds the slots one by one to a zero vector.
 
     An array lives only while it is read: the realized gradient sums are
-    dropped as the local phase returns, and the sampled slots' rows are
-    taken before the expected-path passes run, which then hold neither the
-    final iterates nor the transmitted stack; their own gradient sums are
-    freed once alpha~ is formed (``_expected_path_factors``). The passes still run
-    before the aggregate and its divergence check.
+    dropped as the local phase returns, and the sampled slots' rows, the
+    update norms and the updates' dot products with ``prev_update`` are
+    formed before the expected-path passes run, which then hold none of the
+    final iterates, the transmitted stack and the update stack; their own
+    gradient sums are freed once alpha~ is formed (``_expected_path_factors``).
+    The passes still run before the aggregate and its divergence check.
     """
     oracle = _oracle(config, problem, "grad", t)
     X = local_phase(oracle, x, config.local_steps, config.eta_l, t)[0]
-    deltas = X - x
-    transmitted, alphas = clipping.apply_policy(config.policy, X, x)
     N, P = config.n_clients, config.sampled_per_round
-    sampled = (np.arange(N) if P == N else
-               sample_clients(N, P, rngmod.stream(config.seed, "sample", t)))
-    if config.policy.mode == "model":
-        transmitted = transmitted - x
-    rows = transmitted[sampled]
-    # the replays need neither stack: free them first
-    del X, transmitted
-    alpha_tildes = alphas
-    if trace.alpha_tildes is not trace.alphas:  # alpha~ is not the realized factor
-        alpha_tildes = _expected_path_factors(x, t, config, problem)
-    noise_spec = trace.noise_spec
-    if noise_spec is not None and noise_spec.sigma2 > 0:
-        for slot in range(P):
-            rows[slot] += privacy.draw_noise(noise_spec,
-                                             rngmod.stream(config.seed, "noise", t, slot))
-    # an overflow or a NaN is a DivergenceError, not a numpy warning: in the
-    # iterate, or in the loss or gradient of large data at a finite iterate;
-    # and a zero update gives a 0/0 angle
+    # an overflow or a NaN is a DivergenceError, not a numpy warning: in an
+    # update norm from an x0 that no check has bounded, in the iterate, or in
+    # the loss or gradient of large data at a finite iterate; and a zero
+    # update gives a 0/0 angle
     with np.errstate(over="ignore", invalid="ignore"):
+        transmitted, alphas = clipping.apply_policy(config.policy, X, x)
+        # unclipped, the transmitted stack is the update stack X - x itself
+        deltas = transmitted if config.policy.mode == "none" else X - x
+        sampled = (np.arange(N) if P == N else
+                   sample_clients(N, P, rngmod.stream(config.seed, "sample", t)))
+        if config.policy.mode == "model":
+            transmitted = transmitted - x
+        rows = transmitted[sampled]
+        # the replays read no stack: keep what the trace needs of them, and
+        # free them first
+        delta_norms = clipping.norms(deltas)
+        dots = None if prev_update is None else np.vecdot(deltas, prev_update)
+        del X, transmitted, deltas
+        alpha_tildes = alphas
+        if trace.alpha_tildes is not trace.alphas:  # alpha~ is not the realized factor
+            alpha_tildes = _expected_path_factors(x, t, config, problem)
+        noise_spec = trace.noise_spec
+        if noise_spec is not None and noise_spec.sigma2 > 0:
+            for slot in range(P):
+                rows[slot] += privacy.draw_noise(noise_spec,
+                                                 rngmod.stream(config.seed, "noise", t, slot))
         # + 0.0 turns a sum of -0.0 rows into the zero vector's +0.0
         agg = client_sum(rows) + 0.0
         agg /= P
@@ -521,11 +527,11 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
         trace.sampled[t] = sampled
         trace.loss[t], trace.global_grad_norm[t] = loss, grad_norm
         trace.alpha_bar[t] = np.add.reduce(alpha_tildes) / N
-        delta_norms = trace.delta_norms[t] = clipping.norms(deltas)
+        trace.delta_norms[t] = delta_norms
         trace.alphas[t] = alphas
         if alpha_tildes is not alphas:
             trace.alpha_tildes[t] = alpha_tildes
-        angles = _angles_degrees(deltas, delta_norms, prev_update)
+        angles = _angles_degrees(dots, delta_norms, prev_update)
     trace.referenced[t] = angles is not None
     trace.angles[t] = math.nan if angles is None else angles
     trace.violations[t] = oracle.violations
@@ -549,16 +555,17 @@ def _expected_path_factors(x, t, config, problem):
     return clipping.clip_factor(gsum, float(config.policy.threshold))
 
 
-def _angles_degrees(deltas, delta_norms, ref):
-    """Angle in degrees between each row of ``deltas`` and ``ref``, NaN on a
-    zero row (0/0, a warning the caller silences); None when there is no
-    reference (``ref`` None or zero)."""
+def _angles_degrees(dots, delta_norms, ref):
+    """Angle in degrees between each update and ``ref``, from the updates'
+    dot products with ``ref`` and their norms; NaN on a zero update (0/0, a
+    warning the caller silences); None when there is no reference (``ref``
+    None or zero)."""
     if ref is None:
         return None
     ref_norm = clipping.norms(ref)
     if ref_norm == 0.0:
         return None
-    cos = np.vecdot(deltas, ref) / (delta_norms * ref_norm)
+    cos = dots / (delta_norms * ref_norm)
     np.minimum(cos, 1.0, out=cos)
     np.maximum(cos, -1.0, out=cos)
     return np.degrees(np.arccos(cos, out=cos), out=cos)

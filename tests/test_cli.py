@@ -1,6 +1,7 @@
 """End-to-end tests for the config loader, runner, and artifact writers."""
 
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -660,6 +662,103 @@ def test_loading_inline_floats_peaks_below_100_bytes_per_number(tmp_path):
         tracemalloc.stop()
     assert cfg.problem["b"] == values
     assert peak / len(values) < 100
+
+
+def test_building_inline_data_holds_float64_not_python_floats(tmp_path):
+    """Loading and building a linear regression of 66,000 inline numbers
+    (N = 20, n = 300, d = 10) peaks below 50 B per number and then holds
+    below 20 B: the config's data lists become the clients' float64 arrays,
+    one client at a time. Holding the lists through the build peaked at
+    60 B per number and kept 50 B."""
+    g = np.random.default_rng(3)
+    data = {"kind": "linear_regression", "A": g.normal(size=(20, 300, 10)).tolist(),
+            "b_list": g.normal(size=(20, 300)).tolist()}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"problem": data, "run": BASE_CONFIG["run"]}))
+    numbers = 20 * 300 * 11
+    load_config(path).build_problem()  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        cfg = load_config(path)
+        problem = cfg.build_problem()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problem.n_clients == 20
+    assert peak / numbers < 50, peak / numbers
+    assert held / numbers < 20, held / numbers
+
+
+def _same_bits(a, b):
+    """``_same``, with arrays of the same dtype and shape compared byte for
+    byte, and tuples and dataclasses (every field) compared entry by entry."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if dataclasses.is_dataclass(a):
+        return all(_same_bits(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return _same(a, b)
+
+
+def test_build_leaves_float64_arrays_in_the_config_and_builds_again_the_same():
+    """After ``build_problem`` and ``build_run_config`` every inline data
+    entry of the config (``b``, each client's ``A`` and ``b_list``, a list
+    ``x0``) is a float64 array, and building again from the arrays gives
+    the same problem and run config, bit for bit: data stacks, constants
+    and all. mlp_replays has no data lists."""
+    for stem in ("linreg_unequal_minibatch", "quad_dp_auto", "mlp_replays"):
+        cfg = load_config(DIGESTS.parent / f"{stem}.yaml")
+        problem = cfg.build_problem()
+        run_cfg = cfg.build_run_config(problem)
+        p = cfg.problem
+        data = ([p["b"]] if "b" in p else []) + p.get("A", []) + p.get("b_list", [])
+        if not np.isscalar(cfg.run.get("x0", 0.0)):
+            data.append(cfg.run["x0"])
+        assert len(data) == {"linreg_unequal_minibatch": 7, "quad_dp_auto": 1,
+                             "mlp_replays": 0}[stem]
+        for v in data:
+            assert type(v) is np.ndarray and v.dtype == np.float64, (stem, v)
+        again = cfg.build_problem()
+        assert _same_bits(again, problem), stem
+        assert _same_bits(cfg.build_run_config(again), run_cfg), stem
+
+
+def test_replicates_hold_one_trace_at_a_time(tmp_path, monkeypatch):
+    """``cmd_run`` drops each seed's trace once its artifacts are written:
+    no earlier seed's trace is alive when the next seed's run starts."""
+    traces = []
+    run_experiment = engine.run_experiment
+
+    def run(config, problem):
+        assert all(ref() is None for ref in traces), len(traces)
+        trace = run_experiment(config, problem)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(engine, "run_experiment", run)
+    path = write_config(tmp_path, {"replicates": {"seeds": [1, 2, 3]}})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(traces) == 3 and traces[-1]() is None
+
+
+@pytest.mark.parametrize("mode", ["none", "difference"])
+def test_an_update_norm_that_overflows_prints_no_warning(tmp_path, capfd, mode):
+    """From x0 = 1e200 one step of eta_l = 1 lands on b: the iterate passes
+    its divergence check, but the update's squared norm overflows. The run
+    ends in one divergence line, with no numpy warning ahead of it (with
+    difference clipping the clip factor's norm printed one)."""
+    path = write_config(tmp_path, {
+        "run": {"x0": 1e200, "eta_l": 1.0, "local_steps": 1},
+        "clipping": {"mode": mode, "threshold": 0.5 if mode != "none" else None}})
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "divergence", err
 
 
 FLOAT64 = st.one_of(
