@@ -280,10 +280,11 @@ class ExperimentConfig:
     def build_problem(self):
         """The federation the problem section describes. Each inline data list
         of the section (``b``; each client's entry of ``A`` and ``b_list``) is
-        replaced, once its checks pass, by the float array ``_parse_floats``
-        makes of it, one client at a time: from then on the config holds
-        float64 arrays, not lists of Python floats, and a second call builds
-        the same problem from them, bit for bit."""
+        replaced by the float array ``_parse_floats`` makes of it, one client
+        at a time, and a message that quotes a list still quotes it as
+        loaded. From then on the config holds float64 arrays, not lists of
+        Python floats, and a second call builds the same problem from them,
+        bit for bit."""
         p = self.problem
         kind = p.get("kind")
         g_bound = p.get("g_bound")

@@ -747,10 +747,11 @@ def test_replicates_hold_one_trace_at_a_time(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["none", "difference"])
 def test_an_update_norm_that_overflows_prints_no_warning(tmp_path, capfd, mode):
-    """From x0 = 1e200 one step of eta_l = 1 lands on b: the iterate passes
-    its divergence check, but the update's squared norm overflows. The run
-    ends in one divergence line, with no numpy warning ahead of it (with
-    difference clipping the clip factor's norm printed one)."""
+    """From x0 = 1e200 one step of eta_l = 1 lands on b: the local phase's
+    final iterate passes its divergence check, but the update's squared norm
+    overflows. The run ends in one divergence line, with no numpy warning
+    ahead of it (with difference clipping the clip factor's norm printed
+    one)."""
     path = write_config(tmp_path, {
         "run": {"x0": 1e200, "eta_l": 1.0, "local_steps": 1},
         "clipping": {"mode": mode, "threshold": 0.5 if mode != "none" else None}})
