@@ -90,8 +90,7 @@ class RunConfig:
     noise_mode: str = "deterministic"
     batch_size: int | None = None
     # local-phase replays averaged for the expected-path factor alpha~; used
-    # only where alpha~ has no exact form: the MLP, and Q_INF with a
-    # stochastic oracle (see alpha_tilde_method)
+    # only where alpha~ has no exact form: the MLP (see alpha_tilde_method)
     replay_count: int = 32
 
     def __post_init__(self):
@@ -387,16 +386,8 @@ def _exhaustive_phase(oracle, x_start, eta_l, round_index):
         kept = step_index[:k] <= last
         _check_finite(Xh[1:k + 1][kept], round_index)  # step-major order
         oracle.count_violations(Gh[1:k + 1], kept)
-        # the gradient sums, added in step order. accumulate runs one inner
-        # loop per entry of a step; blocks of 8 or more steps hold at most
-        # 256 entries a step. There it beats the row adds on table1-grid;
-        # on the one-step blocks of big stacks it is about 30% slower
-        # (BENCH_11.json)
-        if k >= 8:
-            np.add.accumulate(Gh[:k + 1], axis=0, out=Gh[:k + 1])
-        else:
-            for j in range(k):
-                g_rows[j + 1] += g_rows[j]
+        for j in range(k):  # the gradient sums, added in step order
+            g_rows[j + 1] += g_rows[j]
         Xh[0], Gh[0] = Xh[last, rows], Gh[last, rows]
         active &= still
         done += k
@@ -448,16 +439,17 @@ def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
       nothing (the expectation is the realized sum; see ``_oracle_mode``) or
       the policy is not difference clipping;
     - ``ALPHA_TILDE_EXACT``: one noise-free local phase, when every client's
-      gradient is affine and Q is finite, since then the expected path is the
-      noise-free path (``ProblemInstance.affine_grads``);
-    - "mean of R replays": otherwise (the MLP, or Q_INF, whose stopping step
-      depends on the draws), the mean gradient sum of R local phases
-      replayed on the ("replay", t, i, r) streams.
+      gradient is affine (``ProblemInstance.affine_grads``). At finite Q the
+      expected path is the noise-free path. At Q_INF every phase that
+      converges ends at the same point, x_i^* = x + A_i^+ (b_i - A_i x), where
+      the noise-free phase ends too, and eta_l * E[gradient sum] = x - x_i^*;
+    - "mean of R replays": otherwise (the MLP), the mean gradient sum of R
+      local phases replayed on the ("replay", t, i, r) streams.
     """
     if (config.policy.mode != "difference"
             or _oracle_mode(config, problem) == "deterministic"):
         return ALPHA_TILDE_REALIZED
-    if config.local_steps != Q_INF and problem.affine_grads:
+    if problem.affine_grads:
         return ALPHA_TILDE_EXACT
     return f"mean of {config.replay_count} replays"
 
@@ -676,10 +668,3 @@ def render_record(record: RoundRecord) -> tuple[str, str]:
     scatter = "\r\n".join(["magnitude,angle_degrees",
                             *map(",".join, zip(texts[id(record.delta_norms)], angles)), ""])
     return "{" + ",".join(parts) + "}", scatter
-
-
-def record_to_json(record: RoundRecord) -> str:
-    """The record's ``rounds.jsonl`` line, without its newline: strict JSON,
-    keys in field order, no spaces, every float its shortest repr (see
-    ``render_record``)."""
-    return render_record(record)[0]

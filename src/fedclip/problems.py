@@ -320,7 +320,10 @@ class ProblemInstance:
         """Whether every client's gradient is affine in x. Then a stochastic
         oracle's expected local path is the noise-free one: Gaussian noise has
         zero mean, and a minibatch, drawn independently of the iterate, gives
-        an unbiased gradient, so E[grad(x_q)] = grad(E[x_q]) at every step."""
+        an unbiased gradient, so E[grad(x_q)] = grad(E[x_q]) at every step.
+        At local_steps: inf the expected endpoint is x_i^* = x + A_i^+ (b_i -
+        A_i x), the noise-free endpoint: every step moves in A_i's row space,
+        and a phase that converges stops where the full gradient is zero."""
         return all(getattr(c, "affine_grad", False) for c in self.clients)
 
     def grad_stack(self, X, indices=None, out=None):

@@ -13,8 +13,7 @@ from fedclip.clipping import ClippingPolicy, clip
 from fedclip.diagnostics import (bound_inputs_from_trace, clip_bias_terms,
                                  initial_gap, measured_stationarity,
                                  theorem1_bound, update_distribution)
-from fedclip.engine import (Q_INF, RunConfig, record_to_json, run_experiment,
-                            sample_clients)
+from fedclip.engine import Q_INF, RunConfig, run_experiment, sample_clients
 from fedclip.fixedpoint import (difference_clip_map, huberized_loss,
                                 make_model_clip_map, solve_fixed_point,
                                 table1_grid)
@@ -23,6 +22,7 @@ from fedclip.privacy import (NoiseSpec, PrivacyConfig, calibrate_noise,
 from fedclip.problems import (build_linear_regression_ensemble,
                               build_mlp_synthetic_ensemble,
                               build_quadratic_ensemble)
+from helpers import record_to_json
 
 NO_PRIVACY = PrivacyConfig(enabled=False)
 

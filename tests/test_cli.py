@@ -442,10 +442,10 @@ def test_gaussian_noise_with_local_steps_inf_exits_2(tmp_path, capsys, monkeypat
     assert err["error"] == "config" and "sigma_l" in err["message"]
 
 
-def test_gaussian_noise_level_reaches_the_oracle(tmp_path, monkeypatch):
-    # problem.sigma_l is the gaussian oracle's noise; at 0 the oracle draws
-    # nothing, so it builds no "grad" streams and follows the deterministic
-    # trajectory
+@pytest.fixture
+def stream_tags(monkeypatch):
+    """The first key part (the tag) of every stream the engine builds, in
+    order."""
     tags = []
     stream = fedclip.rng.stream
 
@@ -454,7 +454,13 @@ def test_gaussian_noise_level_reaches_the_oracle(tmp_path, monkeypatch):
         return stream(seed, *key)
 
     monkeypatch.setattr("fedclip.engine.rngmod.stream", counted)
+    return tags
 
+
+def test_gaussian_noise_level_reaches_the_oracle(tmp_path, stream_tags):
+    # problem.sigma_l is the gaussian oracle's noise; at 0 the oracle draws
+    # nothing, so it builds no "grad" streams and follows the deterministic
+    # trajectory
     def rounds(name, sigma_l, noise_mode):
         path = write_config(tmp_path, {"problem": {"sigma_l": sigma_l},
                                        "run": {"noise_mode": noise_mode}},
@@ -465,26 +471,17 @@ def test_gaussian_noise_level_reaches_the_oracle(tmp_path, monkeypatch):
 
     deterministic = rounds("det", 0.0, "deterministic")
     quiet = rounds("quiet", 0.0, "gaussian")
-    assert "grad" not in tags
+    assert "grad" not in stream_tags
     assert quiet == deterministic
     noisy = rounds("noisy", 0.5, "gaussian")
-    assert tags.count("grad") == 4 * 3  # one stream per round and client
+    assert stream_tags.count("grad") == 4 * 3  # one stream per round and client
     assert noisy != deterministic
 
 
-def test_noiseless_gaussian_oracle_runs_no_replays(tmp_path, monkeypatch):
+def test_noiseless_gaussian_oracle_runs_no_replays(tmp_path, stream_tags):
     # at sigma_l = 0 the gaussian oracle draws nothing, so alpha~ is the
     # realized factor: a local_steps: inf run with difference clipping builds
     # no "replay" streams and writes the deterministic run's artifacts
-    tags = []
-    stream = fedclip.rng.stream
-
-    def counted(seed, *key):
-        tags.append(key[0])
-        return stream(seed, *key)
-
-    monkeypatch.setattr("fedclip.engine.rngmod.stream", counted)
-
     def artifacts(noise_mode):
         path = write_config(tmp_path, {"run": {"noise_mode": noise_mode,
                                                "local_steps": "inf", "eta_l": 0.2}},
@@ -495,7 +492,22 @@ def test_noiseless_gaussian_oracle_runs_no_replays(tmp_path, monkeypatch):
                 for p in sorted(out.rglob("*")) if p.is_file()}
 
     assert artifacts("gaussian") == artifacts("deterministic")
-    assert "replay" not in tags
+    assert "replay" not in stream_tags
+
+
+def test_minibatch_affine_q_inf_run_runs_no_replays(tmp_path, stream_tags):
+    # alpha~ of affine clients is exact at local_steps: inf too: the realized
+    # phases draw minibatches on their "grad" streams, and no "replay" stream
+    # is built
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["problem"] = FIT_PROBLEM
+    cfg["run"].update({"sampled_per_round": 2, "noise_mode": "minibatch",
+                       "batch_size": 2, "local_steps": "inf"})
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert stream_tags.count("grad") == 4 * 2  # one stream per round and client
+    assert "replay" not in stream_tags
 
 
 def test_threads_option_is_gone(tmp_path, capsys):
@@ -1078,7 +1090,7 @@ FIT_PROBLEM = {**LINREG_PROBLEM, "b_list": [[1.0, 0.0, 1.0], [0.0, 1.0, 0.5]]}
     (LINREG_PROBLEM, {"noise_mode": "minibatch", "batch_size": 2},
      "exact expected path (affine gradients)"),
     (FIT_PROBLEM, {"noise_mode": "minibatch", "batch_size": 2, "local_steps": "inf",
-                   "replay_count": 2}, "mean of 2 replays"),
+                   "replay_count": 2}, "exact expected path (affine gradients)"),
     ({"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_client": 6,
       "seed": 3}, {"noise_mode": "minibatch", "batch_size": 2, "replay_count": 3,
                    "x0": 0.1}, "mean of 3 replays"),

@@ -13,17 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedclip import engine, fixedpoint, rng as rngmod
-from fedclip.clipping import ClippingPolicy, apply_policy, clip, norms
+from fedclip.cli import load_config
+from fedclip.clipping import ClippingPolicy, apply_policy, clip, clip_factor, norms
 from fedclip.engine import (ALPHA_TILDE_EXACT, DivergenceError, Q_INF, RunConfig,
                             RoundRecord, Trace, alpha_tilde_method, local_phase,
-                            local_update, record_to_json, render_record,
-                            run_experiment, run_round, sample_clients)
+                            local_update, render_record, run_experiment,
+                            run_round, sample_clients)
 from fedclip.privacy import NoiseSpec, PrivacyConfig, draw_noise
 from fedclip.problems import (GradientOracle, LinearRegressionObjective,
                               ScalarQuadratic, StackedOracle,
                               build_linear_regression_ensemble,
                               build_mlp_synthetic_ensemble,
                               build_quadratic_ensemble)
+from helpers import record_to_json
 from record_golden import DIGESTS, version_mismatch
 
 NO_PRIVACY = PrivacyConfig(enabled=False)
@@ -367,10 +369,10 @@ def reference_round(problem, cfg, x, t, noise_spec=None):
 
     The expected-path factor alpha~ clips eta_l times the gradient sum of a
     noise-free local phase when every client is a quadratic or a linear
-    regression and Q is finite, and the mean gradient sum of the replays
+    regression, at every Q, and the mean gradient sum of the replays
     otherwise."""
     c = float(cfg.policy.threshold)
-    exact = cfg.local_steps != Q_INF and all(
+    exact = all(
         isinstance(obj, (ScalarQuadratic, LinearRegressionObjective))
         for obj in problem.clients)
 
@@ -433,7 +435,10 @@ def linreg_problem(rows, d, seed, consistent=False, g_bound=None, sigma_l=0.0):
 def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
                                                     local_steps, consistent, P):
     """Every field of a batched round equals the client-by-client reference
-    bit for bit, including oracle-violation counts and replayed factors."""
+    bit for bit, including oracle-violation counts and the noise-free
+    factors alpha~. At Q_INF the engine's noise-free pass on equal rows takes
+    the closed form where the reference runs each client's step loop, so
+    alpha~ agrees there to 1e-12."""
     problem = linreg_problem(rows, d, seed=len(rows), consistent=consistent,
                              g_bound=2.0, sigma_l=0.7)
     eta_l = 0.3 / problem.L if local_steps == Q_INF else 0.02
@@ -454,7 +459,11 @@ def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
         np.testing.assert_array_equal(x_next, ref_x)
         assert record.delta_norms == norms
         assert record.alphas == alphas
-        assert record.alpha_tildes == alpha_tildes
+        if local_steps == Q_INF:
+            np.testing.assert_allclose(record.alpha_tildes, alpha_tildes,
+                                       rtol=0, atol=1e-12)
+        else:
+            assert record.alpha_tildes == alpha_tildes
         assert violations == ref_violations > 0
 
 
@@ -485,6 +494,71 @@ def test_mlp_round_replays_match_per_client_reference():
         assert max(alpha_tildes) < 1.0
         assert violations == ref_violations
         x = x_next
+
+
+def replay_mean_factors(config, problem, x, t, replays):
+    """alpha~ of round t from ``x`` as the mean gradient sum of ``replays``
+    local phases on the ("replay", t, i, r) streams."""
+    gsum = np.zeros((problem.n_clients, problem.dim))
+    for r in range(replays):
+        rep = engine._oracle(config, problem, "replay", t, r)
+        gsum += local_phase(rep, x, config.local_steps, config.eta_l, t)[1]
+    return clip_factor(config.eta_l * gsum / replays, float(config.policy.threshold))
+
+
+def golden_inf_replays_run():
+    cfg = load_config(DIGESTS.parent / "linreg_inf_replays.yaml")
+    problem = cfg.build_problem()
+    return cfg.build_run_config(problem), problem
+
+
+def unequal_rows_exact_fit_run():
+    problem = linreg_problem((3, 4, 5), 2, seed=11, consistent=True)
+    return make_config(
+        rounds=3, n_clients=3, sampled_per_round=3, local_steps=Q_INF, eta_l=0.15,
+        policy=ClippingPolicy(mode="difference", threshold=0.3), seed=7,
+        x0=np.array([2.0, -1.5]), noise_mode="minibatch", batch_size=2), problem
+
+
+@pytest.mark.parametrize("run, replays", [(golden_inf_replays_run, 32),
+                                          (unequal_rows_exact_fit_run, 16)],
+                         ids=["golden-linreg-inf-replays", "unequal-rows"])
+def test_exact_q_inf_alpha_tilde_matches_the_replay_mean(run, replays):
+    """At local_steps: inf the exact alpha~ of affine clients, from one
+    noise-free phase (the closed form on equal rows, the step loop on
+    unequal ones), agrees with the mean of stochastic replayed phases, which
+    all end at each client's minimizer nearest x."""
+    config, problem = run()
+    assert alpha_tilde_method(config, problem) == ALPHA_TILDE_EXACT
+    trace = run_experiment(config, problem)
+    assert trace.alpha_tildes.min() < 1.0
+    for t in range(config.rounds):
+        np.testing.assert_allclose(
+            trace.alpha_tildes[t],
+            replay_mean_factors(config, problem, trace.x[t], t, replays),
+            rtol=0, atol=1e-10)
+
+
+def test_a_spurious_stop_gets_the_exact_alpha_tilde():
+    """A minibatch step can be zero away from the minimizer: client 0 draws
+    its zero-residual row 0 first and stops where it started, so its
+    realized factor is 1. Its alpha~ is still c / max(c, ||x - x_0^*||),
+    with x_0^* = b_0 = (1, 9)."""
+    x, c = np.array([1.0, -1.0]), 0.5
+    A = np.eye(2)
+    problem = build_linear_regression_ensemble(
+        [A, A], [np.array([1.0, 9.0]), np.array([3.0, 2.0])])
+    seed = next(s for s in range(100)
+                if rngmod.stream(s, "grad", 0, 0).integers(0, 2, size=1)[0] == 0)
+    cfg = make_config(rounds=1, n_clients=2, sampled_per_round=2, local_steps=Q_INF,
+                      eta_l=0.25, policy=ClippingPolicy(mode="difference", threshold=c),
+                      seed=seed, x0=x, noise_mode="minibatch", batch_size=1)
+    trace = run_experiment(cfg, problem)
+    assert trace.delta_norms[0, 0] == 0.0 and trace.alphas[0, 0] == 1.0
+    minimizers = np.array([[1.0, 9.0], [3.0, 2.0]])
+    np.testing.assert_allclose(trace.alpha_tildes[0],
+                               c / np.maximum(c, norms(x - minimizers)),
+                               rtol=1e-12, atol=0)
 
 
 def chained_rounds(trace):
@@ -525,13 +599,12 @@ def mlp_replays_run():
         replay_count=2), problem
 
 
-def q_inf_replays_run():
+def q_inf_exact_run():
     problem = linreg_problem((8, 8, 8), 3, seed=3, consistent=True)
     return make_config(
         rounds=2, n_clients=3, sampled_per_round=3, local_steps=Q_INF,
         eta_l=0.3 / problem.L, policy=ClippingPolicy(mode="difference", threshold=0.05),
-        seed=5, x0=np.zeros(3), noise_mode="minibatch", batch_size=3,
-        replay_count=2), problem
+        seed=5, x0=np.zeros(3), noise_mode="minibatch", batch_size=3), problem
 
 
 def q_inf_deterministic_run():
@@ -547,10 +620,10 @@ def q_inf_deterministic_run():
     (quadratic_auto_dp_run, engine.ALPHA_TILDE_REALIZED),
     (linreg_minibatch_run, ALPHA_TILDE_EXACT),
     (mlp_replays_run, "mean of 2 replays"),
-    (q_inf_replays_run, "mean of 2 replays"),
+    (q_inf_exact_run, ALPHA_TILDE_EXACT),
     (q_inf_deterministic_run, engine.ALPHA_TILDE_REALIZED),
 ], ids=["quadratic-auto-dp", "linreg-minibatch-exact", "mlp-replays",
-        "q-inf-replays", "q-inf-deterministic"])
+        "q-inf-exact", "q-inf-deterministic"])
 def test_hand_chained_trace_equals_run_experiment_trace(run, method):
     """A trace filled by chaining ``run_round`` by hand equals
     ``run_experiment``'s, column for column, and so do its records."""
