@@ -13,13 +13,14 @@ import math
 import re
 import reprlib
 import sys
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 from yaml import (AliasEvent, DocumentEndEvent, MappingStartEvent, ScalarEvent,
-                  SequenceStartEvent, StreamEndEvent)
+                  SequenceEndEvent, SequenceStartEvent, StreamEndEvent)
 
 from . import diagnostics, engine, fixedpoint, privacy
 from .clipping import AUTO, ClippingPolicy
@@ -47,24 +48,33 @@ def load_yaml(stream):
     from one pass over the parser's events (libyaml's parser when PyYAML has
     it), with no node tree.
 
-    A plain scalar that matches ``_PLAIN_FLOAT`` becomes a ``float`` at
-    once. Every other scalar goes through a throwaway ``ScalarNode``, yaml's
+    The one difference is in lists of numbers. A plain scalar that matches
+    ``_PLAIN_FLOAT`` is read as ``float()`` reads it, bit for bit (-0.0
+    included). A non-empty list whose entries are all such scalars comes
+    back as a float64 array of those numbers, and a non-empty list of
+    float64 arrays of one shape as their stack, so a config's data arrives
+    as C doubles, never as Python floats. A list that gets any other entry
+    (an int, a bool, a null, a string, a tagged or resolved scalar, an empty
+    list or any other list, a mapping) or arrays of two shapes is the list
+    yaml builds, with each entry as it would load alone: a plain float as a
+    ``float``, a list of them as an array. An empty list is a list.
+
+    Every other scalar goes through a throwaway ``ScalarNode``, yaml's
     resolver and its constructor, so YAML 1.1's rules and explicit tags
     hold. Lists and mappings are filled as their events arrive. A document
     that yaml would build another way or refuse is loaded again by yaml
-    itself, so it gets yaml's result or yaml's error: an anchor or an alias,
-    a merge key ``<<`` or a ``=``, an explicit tag on a list or mapping, an
-    unhashable key, a scalar that yaml's constructor refuses, a second
-    document.
+    itself, so it gets yaml's result or yaml's error, with lists for lists:
+    an anchor or an alias, a merge key ``<<`` or a ``=``, an explicit tag on
+    a list or mapping, an unhashable key, a scalar that yaml's constructor
+    refuses, a second document.
 
     yaml.load first composes the whole node tree, one ``ScalarNode`` and two
     ``Mark`` objects per number, and only then builds the config. Reading a
     210,000-float config from its file, yaml.load with the plain-float fast
-    path this builder replaces peaked at 502 B per number under tracemalloc,
-    and this builder at 43 B; the 6,617-line linear-regression config of the
-    benchmark peaked at 3.33 MB against 0.30 MB, and its load took 13.7 ms
-    instead of 19.4 ms of CPU time (minimum of 40 interleaved repetitions;
-    medians 17.9 and 28.7 ms; 2-core x86-64 VM)."""
+    path peaked at 502 B per number under tracemalloc, this builder with
+    Python floats at 43 B, and with C doubles at 8.2 B. The linear-regression
+    config of the benchmark (6,600 numbers) peaks at 80 KB, against 0.30 MB
+    with Python floats and 3.33 MB with yaml.load."""
     loader = _SafeLoader(stream)
     try:
         return _build(loader)
@@ -75,6 +85,19 @@ def load_yaml(stream):
     if hasattr(stream, "seek"):
         stream.seek(0)
     return yaml.load(stream, Loader=_SafeLoader)
+
+
+class _Run:
+    """An open list that loads as a float64 array so far: its entries are
+    plain floats, or arrays of one shape, and its numbers are ``buf[start:]``
+    of ``_build``'s buffer of C doubles."""
+
+    __slots__ = ("start", "count", "shape")
+
+    def __init__(self, start):
+        self.start = start
+        self.count = 0  # the entries that are arrays
+        self.shape = None  # their shape, once one is closed
 
 
 def _build(loader):
@@ -88,45 +111,116 @@ def _build(loader):
     document = []  # receives the root
     stack = [document]  # the open collections, innermost last
     top = document
-    key = _NO_KEY  # the key of top's next value, when top is a mapping
+    key = _NO_KEY  # the key of the next value of the innermost mapping
+    # the numbers of the open runs, which are the innermost open lists; a run
+    # is put into its list or mapping when it closes, under the waiting key
+    buf = array("d")
+    floats = None  # buf.append while top is a run that takes floats
     while True:
         event = get_event()
         kind = type(event)
-        opens = kind is SequenceStartEvent or kind is MappingStartEvent
         if kind is ScalarEvent:
+            if event.anchor is not None:
+                raise _Fallback
             value = event.value
             if event.tag is None and event.implicit[0] and is_float(value):
+                if floats is not None:
+                    floats(float(value))
+                    continue
                 value = float(value)
             else:
                 value = _construct_scalar(loader, event)
-        elif opens:
-            if event.tag is not None or (type(top) is dict and key is _NO_KEY):
-                raise _Fallback  # a tagged collection, or one as a key
-            value = [] if kind is SequenceStartEvent else {}
+        elif kind is SequenceStartEvent or kind is MappingStartEvent:
+            if (event.tag is not None or event.anchor is not None
+                    or (type(top) is dict and key is _NO_KEY)):
+                raise _Fallback  # a tagged or anchored collection, or a key
+            if kind is SequenceStartEvent:
+                if type(top) is _Run and top.shape is None and len(buf) > top.start:
+                    top, key, buf = _spill(stack, buf, key)  # a list after floats
+                top = _Run(len(buf))
+                stack.append(top)
+                floats = buf.append
+                continue
+            value = {}
+        elif kind is SequenceEndEvent and type(top) is _Run:
+            run = stack.pop()
+            top = stack[-1]
+            floats = None
+            size = len(buf) - run.start
+            shape = (size,) if run.shape is None else (run.count, *run.shape)
+            if type(top) is _Run:
+                if size and top.shape in (None, shape):
+                    top.shape = shape
+                    top.count += 1
+                    continue
+                # an empty list, or an array of another shape than its siblings
+                value = np.frombuffer(buf, offset=8 * run.start).reshape(shape) if size else []
+                top, key, buf = _spill(stack, buf, key)
+            elif size:
+                value = np.frombuffer(buf).reshape(shape)
+                buf = array("d")  # the array holds the old one
+            else:
+                value = []
         elif kind is DocumentEndEvent:
             break
-        elif kind is not AliasEvent:  # the end of the innermost list or mapping
+        elif kind is AliasEvent:
+            raise _Fallback
+        else:  # the end of the innermost list or mapping
             stack.pop()
             top = stack[-1]
             continue
-        if event.anchor is not None:  # an anchor, or an alias (it names one)
-            raise _Fallback
+        if type(top) is _Run:  # an entry that a float64 array cannot hold
+            top, key, buf = _spill(stack, buf, key)
+            floats = None
         if type(top) is list:
             top.append(value)
         elif key is _NO_KEY:
             key = value
         else:
-            try:
-                top[key] = value
-            except TypeError:  # an unhashable key
-                raise _Fallback from None
-            key = _NO_KEY
-        if opens:
+            key = _put(top, key, value)
+        if kind is MappingStartEvent:
             stack.append(value)
             top = value
     if not loader.check_event(StreamEndEvent):
         raise _Fallback  # a second document
     return document[0]
+
+
+def _put(mapping, key, value):
+    """Set ``mapping[key]``; return ``_NO_KEY``, the key that waits now."""
+    try:
+        mapping[key] = value
+    except TypeError:  # an unhashable key
+        raise _Fallback from None
+    return _NO_KEY
+
+
+def _spill(stack, buf, key):
+    """Turn the open runs at the top of ``stack`` into the lists yaml builds,
+    with each entry as it would load on its own: a float as a ``float``, an
+    array as a view of ``buf``. Each list goes into the list or mapping
+    below it, under ``key`` for the outermost. Return the new top, the key
+    that waits now and a new buffer for the runs to come."""
+    first = len(stack)
+    while type(stack[first - 1]) is _Run:
+        first -= 1
+    flat = np.frombuffer(buf)
+    for i in range(first, len(stack)):
+        run = stack[i]
+        if run.shape is None:  # floats, or nothing before the list above it
+            end = stack[i + 1].start if i + 1 < len(stack) else len(buf)
+            entries = buf[run.start:end].tolist()
+        else:
+            size = math.prod(run.shape)
+            entries = [flat[j:j + size].reshape(run.shape)
+                       for j in range(run.start, run.start + run.count * size, size)]
+        stack[i] = entries
+        parent = stack[i - 1]
+        if type(parent) is list:
+            parent.append(entries)
+        else:
+            key = _put(parent, key, entries)
+    return stack[-1], key, array("d")
 
 
 def _construct_scalar(loader, event):
@@ -172,22 +266,47 @@ def _parse_float(v, name):
 _NOT_NUMBERS = frozenset({bool, type(None)})
 
 
+def _as_lists(v):
+    """``v`` with each float64 array in it as the nested list of floats that
+    ``yaml.load`` builds where ``load_yaml`` builds the array."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, list):
+        return [_as_lists(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _as_lists(x) for k, x in v.items()}
+    return v
+
+
+def _quote(v):
+    """``v`` as a message quotes it: shortened, with arrays as lists."""
+    return reprlib.repr(_as_lists(v))
+
+
 def _parse_floats(v, name):
-    """``_parse_float`` for a number or a nested list of numbers, as a float
-    array of finite entries: a bool, a null, a NaN or an infinity anywhere in
-    it is refused, and so is any other entry that is not a number, and a list
-    whose siblings are not all lists of its length."""
-    obj = np.asarray(v, dtype=object)
+    """``_parse_float`` for a number, a nested list of numbers or a float64
+    array, as a float array of finite entries. An array is taken as it is.
+    In a list, a bool, a null or any other entry that is not a number is
+    refused, and so is a list whose siblings are not all lists of its
+    length; and a NaN or an infinity is refused anywhere."""
+    if isinstance(v, np.ndarray):
+        values = v
+    else:
+        values = _object_floats(np.asarray(_as_lists(v), dtype=object), name)
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    raise ConfigError(f"{name} must be finite, got {float(values[~finite][0])!r}")
+
+
+def _object_floats(obj, name):
+    """The float array of the object array ``obj`` of numbers; for any other
+    ``obj``, a ConfigError that names the first entry at fault."""
     if _NOT_NUMBERS.isdisjoint(map(type, obj.flat)):
         try:
-            values = obj.astype(float)
+            return obj.astype(float)
         except (TypeError, ValueError, OverflowError):
             pass
-        else:
-            finite = np.isfinite(values)
-            if finite.all():
-                return values
-            raise ConfigError(f"{name} must be finite, got {float(values[~finite][0])!r}")
     for x in obj.flat:  # name the entry at fault
         if isinstance(x, list):
             raise ConfigError(f"{name} is ragged: the entries of each list must be "
@@ -248,9 +367,15 @@ class ExperimentConfig:
         "output": ("directory",),
         "replicates": ("seeds",),
     }
+    # the inline data keys: the sections keep load_yaml's float64 arrays there
+    DATA = {"problem": ("b", "A", "b_list"), "run": ("x0",)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config of the mapping ``raw``, as ``load_yaml`` builds it. The
+        float64 arrays it holds outside the ``DATA`` keys become lists, so
+        every other key is converted, checked and quoted as ``yaml.load``
+        would build it."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
         _check_keys(raw, cls.SECTIONS, "config")
@@ -262,9 +387,11 @@ class ExperimentConfig:
             values = raw.get(section, {})
             if not isinstance(values, dict):
                 raise ConfigError(f"section {section} must be a mapping, "
-                                  f"got {reprlib.repr(values)}")
+                                  f"got {_quote(values)}")
             _check_keys(values, keys, section)
-            sections[section] = dict(values)
+            data = cls.DATA.get(section, ())
+            sections[section] = {k: v if k in data else _as_lists(v)
+                                 for k, v in values.items()}
         return cls(**sections)
 
     def _given(self, section, *keys, **converters):
@@ -278,13 +405,16 @@ class ExperimentConfig:
                    if k in values}}
 
     def build_problem(self):
-        """The federation the problem section describes. Each inline data list
-        of the section (``b``; each client's entry of ``A`` and ``b_list``) is
-        replaced by the float array ``_parse_floats`` makes of it, one client
-        at a time, and a message that quotes a list still quotes it as
-        loaded. From then on the config holds float64 arrays, not lists of
-        Python floats, and a second call builds the same problem from them,
-        bit for bit."""
+        """The federation the problem section describes. Its inline data
+        (``b``; each client's entry of ``A`` and ``b_list``) may be lists or
+        the float64 arrays ``load_yaml`` makes of lists of plain floats; an
+        ``A`` or ``b_list`` that loaded as one stacked array is split into its
+        clients' arrays. Each entry is replaced by the float array
+        ``_parse_floats`` makes of it, one client at a time, so an array is
+        kept as it is and a list is freed at once. A message that quotes
+        data quotes it as a list. From then on the config holds float64
+        arrays, and a second call builds the same problem from them, bit for
+        bit."""
         p = self.problem
         kind = p.get("kind")
         g_bound = p.get("g_bound")
@@ -295,16 +425,18 @@ class ExperimentConfig:
             b = _parse_floats(p["b"], "problem.b")
             if b.ndim != 1:
                 raise ConfigError("problem.b must be a list of numbers, one per "
-                                  f"client, got {reprlib.repr(p['b'])}")
+                                  f"client, got {_quote(p['b'])}")
             p["b"] = b
             return build_quadratic_ensemble(b, **constants)
         if kind == "linear_regression":
             for key in ("A", "b_list"):
+                if isinstance(p[key], np.ndarray):  # its clients' equal-shape arrays
+                    p[key] = list(p[key])
                 if not isinstance(p[key], list):
                     raise ConfigError(f"problem.{key} must be a list, one entry per "
-                                      f"client, got {reprlib.repr(p[key])}")
+                                      f"client, got {_quote(p[key])}")
             A, b = p["A"], p["b_list"]
-            for i in range(len(A)):  # each client's lists are freed at once
+            for i in range(len(A)):
                 A[i] = _parse_floats(A[i], "problem.A")
             for i in range(len(b)):
                 b[i] = _parse_floats(b[i], "problem.b_list")
@@ -330,9 +462,9 @@ class ExperimentConfig:
         return self.run.get("seed", 0)
 
     def build_run_config(self, problem, seed=None) -> engine.RunConfig:
-        """The run section as an ``engine.RunConfig`` for ``problem``; a
-        list-valued ``x0`` is replaced in the config by its float array, as
-        ``build_problem`` replaces the data lists."""
+        """The run section as an ``engine.RunConfig`` for ``problem``; an
+        ``x0`` that is a list or an array is replaced in the config by its
+        float array, as ``build_problem`` replaces the data lists."""
         r = self.run
         q = r["local_steps"]
         q = engine.Q_INF if q in ("inf", ".inf") else q

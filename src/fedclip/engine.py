@@ -438,11 +438,16 @@ def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
     - ``ALPHA_TILDE_REALIZED``: the realized factor, when the oracle draws
       nothing (the expectation is the realized sum; see ``_oracle_mode``) or
       the policy is not difference clipping;
-    - ``ALPHA_TILDE_EXACT``: one noise-free local phase, when every client's
-      gradient is affine (``ProblemInstance.affine_grads``). At finite Q the
-      expected path is the noise-free path. At Q_INF every phase that
-      converges ends at the same point, x_i^* = x + A_i^+ (b_i - A_i x), where
-      the noise-free phase ends too, and eta_l * E[gradient sum] = x - x_i^*;
+    - ``ALPHA_TILDE_EXACT``: when every client's gradient is affine
+      (``ProblemInstance.affine_grads``). At finite Q the expected path is
+      the noise-free path, and one noise-free local phase runs it. At Q_INF
+      every phase that converges ends at the same point, x_i^* = x + A_i^+
+      (b_i - A_i x), and eta_l * E[gradient sum] = x - x_i^*. For quadratics
+      and equal row counts x_i^* comes from
+      ``ProblemInstance.local_minimizers``, so no phase runs: the
+      noise-free step loop may diverge where the realized phases converge.
+      Unequal row counts run the noise-free phase, which ends at x_i^* where
+      it converges;
     - "mean of R replays": otherwise (the MLP), the mean gradient sum of R
       local phases replayed on the ("replay", t, i, r) streams.
     """
@@ -532,9 +537,13 @@ def run_round(x, t, config: RunConfig, problem: ProblemInstance, trace: Trace,
 
 def _expected_path_factors(x, t, config, problem):
     """Round t's alpha~, the clip factor of eta_l times each client's
-    expected gradient sum from ``x``, by ``alpha_tilde_method``: one
-    noise-free local phase, or the mean of R replays."""
+    expected gradient sum from ``x``, by ``alpha_tilde_method``: x - x_i^*,
+    one noise-free local phase, or the mean of R replays."""
+    threshold = float(config.policy.threshold)
     if alpha_tilde_method(config, problem) == ALPHA_TILDE_EXACT:
+        solved = problem.local_minimizers(x) if config.local_steps == Q_INF else None
+        if solved is not None:
+            return clipping.clip_factor(x - solved[0], threshold)
         gsum = local_phase(StackedOracle(problem), x, config.local_steps,
                            config.eta_l, t)[1]
     else:
@@ -544,7 +553,7 @@ def _expected_path_factors(x, t, config, problem):
             gsum += local_phase(rep, x, config.local_steps, config.eta_l, t)[1]
         gsum /= config.replay_count
     gsum *= config.eta_l  # rounded as eta_l * gsum
-    return clipping.clip_factor(gsum, float(config.policy.threshold))
+    return clipping.clip_factor(gsum, threshold)
 
 
 def _angles_degrees(dots, delta_norms, ref):
