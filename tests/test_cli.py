@@ -1,5 +1,6 @@
 """End-to-end tests for the config loader, runner, and artifact writers."""
 
+import copy
 import csv
 import dataclasses
 import gc
@@ -713,6 +714,8 @@ def test_loader_builds_a_float64_array_of_plain_floats(text, shape):
     ("x: [1.5, [2.5]]\n", (float, np.ndarray)),
     ("x: [[1.5], 2.5]\n", (np.ndarray, float)),
     ("x: [[1.5], [2.5, 3.5]]\n", (np.ndarray, np.ndarray)),  # unequal shapes
+    ("x: [[1.5], [2.5], [3.5, 4.5]]\n", (np.ndarray, np.ndarray, np.ndarray)),
+    ("x: [[[1.5]], [[2.5]], 3.5]\n", (np.ndarray, np.ndarray, float)),
     ("x: [[1.5], [true], [2.5]]\n", (np.ndarray, list, np.ndarray)),
     # an anchor or an alias: yaml.load builds the document
     ("x: &a [1.5, 2.5]\n", (float, float)),
@@ -884,6 +887,26 @@ def test_loader_matches_safe_loader_on_dumped_floats(values):
     assert_loaders_agree(yaml.safe_dump({"x": values, "y": [values, 2.5]}))
 
 
+# mostly floats, some of them plain, and now and then an entry that is not
+NESTED_LISTS = st.recursive(
+    st.lists(st.one_of(FLOAT64, FLOAT64, FLOAT64, st.sampled_from([0, -7, True, None, "x"]),
+                       st.builds(list)), min_size=1, max_size=3),
+    lambda inner: st.lists(inner, min_size=1, max_size=3), max_leaves=24)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(NESTED_LISTS, st.booleans())
+def test_loader_matches_safe_loader_on_dumped_nested_lists(value, flow):
+    """Nested lists of floats, of one shape or ragged, with an int, a bool,
+    a null, a string or an empty list here and there: each list of plain
+    floats, or of equal-shape such lists, loads as a float64 array, and
+    every other list as the list yaml builds."""
+    text = yaml.safe_dump({"x": value, "y": [copy.deepcopy(value), 2.5]},
+                          default_flow_style=flow)
+    assert "&" not in text  # no anchor: the one-pass builder loads it
+    assert_loaders_agree(text)
+
+
 def readme_example():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     return re.search(r"Example configuration:\s*```yaml\n(.*?)```", readme,
@@ -1039,6 +1062,18 @@ MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_clien
      "privacy.epsilon = 1.0, clipping.threshold = 1e+308,"),
     ({"privacy": {"enabled": True}, "clipping": {"threshold": 1e-170}},
      "privacy.epsilon = 1.0, clipping.threshold = 1e-170,"),
+    # a list of plain floats loads as a float64 array; a message still
+    # quotes it as the list, and a key that takes no data sees the list
+    ({"problem": {"b": [[1.0, 2.0]]}},
+     "problem.b must be a list of numbers, one per client, got [[1.0, 2.0]]"),
+    ({"problem": {**LINREG_DATA, "A": {"x": [1.0]}}},
+     "problem.A must be a list, one entry per client, got {'x': [1.0]}"),
+    ({"run": {"eta_l": [0.05]}}, "run.eta_l must be a number, got [0.05]"),
+    ({"clipping": {"threshold": [0.1]}}, "clipping.threshold must be a number, got [0.1]"),
+    ({"clipping": {"mode": [1.0]}}, "unknown clipping mode [1.0]"),
+    ({"replicates": {"seeds": [1.0, 2.0]}}, "replicates.seeds: seed must be an integer, got 1.0"),
+    ({"problem": {"b": [[1.0], [2.0, 3.0]]}}, "problem.b is ragged"),
+    ({"problem": {"b": [[1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]]}}, "problem.b is ragged"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
