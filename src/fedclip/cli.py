@@ -54,10 +54,11 @@ def load_yaml(stream):
     back as a float64 array of those numbers, and a non-empty list of
     float64 arrays of one shape as their stack, so a config's data arrives
     as C doubles, never as Python floats. A list that gets any other entry
-    (an int, a bool, a null, a string, a tagged or resolved scalar, an empty
-    list or any other list, a mapping) or arrays of two shapes is the list
-    yaml builds, with each entry as it would load alone: a plain float as a
-    ``float``, a list of them as an array. An empty list is a list.
+    (an int, a bool, a null, a string, a tagged or resolved scalar, a list
+    that does not load as an array, a mapping) or arrays of two shapes is
+    the list yaml builds, with each entry as it would load alone: a plain
+    float as a ``float``, a list of them as an array. An empty list is a
+    list.
 
     Every other scalar goes through a throwaway ``ScalarNode``, yaml's
     resolver and its constructor, so YAML 1.1's rules and explicit tags
@@ -154,7 +155,8 @@ def _build(loader):
                     top.count += 1
                     continue
                 # an empty list, or an array of another shape than its siblings
-                value = np.frombuffer(buf, offset=8 * run.start).reshape(shape) if size else []
+                value = (np.frombuffer(buf, offset=buf.itemsize * run.start).reshape(shape)
+                         if size else [])
                 top, key, buf = _spill(stack, buf, key)
             elif size:
                 value = np.frombuffer(buf).reshape(shape)
