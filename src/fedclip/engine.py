@@ -249,15 +249,14 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
     one (N, d) buffer (``StackedOracle.draw`` with ``out``), counts their
     violations, adds them to the sums, and scales the buffer in place into
     the step eta_l * G, so a step allocates no stack of its own. With
-    Q = Q_INF, a deterministic
-    oracle on quadratic or equal-row linear-regression clients goes
-    straight to each client's exact local minimizer when the step loop
-    would converge there (``_closed_form_phase``); its gradient sums are
-    (x_start - X) / eta_l, which no caller reads. Every other Q_INF phase
-    runs each row, bit-identical to ``local_update``, until its own step
-    norm falls below 1e-12 (``_exhaustive_phase``). A row that diverges,
-    or that is still moving after ``_LOCAL_MAX_STEPS`` steps, raises
-    DivergenceError with ``round_index``.
+    Q = Q_INF, a deterministic oracle on quadratic or linear-regression
+    clients goes straight to each client's exact local minimizer when the
+    step loop would converge there (``_closed_form_phase``); its gradient
+    sums are (x_start - X) / eta_l, which no caller reads. Every other
+    Q_INF phase runs each row, bit-identical to ``local_update``, until its
+    own step norm falls below 1e-12 (``_exhaustive_phase``). A row that
+    diverges, or that is still moving after ``_LOCAL_MAX_STEPS`` steps,
+    raises DivergenceError with ``round_index``.
     """
     # overflow and NaN are reported as a DivergenceError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,11 +335,10 @@ def _exhaustive_phase(oracle, x_start, eta_l, round_index):
     return the rows' iterates and gradient sums there, as (N, d) stacks.
     ``local_phase`` runs it for every local_steps: inf phase that
     ``_closed_form_phase`` leaves to the loop: stochastic oracles, the MLP,
-    linear regressions of unequal row counts, and deterministic phases where
-    the loop would not end at the minimizer (a step too long to converge, a
-    starting gradient over the bound, a contraction too slow for the step
-    cap, or a path past the divergence limit). Each row is bit-identical to
-    ``local_update``.
+    and deterministic phases where the loop would not end at the minimizer
+    (a step too long to converge, a starting gradient over the bound, a
+    contraction too slow for the step cap, or a path past the divergence
+    limit). Each row is bit-identical to ``local_update``.
 
     The steps run in blocks of 1, 2, 4, ... steps, up to the cap set by
     ``_LOCAL_BLOCK_STEPS`` and ``_LOCAL_BLOCK_ELEMENTS``. Inside a block a
@@ -442,12 +440,9 @@ def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
       (``ProblemInstance.affine_grads``). At finite Q the expected path is
       the noise-free path, and one noise-free local phase runs it. At Q_INF
       every phase that converges ends at the same point, x_i^* = x + A_i^+
-      (b_i - A_i x), and eta_l * E[gradient sum] = x - x_i^*. For quadratics
-      and equal row counts x_i^* comes from
-      ``ProblemInstance.local_minimizers``, so no phase runs: the
-      noise-free step loop may diverge where the realized phases converge.
-      Unequal row counts run the noise-free phase, which ends at x_i^* where
-      it converges;
+      (b_i - A_i x), and eta_l * E[gradient sum] = x - x_i^*. x_i^* comes
+      from ``ProblemInstance.local_minimizers``, so no phase runs: the
+      noise-free step loop may diverge where the realized phases converge;
     - "mean of R replays": otherwise (the MLP), the mean gradient sum of R
       local phases replayed on the ("replay", t, i, r) streams.
     """
@@ -541,9 +536,8 @@ def _expected_path_factors(x, t, config, problem):
     one noise-free local phase, or the mean of R replays."""
     threshold = float(config.policy.threshold)
     if alpha_tilde_method(config, problem) == ALPHA_TILDE_EXACT:
-        solved = problem.local_minimizers(x) if config.local_steps == Q_INF else None
-        if solved is not None:
-            return clipping.clip_factor(x - solved[0], threshold)
+        if config.local_steps == Q_INF:
+            return clipping.clip_factor(x - problem.local_minimizers(x)[0], threshold)
         gsum = local_phase(StackedOracle(problem), x, config.local_steps,
                            config.eta_l, t)[1]
     else:

@@ -252,23 +252,27 @@ class MLPObjective:
 
 def _stack_clients(clients):
     """Client data on a leading client axis for ``ProblemInstance.grad_stack``:
-    the quadratics' b as (N, 1); or, when every client is a linear regression
-    with the same row count n, A as (N, n, d) and b as (N, n), followed by the
-    views A^T (N, d, n) and b (N, n, 1) that the gradient multiplies by; or,
-    when every client is an MLP of one data shape, X as (N, n, in) and y as
-    (N, n); else None, and clients are evaluated one by one."""
-    if all(isinstance(c, ScalarQuadratic) for c in clients):
+    the quadratics' b as (N, 1); the linear regressions as one group per row
+    count n, in order of first appearance, each (rows, A, b) with the group's
+    client indices, A as (G, n, d) and b as (G, n); or the MLPs' X as
+    (N, n, in) and y as (N, n). A federation of mixed kinds, or of MLPs of
+    unequal data shapes, raises ValueError."""
+    kinds = {type(c) for c in clients}
+    if len(kinds) > 1:
+        raise ValueError("a federation holds clients of one kind, not of "
+                         + " and ".join(sorted(k.__name__ for k in kinds)))
+    if ScalarQuadratic in kinds:
         return "quadratic", np.array([[c.b] for c in clients])
-    if (all(isinstance(c, LinearRegressionObjective) for c in clients)
-            and len({c.n_samples for c in clients}) == 1):
-        A = np.stack([c.A for c in clients])
-        b = np.stack([c.b for c in clients])
-        return "linear", A, b, A.swapaxes(-1, -2), b[..., None]
-    if (all(isinstance(c, MLPObjective) for c in clients)
-            and len({(c.X.shape, c.hidden, c.n_classes) for c in clients}) == 1):
-        return ("mlp", np.stack([c.X for c in clients]),
-                np.stack([c.y for c in clients]))
-    return None
+    if LinearRegressionObjective in kinds:
+        n = np.array([c.n_samples for c in clients])
+        groups = [np.flatnonzero(n == k) for k in dict.fromkeys(n.tolist())]
+        return ("linear", *((rows, np.stack([clients[i].A for i in rows]),
+                             np.stack([clients[i].b for i in rows])) for rows in groups))
+    if len({(c.X.shape, c.hidden, c.n_classes) for c in clients}) > 1:
+        raise ValueError("MLP clients of a federation need one data shape, "
+                         "hidden width and class count")
+    return ("mlp", np.stack([c.X for c in clients]),
+            np.stack([c.y for c in clients]))
 
 
 @dataclass(frozen=True)
@@ -293,9 +297,9 @@ class ProblemInstance:
     # from ``clients`` when not given; ``dataclasses.replace`` carries it
     # over, so a replaced instance must keep its clients
     _stacked: tuple | None = field(default=None, repr=False, compare=False)
-    # the linear kind's pseudo-inverses and eigenvalues (``local_minimizers``),
-    # computed on first use; an instance made by ``dataclasses.replace``
-    # starts without them
+    # the linear kind's pseudo-inverses, one stack per group, and eigenvalue
+    # stack (``local_minimizers``), computed on first use; an instance made
+    # by ``dataclasses.replace`` starts without them
     _spectrum: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -331,75 +335,76 @@ class ProblemInstance:
 
         With ``indices``, an (N, B) array of sample indices, row i is client
         i's minibatch gradient on samples indices[i] instead. Quadratic
-        clients, linear-regression clients with equal row counts, and MLP
-        clients with equal data shapes are evaluated in one batched pass
-        whose rows are bit-identical to the per-client ``grad`` /
-        ``grad_batch``; the MLP pass runs in memory-bounded chunks of rows
-        (``mlp_grads``). Other federations loop over clients. The stack is
-        written into ``out`` (N, d) if it is given, else into a new array,
-        which is returned; ``out`` must not overlap ``X``.
+        clients and MLP clients are evaluated in one batched pass, and
+        linear-regression clients in one pass per group of equal row count,
+        scattered back to their rows; every row is bit-identical to the
+        per-client ``grad`` / ``grad_batch``. The MLP pass runs in
+        memory-bounded chunks of rows (``mlp_grads``). The stack is written
+        into ``out`` (N, d) if it is given, else into a new array, which is
+        returned; ``out`` must not overlap ``X``.
         """
         stacked = self._stacked
-        if stacked is None:
-            if indices is None:
-                rows = [c.grad(x) for c, x in zip(self.clients, X)]
-            else:
-                rows = [c.grad_batch(x, idx)
-                        for c, x, idx in zip(self.clients, X, indices)]
-            return np.stack(rows, out=out)
         kind = stacked[0]
         if kind == "quadratic":
             return np.subtract(X, stacked[1], out=out)
         if kind == "mlp":
             c = self.clients[0]
             return mlp_grads(X, *stacked[1:], c.hidden, c.n_classes, indices, out)
-        _, A, b, At, b_col = stacked
-        if indices is not None:
-            pick = (np.arange(len(A))[:, None], indices)
-            A, b = A[pick], b[pick]
-            At, b_col = A.swapaxes(-1, -2), b[..., None]
-        r = np.matmul(A, X[..., None])
-        r -= b_col
         if out is None:
             out = np.empty(X.shape)
-        np.matmul(At, r, out=out[..., None])
-        if indices is not None:
-            # grad_batch scales by n / batch size after the product
-            out *= stacked[1].shape[1] / indices.shape[1]
+        for rows, A, b in stacked[1:]:
+            n = A.shape[1]
+            if indices is not None:
+                pick = (np.arange(len(A))[:, None], indices[rows])
+                A, b = A[pick], b[pick]
+            r = np.matmul(A, X[rows, :, None])
+            r -= b[..., None]
+            G = np.matmul(A.swapaxes(-1, -2), r)
+            if indices is not None:
+                # grad_batch scales by n / batch size after the product
+                G *= n / indices.shape[1]
+            out[rows] = G[..., 0]
         return out
 
     def local_minimizers(self, x):
         """Every client's minimizer nearest ``x`` and the eigenvalues of its
-        curvature, for a federation of quadratics or of linear regressions
-        with equal row counts; None for any other federation.
+        curvature, for a federation of quadratics or of linear regressions;
+        None for the MLP.
 
         Row i of the (N, d) minimizer stack is x + A_i^+ (b_i - A_i x), the
         point where gradient descent on client i from ``x`` converges: the
         part of ``x`` in the null space of A_i stays. For a quadratic it is
-        b_i. Row i of the (N, min(n, d)) eigenvalue stack holds the
-        eigenvalues of A_i^T A_i that can be nonzero, the squared singular
-        values of A_i, with those that the pseudo-inverse treats as zero
-        (below 1e-15 of the largest singular value, ``np.linalg.pinv``'s
-        cut) set to 0; a quadratic's is 1. The linear kind's pseudo-inverses,
-        equal to ``np.linalg.pinv``'s, and eigenvalues come from one SVD of
-        the client stack on the first call and are kept.
+        b_i. Row i of the eigenvalue stack holds the eigenvalues of A_i^T A_i
+        that can be nonzero, the squared singular values of A_i, with those
+        that the pseudo-inverse treats as zero (below 1e-15 of the largest
+        singular value, ``np.linalg.pinv``'s cut) set to 0, and zeros up to
+        the federation's largest min(n, d); a quadratic's is 1. The linear
+        kind's pseudo-inverses, equal to ``np.linalg.pinv``'s, and eigenvalues
+        come from one SVD per row count on the first call and are kept.
         """
-        kind, *data = self._stacked or (None,)
+        kind, *groups = self._stacked
         if kind == "quadratic":
-            return data[0].copy(), np.ones((self.n_clients, 1))
+            return groups[0].copy(), np.ones((self.n_clients, 1))
         if kind != "linear":
             return None
-        A, b = data[:2]
         if self._spectrum is None:
-            # np.linalg.pinv's computation, keeping the singular values
-            u, s, vt = np.linalg.svd(A, full_matrices=False)
-            large = s > 1e-15 * s.max(axis=-1, keepdims=True)
-            inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-            pinv = np.matmul(vt.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
-            object.__setattr__(self, "_spectrum", (pinv, np.where(large, s * s, 0.0)))
-        pinv, eigenvalues = self._spectrum
-        r = b - np.matmul(A, x)
-        return x + np.matmul(pinv, r[..., None])[..., 0], eigenvalues
+            pinvs = []
+            width = max(min(A.shape[1:]) for _, A, _ in groups)  # the largest min(n, d)
+            eigenvalues = np.zeros((self.n_clients, width))
+            for rows, A, _ in groups:
+                # np.linalg.pinv's computation, keeping the singular values
+                u, s, vt = np.linalg.svd(A, full_matrices=False)
+                large = s > 1e-15 * s.max(axis=-1, keepdims=True)
+                inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))[..., None]
+                pinvs.append(np.matmul(vt.swapaxes(-1, -2), inv * u.swapaxes(-1, -2)))
+                eigenvalues[rows, :s.shape[1]] = np.where(large, s * s, 0.0)
+            object.__setattr__(self, "_spectrum", (pinvs, eigenvalues))
+        pinvs, eigenvalues = self._spectrum
+        X = np.empty((self.n_clients, len(x)))
+        for (rows, A, b), pinv in zip(groups, pinvs):
+            r = b - np.matmul(A, x)
+            X[rows] = x + np.matmul(pinv, r[..., None])[..., 0]
+        return X, eigenvalues
 
     def client_grads(self, x):
         """Every client's gradient at the one point ``x``, as an (N, d) stack."""
@@ -409,19 +414,21 @@ class ProblemInstance:
         return client_sum(self.client_grads(x)) / self.n_clients
 
     def loss_mean(self, x) -> float:
-        """Mean client loss at ``x``. Quadratic clients, and linear-regression
-        clients with equal row counts, are evaluated on the client stack and
-        summed in client order, bit-identical to summing each ``loss``; other
-        federations loop over clients."""
-        kind, *data = self._stacked or (None,)
+        """Mean client loss at ``x``. Quadratic clients are evaluated on the
+        client stack, linear-regression clients on one stack per group of
+        equal row count, and MLP clients one by one; the losses are summed in
+        client order, bit-identical to summing each ``loss``."""
+        stacked = self._stacked
+        kind = stacked[0]
         if kind == "quadratic":
             # float_power calls the C library's pow on every entry, as the
             # scalar (x - b) ** 2 does; power and square round differently
-            losses = 0.5 * np.float_power(x[0] - data[0][:, 0], 2)
+            losses = 0.5 * np.float_power(x[0] - stacked[1][:, 0], 2)
         elif kind == "linear":
-            A, b = data[:2]
-            r = np.matmul(A, x) - b
-            losses = 0.5 * np.vecdot(r, r)
+            losses = np.empty(self.n_clients)
+            for rows, A, b in stacked[1:]:
+                r = np.matmul(A, x) - b
+                losses[rows] = 0.5 * np.vecdot(r, r)
         else:
             return sum(obj.loss(x) for obj in self.clients) / self.n_clients
         return float(client_sum(losses)) / self.n_clients
@@ -560,12 +567,16 @@ def _provisional(clients, dim, L=1.0):
     keeps the stacked client data. The clients are rebuilt as views of that
     data, so the federation holds it once."""
     stacked = _stack_clients(clients)
-    if stacked is not None and stacked[0] != "quadratic":
-        kind, *data = stacked
+    kind, *groups = stacked
+    if kind == "mlp":  # one group of every client
+        groups = [(range(len(clients)), *groups)]
+    if kind != "quadratic":
         names = ("A", "b") if kind == "linear" else ("X", "y")
-        clients = tuple(replace(c, **dict(zip(names, rows)))
-                        for c, rows in zip(clients, zip(*data[:2])))
-    return ProblemInstance(clients=clients, dim=dim, L=L, G=0.0, sigma_l=0.0,
+        clients = list(clients)
+        for rows, *data in groups:
+            for i, *views in zip(rows, *data):
+                clients[i] = replace(clients[i], **dict(zip(names, views)))
+    return ProblemInstance(clients=tuple(clients), dim=dim, L=L, G=0.0, sigma_l=0.0,
                            sigma_g=0.0, _stacked=stacked)
 
 

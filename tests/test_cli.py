@@ -883,8 +883,13 @@ FLOAT64 = st.one_of(
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(st.lists(FLOAT64, max_size=12))
-def test_loader_matches_safe_loader_on_dumped_floats(values):
-    assert_loaders_agree(yaml.safe_dump({"x": values, "y": [values, 2.5]}))
+def test_loader_matches_safe_loader_on_anchored_dumped_floats(values):
+    """One list object dumped twice gets an anchor and an alias, so every
+    example takes the ``yaml.load`` fallback; the nested-lists test below
+    reaches the one-pass builder."""
+    text = yaml.safe_dump({"x": values, "y": [values, 2.5]})
+    assert "&" in text
+    assert_loaders_agree(text)
 
 
 # mostly floats, some of them plain, and now and then an entry that is not

@@ -425,7 +425,7 @@ def linreg_problem(rows, d, seed, consistent=False, g_bound=None, sigma_l=0.0):
 
 @pytest.mark.parametrize("rows, d, noise_mode, local_steps, consistent, P", [
     ((6, 6, 6, 6, 6), 3, "minibatch", 3, False, 3),  # stacked matmul path
-    ((4, 7, 5, 9), 3, "minibatch", 3, False, 3),     # unequal rows: per-client loop
+    ((4, 7, 5, 9), 3, "minibatch", 3, False, 3),     # unequal rows: a stack per row count
     ((6, 6, 6, 6), 3, "gaussian", 4, False, 3),
     ((3, 8, 5), 3, "gaussian", 2, False, 2),
     ((8, 8, 8), 3, "minibatch", Q_INF, True, 3),     # rows stop on different steps
@@ -436,9 +436,9 @@ def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
                                                     local_steps, consistent, P):
     """Every field of a batched round equals the client-by-client reference
     bit for bit, including oracle-violation counts and the noise-free
-    factors alpha~. At Q_INF the engine's noise-free pass on equal rows takes
-    the closed form where the reference runs each client's step loop, so
-    alpha~ agrees there to 1e-12."""
+    factors alpha~. At Q_INF the engine takes alpha~ from the closed-form
+    minimizers where the reference runs each client's step loop, so alpha~
+    agrees there to 1e-12."""
     problem = linreg_problem(rows, d, seed=len(rows), consistent=consistent,
                              g_bound=2.0, sigma_l=0.7)
     eta_l = 0.3 / problem.L if local_steps == Q_INF else 0.02
@@ -524,10 +524,9 @@ def unequal_rows_exact_fit_run():
                                           (unequal_rows_exact_fit_run, 16)],
                          ids=["golden-linreg-inf-replays", "unequal-rows"])
 def test_exact_q_inf_alpha_tilde_matches_the_replay_mean(run, replays):
-    """At local_steps: inf the exact alpha~ of affine clients, from one
-    noise-free phase (the closed form on equal rows, the step loop on
-    unequal ones), agrees with the mean of stochastic replayed phases, which
-    all end at each client's minimizer nearest x."""
+    """At local_steps: inf the exact alpha~ of affine clients, from each
+    client's closed-form minimizer nearest x, agrees with the mean of
+    stochastic replayed phases, which all end there."""
     config, problem = run()
     assert alpha_tilde_method(config, problem) == ALPHA_TILDE_EXACT
     trace = run_experiment(config, problem)
@@ -559,6 +558,29 @@ def test_a_spurious_stop_gets_the_exact_alpha_tilde():
     np.testing.assert_allclose(trace.alpha_tildes[0],
                                c / np.maximum(c, norms(x - minimizers)),
                                rtol=1e-12, atol=0)
+
+
+def test_unequal_rows_exact_q_inf_alpha_tilde_runs_no_diverging_phase():
+    """Two d = 1 exact-fit clients of unequal row counts: nine rows a = 1 and
+    one a = 4, b = 0.5 a; ten rows a = 0.9 and one a = 3.6, b = -0.3 a. The
+    realized B = 1 phases converge, but a full-batch step of eta_l = 0.1
+    has eta_l lambda = 2.5 and 2.11, where the noise-free step loop
+    diverges. alpha~ is c / max(c, |x - x_i^*|) with x_i^* from each
+    client's pseudo-inverse, and the run completes (it diverged at round 0)."""
+    A = [np.array([1.0] * 9 + [4.0])[:, None], np.array([0.9] * 10 + [3.6])[:, None]]
+    b = [0.5 * A[0][:, 0], -0.3 * A[1][:, 0]]
+    problem = build_linear_regression_ensemble(A, b)
+    c = 0.2
+    cfg = make_config(rounds=3, n_clients=2, sampled_per_round=2, local_steps=Q_INF,
+                      eta_l=0.1, policy=ClippingPolicy(mode="difference", threshold=c),
+                      seed=3, x0=np.array([2.0]), noise_mode="minibatch", batch_size=1)
+    assert alpha_tilde_method(cfg, problem) == ALPHA_TILDE_EXACT
+    trace = run_experiment(cfg, problem)
+    for t in range(cfg.rounds):
+        x = trace.x[t]
+        minimizers = np.array([x + np.linalg.pinv(Ai) @ (bi - Ai @ x)
+                               for Ai, bi in zip(A, b)])
+        assert trace.alpha_tildes[t].tolist() == (c / np.maximum(c, norms(x - minimizers))).tolist()
 
 
 def chained_rounds(trace):
@@ -1114,22 +1136,26 @@ def test_mlp_replay_round_peaks_below_1_35_full_batch_gradients():
 
 
 def random_affine_problem(kind, seed):
-    """A random quadratic or equal-row linear-regression federation; the
-    linear ones include rank-deficient clients: fewer rows than unknowns,
-    and a repeated column."""
+    """A random quadratic, equal-row ("linear") or unequal-row ("unequal")
+    linear-regression federation; the linear ones include rank-deficient
+    clients: fewer rows than unknowns, and a repeated column. The unequal
+    rows have a one-row client, and two clients share a row count."""
     g = rngmod.stream(seed, "closed-form")
     if kind == "quadratic":
         return build_quadratic_ensemble(g.normal(0.0, 3.0, size=4).tolist())
-    rows, d = (2, 3) if seed % 2 else (5, 3)
-    A_list = [g.normal(size=(rows, d)) for _ in range(4)]
+    if kind == "unequal":
+        rows, d = (5, 1, 2, 5), 3
+    else:
+        rows, d = ((2,) if seed % 2 else (5,)) * 4, 3
+    A_list = [g.normal(size=(n, d)) for n in rows]
     A_list[0][:, 2] = A_list[0][:, 0]
-    return build_linear_regression_ensemble(
-        A_list, [g.normal(size=rows) for _ in range(4)])
+    return build_linear_regression_ensemble(A_list, [g.normal(size=n) for n in rows])
 
 
 @pytest.mark.parametrize("kind, seed", [("quadratic", 1), ("quadratic", 2),
                                         ("linear", 1), ("linear", 2),
-                                        ("linear", 3), ("linear", 4)])
+                                        ("linear", 3), ("linear", 4),
+                                        ("unequal", 1), ("unequal", 2)])
 def test_closed_form_phase_matches_the_block_loop(kind, seed):
     """A deterministic local_steps: inf phase on affine clients draws
     nothing from its oracle and returns each client's minimizer nearest the
@@ -1146,7 +1172,7 @@ def test_closed_form_phase_matches_the_block_loop(kind, seed):
     np.testing.assert_array_equal(gsum, (x - X) / eta_l)
     for obj, row in zip(problem.clients, X):
         assert np.linalg.norm(obj.grad(row)) < 1e-12
-        if kind == "linear":  # the step from x lies in A_i's row space
+        if kind != "quadratic":  # the step from x lies in A_i's row space
             null = np.eye(problem.dim) - np.linalg.pinv(obj.A) @ obj.A
             np.testing.assert_allclose(null @ (row - x), 0.0, atol=1e-12)
 
@@ -1158,7 +1184,7 @@ def test_closed_form_is_exact_on_quadratics():
 
 
 def test_pseudo_inverses_are_computed_once_on_first_use():
-    problem = random_affine_problem("linear", 1)
+    problem = random_affine_problem("unequal", 1)
     assert problem._spectrum is None  # not at build time
     x = np.zeros(problem.dim)
     local_phase(StackedOracle(problem), x, Q_INF, 0.5 / problem.L, 0)
@@ -1167,6 +1193,8 @@ def test_pseudo_inverses_are_computed_once_on_first_use():
     local_phase(StackedOracle(problem), x + 1.0, Q_INF, 0.5 / problem.L, 1)
     assert problem._spectrum is spectrum
     np.testing.assert_allclose(spectrum[1].max(), problem.L, rtol=1e-12)
+    # the one-row client's single eigenvalue, padded with zeros to min(5, 3)
+    assert spectrum[1].shape == (4, 3) and spectrum[1][1, 1:].tolist() == [0.0, 0.0]
 
 
 def test_rows_that_stop_on_their_first_step_take_that_step():

@@ -533,7 +533,8 @@ def test_stacked_loss_mean_matches_per_client_sum(kind):
 
 
 def test_builders_hold_the_client_data_once(monkeypatch):
-    """Each client's data is a view of the stacked client data, which each
+    """Each client's data is a view of the stacked client data (of its
+    group's stack, for linear regressions of unequal row counts), which each
     build stacks once and ``dataclasses.replace`` keeps."""
     stacks = []
     stack_clients = problems._stack_clients
@@ -548,13 +549,34 @@ def test_builders_hold_the_client_data_once(monkeypatch):
     g = rngmod.stream(3, "test-stack-once")
     lin = build_linear_regression_ensemble(list(g.normal(size=(3, 5, 2))),
                                            list(g.normal(size=(3, 5))))
-    assert stacks == [4, 3]
-    for ens, names in ((mlp, ("X", "y")), (lin, ("A", "b"))):
-        for k, name in enumerate(names, start=1):
-            for i, client in enumerate(ens.clients):
-                assert np.shares_memory(ens._stacked[k][i], getattr(client, name))
+    rows = (5, 3, 5, 2)
+    unequal = build_linear_regression_ensemble([g.normal(size=(n, 2)) for n in rows],
+                                               [g.normal(size=n) for n in rows])
+    assert stacks == [4, 3, 4]
+    assert [group[0].tolist() for group in unequal._stacked[1:]] == [[0, 2], [1], [3]]
+    for ens in (mlp, lin, unequal):
+        kind, *groups = ens._stacked
+        names = ("X", "y") if kind == "mlp" else ("A", "b")
+        if kind == "mlp":
+            groups = [(range(ens.n_clients), *groups)]
+        for members, *data in groups:
+            for name, stack in zip(names, data):
+                for k, i in enumerate(members):
+                    assert np.shares_memory(stack[k], getattr(ens.clients[i], name))
         assert dataclasses.replace(ens, sigma_l=0.5)._stacked is ens._stacked
-    assert stacks == [4, 3]
+    assert stacks == [4, 3, 4]
+
+
+@pytest.mark.parametrize("clients, cause", [
+    ((ScalarQuadratic(1.0), LinearRegressionObjective(np.eye(1), np.ones(1))),
+     "one kind, not of LinearRegressionObjective and ScalarQuadratic"),
+    ((MLPObjective(X=np.zeros((4, 2)), y=np.zeros(4), hidden=2, n_classes=2),
+      MLPObjective(X=np.zeros((5, 2)), y=np.zeros(5), hidden=2, n_classes=2)),
+     "one data shape"),
+], ids=["mixed-kinds", "mlp-data-shapes"])
+def test_a_federation_that_cannot_be_stacked_is_refused(clients, cause):
+    with pytest.raises(ValueError, match=cause):
+        ProblemInstance(clients=clients, dim=1, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
 
 
 def out_federation(kind):
@@ -566,19 +588,19 @@ def out_federation(kind):
     if kind == "linear":
         return build_linear_regression_ensemble(list(g.normal(size=(4, 6, 3))),
                                                 list(g.normal(size=(4, 6)))), 6
-    if kind == "fallback":  # unequal row counts: one client at a time
+    if kind == "unequal":  # unequal row counts: one stack per row count
         rows = (2, 6, 4)
         return build_linear_regression_ensemble([g.normal(size=(n, 3)) for n in rows],
                                                 [g.normal(size=n) for n in rows]), 2
     return mlp_federation(5, 12, 6, seed=4), 12
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "linear", "fallback", "mlp"])
+@pytest.mark.parametrize("kind", ["quadratic", "linear", "unequal", "mlp"])
 def test_grad_stack_writes_into_out(kind):
     """With ``out``, ``grad_stack`` returns ``out`` holding, bit for bit,
     what the allocating call returns, on all samples and on minibatches."""
     prob, n = out_federation(kind)
-    assert (prob._stacked is None) == (kind == "fallback")
+    assert (len(prob._stacked) == 4) == (kind == "unequal")  # three groups
     g = rngmod.stream(4, "test-out-x", kind)
     X = g.normal(size=(prob.n_clients, prob.dim))
     picks = [None] if n is None else [None, g.integers(0, n, size=(prob.n_clients, 5))]
