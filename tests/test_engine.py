@@ -580,7 +580,8 @@ def test_unequal_rows_exact_q_inf_alpha_tilde_runs_no_diverging_phase():
         x = trace.x[t]
         minimizers = np.array([x + np.linalg.pinv(Ai) @ (bi - Ai @ x)
                                for Ai, bi in zip(A, b)])
-        assert trace.alpha_tildes[t].tolist() == (c / np.maximum(c, norms(x - minimizers))).tolist()
+        expected = c / np.maximum(c, norms(x - minimizers))
+        assert trace.alpha_tildes[t].tolist() == expected.tolist()
 
 
 def chained_rounds(trace):
