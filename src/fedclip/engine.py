@@ -7,9 +7,9 @@ sequential. Within a round, all N clients run their local phases together
 as one (N, d) stack of iterates; every row is computed exactly as a
 single-client phase would compute it, and the aggregate is a fixed-order
 sum over the sampled slots, so the result is the same bit for bit. The
-one exception is a run-to-convergence phase of deterministic quadratic or
+one exception is a run-to-convergence phase of quadratic or
 linear-regression clients, which goes straight to each client's exact
-local minimizer (``local_phase``).
+local minimizer, under any oracle (``local_phase``).
 
 A run's results live in one place, the columns of its ``Trace``:
 ``run_round`` writes round t's row, and ``Trace.record`` builds the
@@ -30,21 +30,6 @@ Q_INF = math.inf
 _DIVERGENCE_NORM = 1e12
 _LOCAL_TOL = 1e-12
 _LOCAL_MAX_STEPS = 10 ** 6
-# A local_steps: inf block holds up to min(_LOCAL_BLOCK_STEPS,
-# max(1, _LOCAL_BLOCK_ELEMENTS // (N * d))) steps of the (N, d) stack. A block
-# runs on past a row's stopping step and throws those steps away, and each
-# block ends in one pass over its history, so the step cap trades wasted
-# steps against passes. 64 was tuned on the table1 grid while its Q = inf
-# cells still ran the block loop (32 and 128 were slower; BENCH_11.json).
-# Those cells now take the closed form (``_closed_form_phase``); the loop runs
-# the stochastic and MLP phases, and the deterministic ones the closed form
-# leaves to it, and the value has not been tuned on them. The element budget
-# caps the steps a block records at 2,048 elements (16 KB) per history array,
-# so a stack of more than 1,024 elements runs one-step blocks, whose two
-# history arrays of two rows each hold as much as the step-by-step loop's
-# four stacks.
-_LOCAL_BLOCK_STEPS = 64
-_LOCAL_BLOCK_ELEMENTS = 2048
 
 
 class DivergenceError(RuntimeError):
@@ -243,20 +228,20 @@ def local_update(objective, oracle, x_start, Q, eta_l):
 def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
     """Local phases of all N clients from ``x_start``, as one (N, d) stack.
 
-    Returns the final iterates and the gradient sums, row i for client i.
-    For finite Q each row is bit-identical to ``local_update`` of that
-    client with the same oracle stream: every step draws the gradients into
-    one (N, d) buffer (``StackedOracle.draw`` with ``out``), counts their
-    violations, adds them to the sums, and scales the buffer in place into
-    the step eta_l * G, so a step allocates no stack of its own. With
-    Q = Q_INF, a deterministic oracle on quadratic or linear-regression
-    clients goes straight to each client's exact local minimizer when the
-    step loop would converge there (``_closed_form_phase``); its gradient
-    sums are (x_start - X) / eta_l, which no caller reads. Every other
-    Q_INF phase runs each row, bit-identical to ``local_update``, until its
-    own step norm falls below 1e-12 (``_exhaustive_phase``). A row that
-    diverges, or that is still moving after ``_LOCAL_MAX_STEPS`` steps,
-    raises DivergenceError with ``round_index``.
+    Returns the final iterates and the gradient sums, row i for client i,
+    each bit-identical to ``local_update`` of that client with the same
+    oracle stream. Every step draws the gradients into one (N, d) buffer
+    (``StackedOracle.draw`` with ``out``), counts their violations, adds
+    them to the sums, and scales the buffer in place into the step
+    eta_l * G, so a step allocates no stack of its own. With Q = Q_INF, a
+    phase of quadratic or linear-regression clients, under any oracle, goes
+    straight to each client's exact local minimizer when the noise-free step
+    loop would converge there (``_closed_form_phase``); it draws nothing,
+    and its gradient sums are (x_start - X) / eta_l, which no caller reads.
+    Every other Q_INF phase runs each row until its own step norm falls
+    below 1e-12 (``_exhaustive_phase``). A row that diverges, or that is
+    still moving after ``_LOCAL_MAX_STEPS`` steps, raises DivergenceError
+    with ``round_index``.
     """
     # overflow and NaN are reported as a DivergenceError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -280,16 +265,15 @@ def local_phase(oracle: StackedOracle, x_start, Q, eta_l, round_index):
 
 
 def _closed_form_phase(oracle, x_start, eta_l, round_index):
-    """The iterates where ``_exhaustive_phase`` would stop, in closed form,
-    as an (N, d) stack; None where the step loop must run instead.
+    """Where a local_steps: inf phase of clients with a closed-form
+    minimizer (``ProblemInstance.local_minimizers``) ends, as an (N, d)
+    stack; None where the step loop must run instead.
 
-    It applies to a deterministic oracle on clients with a closed-form
-    minimizer (``ProblemInstance.local_minimizers``). There, the gradient
-    along a row's path is (I - eta_l A_i^T A_i)^k g_0, and the loop would
-    end at the minimizer x_i^* without a violation or an error when all of
-    these hold:
+    Every step, deterministic or minibatch, moves in A_i's row space, so a
+    converging phase ends at x_i^* = x + A_i^+ (b_i - A_i x). The closed
+    form applies when the noise-free loop, whose gradient along a row's path
+    is (I - eta_l A_i^T A_i)^k g_0, would end there without an error:
 
-    - no row's starting gradient is over ``grad_bound``, so no later one is;
     - every row's steps fall below 1e-12 within the step cap:
       rho_i^(cap - 1) ||eta_l g_0|| <= 1e-12, with rho_i = max |1 - eta_l
       lambda| over the nonzero eigenvalues lambda of A_i^T A_i and
@@ -297,24 +281,27 @@ def _closed_form_phase(oracle, x_start, eta_l, round_index):
       < 2: every step then contracts the gradient and the iterate's
       distance to x_i^* by at least rho_i;
     - ||x_i^*|| + ||x_start - x_i^*|| is within the divergence limit, which
-      bounds every iterate on the path.
+      bounds every iterate on the path;
+    - under the deterministic oracle, no row's starting gradient is over
+      ``grad_bound``, so no later one is. A stochastic phase that takes the
+      closed form draws nothing, so it counts no violation.
 
-    A row whose first step, eta_l g_0, is already at most 1e-12 stops after
-    it, as the loop does (the step's norm is computed as the loop computes
-    it), and needs no step-cap test. The loop would reach x_i^* to within its
-    stopping tolerance; where it stalls in rounding a few ulps from a large
-    x_i^* (each step then rounds back to the same iterate), the closed form
-    still returns x_i^*.
+    Under the deterministic oracle, a row whose first step, eta_l g_0, is
+    already at most 1e-12 stops after it, as the loop does (the step's norm
+    is computed as the loop computes it), and needs no step-cap test. The
+    loop would reach x_i^* to within its stopping tolerance; where it stalls
+    in rounding a few ulps from a large x_i^* (each step then rounds back to
+    the same iterate), the closed form still returns x_i^*.
     """
-    if oracle.noise_mode != "deterministic":
-        return None
     problem = oracle.problem
     solved = problem.local_minimizers(x_start)
     if solved is None:
         return None
     X, eigenvalues = solved
+    deterministic = oracle.noise_mode == "deterministic"
     G = problem.grad_stack(np.tile(x_start, (problem.n_clients, 1)))
-    if oracle.grad_bound is not None and (clipping.norms(G) > oracle.grad_bound).any():
+    if (deterministic and oracle.grad_bound is not None
+            and (clipping.norms(G) > oracle.grad_bound).any()):
         return None
     step = eta_l * G
     first = clipping.norms(step)
@@ -324,78 +311,42 @@ def _closed_form_phase(oracle, x_start, eta_l, round_index):
         return None
     if not (clipping.norms(X) + clipping.norms(x_start - X) <= _DIVERGENCE_NORM).all():
         return None
-    if stops.any():
+    if deterministic and stops.any():
         X[stops] = x_start - step[stops]
     _check_finite(X, round_index)
     return X
 
 
 def _exhaustive_phase(oracle, x_start, eta_l, round_index):
-    """Run every client's row from ``x_start`` to its own stopping step;
-    return the rows' iterates and gradient sums there, as (N, d) stacks.
-    ``local_phase`` runs it for every local_steps: inf phase that
-    ``_closed_form_phase`` leaves to the loop: stochastic oracles, the MLP,
-    and deterministic phases where the loop would not end at the minimizer
-    (a step too long to converge, a starting gradient over the bound, a
-    contraction too slow for the step cap, or a path past the divergence
-    limit). Each row is bit-identical to ``local_update``.
-
-    The steps run in blocks of 1, 2, 4, ... steps, up to the cap set by
-    ``_LOCAL_BLOCK_STEPS`` and ``_LOCAL_BLOCK_ELEMENTS``. Inside a block a
-    step only draws the gradients straight into the block's history
-    (``StackedOracle.draw`` with ``out``) and forms the iterates in place
-    next to them, the step eta_l * g and then x - step, as ``local_update``
-    rounds them. One pass over the history then finds each row's stopping
-    step (the first whose step norm is at most 1e-12), checks every kept
-    iterate for divergence, counts the violations of the kept draws, turns
-    the gradients into running sums, added in step order, and keeps each
-    row's iterate and gradient sum at its stopping step, as the step-by-step
-    loop of ``local_update`` would. A row that stopped in an earlier block
-    restarts each block from its kept iterate; its later steps, like the
-    steps past its stop within a block, draw only from the phase's own
-    streams and are thrown away.
+    """Run every row from ``x_start`` until its own step norm falls to
+    1e-12; return the rows' iterates and gradient sums there, as (N, d)
+    stacks, each row bit-identical to ``local_update``. ``local_phase`` runs
+    it for the local_steps: inf phases that ``_closed_form_phase`` refuses:
+    the MLP's, and those of affine clients whose noise-free loop would not
+    end at the minimizer. A stopped row is masked out of later updates and
+    violation counts; its later draws come only from the phase's own
+    streams.
     """
-    N, d = oracle.problem.n_clients, len(x_start)
-    cap = min(_LOCAL_BLOCK_STEPS, max(1, _LOCAL_BLOCK_ELEMENTS // (N * d)))
-    # row 0 holds the block's starting iterates and gradient sums, row j the
-    # iterates and gradients of its step j
-    Xh = np.empty((cap + 1, N, d))
-    Xh[0] = x_start
-    Gh = np.zeros((cap + 1, N, d))
-    # the rows' views, made once: the step loop then indexes a list
-    x_rows, g_rows, draw = list(Xh), list(Gh), oracle.draw
-    step_index = np.arange(1, cap + 1)[:, None]
-    rows = np.arange(N)
+    N = oracle.problem.n_clients
+    X = np.empty((N, len(x_start)))
+    X[...] = x_start
+    gsum = np.zeros(X.shape)
+    G = np.empty(X.shape)
     active = np.ones(N, dtype=bool)
-    done, size = 0, 1
-    while True:
-        k = min(size, cap, _LOCAL_MAX_STEPS - done)
-        for j in range(k):
-            X, G = x_rows[j + 1], g_rows[j + 1]
-            draw(x_rows[j], out=G)
-            np.multiply(G, eta_l, out=X)  # the step, then the iterate
-            np.subtract(x_rows[j], X, out=X)
-        step_norms = clipping.norms(eta_l * Gh[1:k + 1])
-        moving = step_norms > _LOCAL_TOL  # False for NaN
-        still = moving.all(axis=0)
-        # each row's last kept step: its first that did not move, or the
-        # block's last; 0 (the start) for rows that stopped in an earlier block
-        last = np.where(still, k, moving.argmin(axis=0) + 1) * active
-        kept = step_index[:k] <= last
-        _check_finite(Xh[1:k + 1][kept], round_index)  # step-major order
-        oracle.count_violations(Gh[1:k + 1], kept)
-        for j in range(k):  # the gradient sums, added in step order
-            g_rows[j + 1] += g_rows[j]
-        Xh[0], Gh[0] = Xh[last, rows], Gh[last, rows]
-        active &= still
-        done += k
+    running = active[:, None]  # a view: it follows active
+    for _ in range(_LOCAL_MAX_STEPS):
+        oracle.draw(X, out=G)
+        oracle.count_violations(G, active)
+        np.add(gsum, G, out=gsum, where=running)
+        G *= eta_l  # the step, rounded as eta_l * G
+        np.subtract(X, G, out=X, where=running)
+        _check_finite(X, round_index)
+        step_norms = clipping.norms(G)
+        active &= step_norms > _LOCAL_TOL  # False for NaN
         if not active.any():
-            return Xh[0].copy(), Gh[0].copy()
-        if done == _LOCAL_MAX_STEPS:
-            raise DivergenceError(
-                round_index, float(step_norms[-1][active].max()),
-                f"local phase still moving after {_LOCAL_MAX_STEPS} steps")
-        size *= 2
+            return X, gsum
+    raise DivergenceError(round_index, float(step_norms[active].max()),
+                          f"local phase still moving after {_LOCAL_MAX_STEPS} steps")
 
 
 def sample_clients(N, P, rng):
@@ -442,7 +393,9 @@ def alpha_tilde_method(config: RunConfig, problem: ProblemInstance) -> str:
       every phase that converges ends at the same point, x_i^* = x + A_i^+
       (b_i - A_i x), and eta_l * E[gradient sum] = x - x_i^*. x_i^* comes
       from ``ProblemInstance.local_minimizers``, so no phase runs: the
-      noise-free step loop may diverge where the realized phases converge;
+      noise-free step loop may diverge where the realized phases converge.
+      A realized phase that takes the closed form (``_closed_form_phase``)
+      ends at the same x_i^*, so there alpha~ equals alpha bit for bit;
     - "mean of R replays": otherwise (the MLP), the mean gradient sum of R
       local phases replayed on the ("replay", t, i, r) streams.
     """

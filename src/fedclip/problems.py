@@ -255,8 +255,10 @@ def _stack_clients(clients):
     the quadratics' b as (N, 1); the linear regressions as one group per row
     count n, in order of first appearance, each (rows, A, b) with the group's
     client indices, A as (G, n, d) and b as (G, n); or the MLPs' X as
-    (N, n, in) and y as (N, n). A federation of mixed kinds, or of MLPs of
-    unequal data shapes, raises ValueError."""
+    (N, n, in) and y as (N, n). A group of consecutive clients (every client,
+    when all have n rows) has ``rows`` as a slice, so that indexing a client
+    stack with it makes a view, not a copy. A federation of mixed kinds, or
+    of MLPs of unequal data shapes, raises ValueError."""
     kinds = {type(c) for c in clients}
     if len(kinds) > 1:
         raise ValueError("a federation holds clients of one kind, not of "
@@ -265,9 +267,14 @@ def _stack_clients(clients):
         return "quadratic", np.array([[c.b] for c in clients])
     if LinearRegressionObjective in kinds:
         n = np.array([c.n_samples for c in clients])
-        groups = [np.flatnonzero(n == k) for k in dict.fromkeys(n.tolist())]
-        return ("linear", *((rows, np.stack([clients[i].A for i in rows]),
-                             np.stack([clients[i].b for i in rows])) for rows in groups))
+        groups = []
+        for rows in (np.flatnonzero(n == k) for k in dict.fromkeys(n.tolist())):
+            data = (np.stack([clients[i].A for i in rows]),
+                    np.stack([clients[i].b for i in rows]))
+            if rows[-1] - rows[0] == len(rows) - 1:  # consecutive clients
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            groups.append((rows, *data))
+        return ("linear", *groups)
     if len({(c.X.shape, c.hidden, c.n_classes) for c in clients}) > 1:
         raise ValueError("MLP clients of a federation need one data shape, "
                          "hidden width and class count")
@@ -523,9 +530,9 @@ class StackedOracle:
         return G
 
     def count_violations(self, G, running=None):
-        """Add to ``violations`` the rows of the gradient stack ``G``
-        (..., N, d) whose norm exceeds ``grad_bound``, among the rows where
-        the boolean mask ``running`` (..., N) is true if it is given."""
+        """Add to ``violations`` the rows of the gradient stack ``G`` (N, d)
+        whose norm exceeds ``grad_bound``, among the rows where the boolean
+        mask ``running`` (N,) is true if it is given."""
         if self.grad_bound is not None:
             over = norms(G) > self.grad_bound
             if running is not None:
@@ -569,12 +576,12 @@ def _provisional(clients, dim, L=1.0):
     stacked = _stack_clients(clients)
     kind, *groups = stacked
     if kind == "mlp":  # one group of every client
-        groups = [(range(len(clients)), *groups)]
+        groups = [(slice(None), *groups)]
     if kind != "quadratic":
         names = ("A", "b") if kind == "linear" else ("X", "y")
         clients = list(clients)
         for rows, *data in groups:
-            for i, *views in zip(rows, *data):
+            for i, *views in zip(np.arange(len(clients))[rows], *data):
                 clients[i] = replace(clients[i], **dict(zip(names, views)))
     return ProblemInstance(clients=tuple(clients), dim=dim, L=L, G=0.0, sigma_l=0.0,
                            sigma_g=0.0, _stacked=stacked)

@@ -404,15 +404,40 @@ INF_RUN = {"rounds": 2, "local_steps": "inf", "sampled_per_round": 2,
 
 
 def test_local_phase_step_cap_exits_3(tmp_path, capsys, monkeypatch):
-    # minibatch B=1 on data with no exact fit never meets the stopping rule
+    # an MLP phase under a minibatch oracle runs the step loop, and its
+    # minibatch steps stay far above the stopping tolerance
     monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
     code, err = run_cli_error(tmp_path, capsys, {
-        "problem": NO_FIT_PROBLEM,
-        "run": {**INF_RUN, "noise_mode": "minibatch", "batch_size": 1},
+        "problem": {"kind": "mlp", "hidden_width": 2, "n_clients": 2,
+                    "samples_per_client": 6, "seed": 1},
+        "run": {**INF_RUN, "x0": 0.5, "noise_mode": "minibatch", "batch_size": 2},
     })
     assert code == 3
     assert err["error"] == "divergence" and err["round"] == 0
     assert "still moving after 200 steps" in err["message"]
+
+
+def test_minibatch_local_steps_inf_without_an_exact_fit_ends_at_each_minimizer(tmp_path):
+    """Minibatch B = 1 on data with no exact fit: no draw's step falls to the
+    stopping tolerance away from a row's hyperplane, so a step loop would run
+    to the 1e6-step cap. Each phase ends at its client's minimizer nearest
+    x, x + A_i^+ (b_i - A_i x), and the run completes."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({
+        "problem": NO_FIT_PROBLEM,
+        "run": {**INF_RUN, "noise_mode": "minibatch", "batch_size": 1}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "out" / "rounds.jsonl").read_text().splitlines()]
+    assert len(records) == INF_RUN["rounds"]
+    for rec, nxt in zip(records, records[1:] + [None]):
+        x = np.array(rec["x"])
+        deltas = [np.linalg.pinv(np.array(A)) @ (np.array(b) - np.array(A) @ x)
+                  for A, b in zip(NO_FIT_PROBLEM["A"], NO_FIT_PROBLEM["b_list"])]
+        np.testing.assert_allclose(rec["delta_norms"], [np.linalg.norm(v) for v in deltas],
+                                   rtol=1e-12, atol=0)
+        if nxt is not None:  # unclipped, eta_g = 1: the next x is the mean minimizer
+            np.testing.assert_allclose(nxt["x"], x + sum(deltas) / 2, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("problem, eta_l, message", [

@@ -370,7 +370,8 @@ def reference_round(problem, cfg, x, t, noise_spec=None):
     The expected-path factor alpha~ clips eta_l times the gradient sum of a
     noise-free local phase when every client is a quadratic or a linear
     regression, at every Q, and the mean gradient sum of the replays
-    otherwise."""
+    otherwise. A linear regression's realized Q_INF phase ends at its
+    minimizer nearest x, x + A^+ (b - A x), and draws nothing."""
     c = float(cfg.policy.threshold)
     exact = all(
         isinstance(obj, (ScalarQuadratic, LinearRegressionObjective))
@@ -384,7 +385,10 @@ def reference_round(problem, cfg, x, t, noise_spec=None):
     deltas, norms, alphas, alpha_tildes, violations = [], [], [], [], 0
     for i, obj in enumerate(problem.clients):
         realized = oracle(obj, "grad", t, i)
-        x_fin, _ = local_update(obj, realized, x, cfg.local_steps, cfg.eta_l)
+        if exact and cfg.local_steps == Q_INF:
+            x_fin = x + np.linalg.pinv(obj.A) @ (obj.b - obj.A @ x)
+        else:
+            x_fin, _ = local_update(obj, realized, x, cfg.local_steps, cfg.eta_l)
         violations += realized.violations
         delta = x_fin - x
         norm = float(np.linalg.norm(delta))
@@ -437,8 +441,9 @@ def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
     """Every field of a batched round equals the client-by-client reference
     bit for bit, including oracle-violation counts and the noise-free
     factors alpha~. At Q_INF the engine takes alpha~ from the closed-form
-    minimizers where the reference runs each client's step loop, so alpha~
-    agrees there to 1e-12."""
+    minimizers where the reference runs each client's noise-free step loop,
+    so alpha~ agrees there to 1e-12; the realized phases end at the
+    minimizers and draw nothing, so they count no violation."""
     problem = linreg_problem(rows, d, seed=len(rows), consistent=consistent,
                              g_bound=2.0, sigma_l=0.7)
     eta_l = 0.3 / problem.L if local_steps == Q_INF else 0.02
@@ -464,7 +469,8 @@ def test_batched_round_matches_per_client_reference(rows, d, noise_mode,
                                        rtol=0, atol=1e-12)
         else:
             assert record.alpha_tildes == alpha_tildes
-        assert violations == ref_violations > 0
+        assert violations == ref_violations
+        assert (violations > 0) == (local_steps != Q_INF)
 
 
 def test_mlp_round_replays_match_per_client_reference():
@@ -540,9 +546,10 @@ def test_exact_q_inf_alpha_tilde_matches_the_replay_mean(run, replays):
 
 def test_a_spurious_stop_gets_the_exact_alpha_tilde():
     """A minibatch step can be zero away from the minimizer: client 0 draws
-    its zero-residual row 0 first and stops where it started, so its
-    realized factor is 1. Its alpha~ is still c / max(c, ||x - x_0^*||),
-    with x_0^* = b_0 = (1, 9)."""
+    its zero-residual row 0 first, where a step loop would stop at its
+    start. The realized phase ends at x_0^* = b_0 = (1, 9) instead, where
+    alpha~ is taken, so alpha equals alpha~ bit for bit, and both are
+    c / max(c, ||x - x_i^*||)."""
     x, c = np.array([1.0, -1.0]), 0.5
     A = np.eye(2)
     problem = build_linear_regression_ensemble(
@@ -553,11 +560,32 @@ def test_a_spurious_stop_gets_the_exact_alpha_tilde():
                       eta_l=0.25, policy=ClippingPolicy(mode="difference", threshold=c),
                       seed=seed, x0=x, noise_mode="minibatch", batch_size=1)
     trace = run_experiment(cfg, problem)
-    assert trace.delta_norms[0, 0] == 0.0 and trace.alphas[0, 0] == 1.0
+    assert trace.alphas[0].tolist() == trace.alpha_tildes[0].tolist()
+    assert trace.alphas[0, 0] < 1.0
     minimizers = np.array([[1.0, 9.0], [3.0, 2.0]])
     np.testing.assert_allclose(trace.alpha_tildes[0],
                                c / np.maximum(c, norms(x - minimizers)),
                                rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("run", [golden_inf_replays_run, unequal_rows_exact_fit_run],
+                         ids=["golden-linreg-inf-replays", "unequal-rows"])
+def test_minibatch_affine_q_inf_phases_never_enter_the_step_loop(monkeypatch, run):
+    """Minibatch local_steps: inf phases of linear regressions that meet the
+    closed-form conditions end at each client's minimizer: the run neither
+    enters the step loop nor draws a gradient, counts no violation (the
+    golden config's declared G is below some draws), and each alpha equals
+    its alpha~ bit for bit."""
+    def spy(*args, **kwargs):
+        raise AssertionError("the phase ran the step loop or drew a gradient")
+
+    monkeypatch.setattr(engine, "_exhaustive_phase", spy)
+    monkeypatch.setattr(StackedOracle, "draw", spy)
+    config, problem = run()
+    trace = run_experiment(config, problem)
+    assert trace.oracle_violations() == 0
+    assert trace.alphas.tolist() == trace.alpha_tildes.tolist()
+    assert trace.alphas.min() < 1.0
 
 
 def test_unequal_rows_exact_q_inf_alpha_tilde_runs_no_diverging_phase():
@@ -842,7 +870,7 @@ class CountingOracle(GradientOracle):
 def test_exhaustive_local_phase_stops_each_row_on_its_own_step():
     problem = linreg_problem((4, 4, 4), 2, seed=9, consistent=True)
     x, eta_l = np.array([3.0, -2.0]), 0.1 / problem.L
-    # the block loop itself: local_phase takes the closed form here
+    # the step loop itself: local_phase takes the closed form here
     X, gsum = engine._exhaustive_phase(StackedOracle(problem), x, eta_l, 0)
     steps = set()
     for i, obj in enumerate(problem.clients):
@@ -855,10 +883,10 @@ def test_exhaustive_local_phase_stops_each_row_on_its_own_step():
 
 
 def test_stopped_rows_do_not_count_violations():
-    """A row that stopped keeps drawing (unused) minibatches while others
-    run; those draws must not count as violations. Client 0 stops on its
-    first step when it draws its zero-residual row 0; its row 1 would give a
-    gradient over the bound."""
+    """In the step loop, a row that stopped keeps drawing (unused)
+    minibatches while others run; those draws must not count as violations.
+    Client 0 stops on its first step when it draws its zero-residual row 0;
+    its row 1 would give a gradient over the bound."""
     x = np.array([1.0, -1.0])
     A = np.eye(2)
     problem = build_linear_regression_ensemble(
@@ -868,7 +896,7 @@ def test_stopped_rows_do_not_count_violations():
     keys = [(seed, "grad", 0, i) for i in range(2)]
     oracle = StackedOracle(problem, noise_mode="minibatch", batch_size=1,
                            rngs=[rngmod.stream(*k) for k in keys], grad_bound=1.0)
-    X, _ = local_phase(oracle, x, Q_INF, 0.25, 0)
+    X, _ = engine._exhaustive_phase(oracle, x, 0.25, 0)
     violations = 0
     for i, (obj, key) in enumerate(zip(problem.clients, keys)):
         ref = CountingOracle(obj, noise_mode="minibatch", batch_size=1,
@@ -882,13 +910,13 @@ def test_stopped_rows_do_not_count_violations():
 
 
 class RecordingOracle(StackedOracle):
-    """Counts its draws, and records for each block of a local_steps: inf
+    """Counts its draws, and records for each step of a local_steps: inf
     phase which draws were over the bound and which rows were running."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.draws = 0
-        self.blocks = []
+        self.steps = []
 
     def draw(self, X, out=None):
         self.draws += 1
@@ -896,32 +924,22 @@ class RecordingOracle(StackedOracle):
 
     def count_violations(self, G, running=None):
         if self.grad_bound is not None:
-            self.blocks.append((norms(G) > self.grad_bound, running))
+            # a copy: the step loop's mask changes in place
+            self.steps.append((norms(G) > self.grad_bound, np.copy(running)))
         super().count_violations(G, running)
 
 
-def block_first_steps(n_steps, N, d):
-    """The first step of every block of a local_steps: inf phase on an
-    (N, d) stack, through the block that holds step ``n_steps``."""
-    cap = min(engine._LOCAL_BLOCK_STEPS, max(1, engine._LOCAL_BLOCK_ELEMENTS // (N * d)))
-    first, size = [1], 1
-    while first[-1] <= n_steps:
-        first.append(first[-1] + min(size, cap))
-        size *= 2
-    return first[:-1]
-
-
 def test_divergence_inside_a_block_matches_the_reference():
-    """Two rows diverge, each after the first step of a block; the error
-    names the row that fails on the earlier step, with its norm there.
-    |1 - eta_l a^2| is 2 for a = 2 and 1.43 for a = 1.8: row 2 passes the
-    limit on step 40, row 0 later; row 1 stops on its own before either."""
+    """Two rows of the step loop diverge; the error names the row that
+    fails on the earlier step, with its norm there. |1 - eta_l a^2| is 2
+    for a = 2 and 1.43 for a = 1.8: row 2 passes the limit on step 40, row 0
+    later; row 1 stops on its own before either."""
     problem = build_linear_regression_ensemble(
         [np.array([[a]]) for a in (1.8, 1.0, 2.0)],
         [np.array([b]) for b in (0.5, 1.0, 0.0)])
     x, eta_l = np.array([1.0]), 0.75
     with pytest.raises(DivergenceError) as err:
-        local_phase(StackedOracle(problem), x, Q_INF, eta_l, 4)
+        engine._exhaustive_phase(StackedOracle(problem), x, eta_l, 4)
     refs = []
     for obj in problem.clients:
         oracle = CountingOracle(obj)
@@ -933,27 +951,23 @@ def test_divergence_inside_a_block_matches_the_reference():
     (steps0, ref0), (steps1, ref1), (steps2, ref2) = refs
     assert ref1 is None and steps1 < steps2 < steps0
     assert ref0 is not None and ref2 is not None
-    first = block_first_steps(steps0, 3, 1)
-    assert steps2 not in first and steps0 not in first
     assert err.value.round_index == 4
     assert err.value.norm == ref2.norm
     assert str(err.value) == str(ref2).replace("round -1", "round 4")
 
 
 def test_step_cap_inside_a_block_matches_the_reference(monkeypatch):
-    """A cap of 200 steps cuts a block short: the phase draws 200 steps, not
-    up to the block's end, and names the largest last step of a row still
-    moving, as the reference's 200th steps give it."""
+    """Under a cap of 200 steps the step loop draws 200 steps and names the
+    largest last step of a row still moving, as the reference's 200th steps
+    give it."""
     monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
-    first = block_first_steps(200, 2, 2)
-    assert 200 not in first and 201 not in first
     ens = build_linear_regression_ensemble([NO_FIT_A, NO_FIT_A], NO_FIT_B)
     keys = [(0, "cap", i) for i in range(2)]
     oracle = RecordingOracle(ens, noise_mode="minibatch", batch_size=1,
                              rngs=[rngmod.stream(*k) for k in keys])
     x, eta_l = np.array([5.0, -5.0]), 0.1
     with pytest.raises(DivergenceError, match="still moving after 200 steps") as err:
-        local_phase(oracle, x, Q_INF, eta_l, 5)
+        engine._exhaustive_phase(oracle, x, eta_l, 5)
     moving = []  # last step norms of the rows still moving after 200 steps
     for obj, key in zip(ens.clients, keys):
         ref = CountingOracle(obj, noise_mode="minibatch", batch_size=1,
@@ -967,16 +981,15 @@ def test_step_cap_inside_a_block_matches_the_reference(monkeypatch):
 
 
 def test_rows_stopping_at_a_block_boundary_match_the_reference():
-    """One row stops on the last step of a block, one on the first step of
-    the next, one later; every row equals its single-client phase."""
+    """Rows stop on steps 63, 64 and 100 of the step loop; every row equals
+    its single-client phase."""
     eta_l, x = 0.2, np.zeros(1)
-    boundary = block_first_steps(100, 3, 1)[-1]
-    targets = [boundary - 1, boundary, 100]
+    targets = [63, 64, 100]
     # from x = 0, step k of minimizer b has norm eta_l * b * (1 - eta_l)^(k - 1):
     # it falls below 1e-12 on step k for b half a step past the threshold
     b = [1e-12 / eta_l * (1 - eta_l) ** -(k - 1.5) for k in targets]
     problem = build_quadratic_ensemble(b)
-    # the block loop itself: local_phase takes the closed form here
+    # the step loop itself: local_phase takes the closed form here
     X, gsum = engine._exhaustive_phase(StackedOracle(problem), x, eta_l, 0)
     for i, obj in enumerate(problem.clients):
         oracle = CountingOracle(obj)
@@ -987,10 +1000,9 @@ def test_rows_stopping_at_a_block_boundary_match_the_reference():
 
 
 def test_stopped_rows_over_the_bound_across_a_block_boundary_are_not_counted():
-    """Client 0 stops on step 4, the first step of a block, on a zero step
-    (it draws its zero-residual row 0); its later draws of row 1, in the rest
-    of that block and in the next one, are over the bound but not counted.
-    Client 1 runs on for many blocks."""
+    """In the step loop, client 0 stops on step 4 on a zero step (it draws
+    its zero-residual row 0); its later draws of row 1 are over the bound
+    but not counted. Client 1 runs on for many steps."""
     x, eta_l = np.array([1.0, -1.0]), 0.25
     A = np.eye(2)
     problem = build_linear_regression_ensemble(
@@ -998,7 +1010,7 @@ def test_stopped_rows_over_the_bound_across_a_block_boundary_are_not_counted():
     keys = [(11, "grad", 0, i) for i in range(2)]
     oracle = RecordingOracle(problem, noise_mode="minibatch", batch_size=1,
                              rngs=[rngmod.stream(*k) for k in keys], grad_bound=1.0)
-    X, gsum = local_phase(oracle, x, Q_INF, eta_l, 0)
+    X, gsum = engine._exhaustive_phase(oracle, x, eta_l, 0)
     violations, steps = 0, []
     for i, (obj, key) in enumerate(zip(problem.clients, keys)):
         ref = CountingOracle(obj, noise_mode="minibatch", batch_size=1,
@@ -1008,69 +1020,10 @@ def test_stopped_rows_over_the_bound_across_a_block_boundary_are_not_counted():
         assert gsum[i].tolist() == ref_gsum.tolist()
         violations += ref.violations
         steps.append(ref.steps)
-    assert steps[0] == 4 and 4 in block_first_steps(4, 2, 2)
-    assert steps[1] > 2 * block_first_steps(steps[0], 2, 2)[-1]
-    uncounted = [int(np.count_nonzero(over[:, 0] & ~running[:, 0]))
-                 for over, running in oracle.blocks]
-    stop_block = next(k for k, (_, running) in enumerate(oracle.blocks)
-                      if not running[:, 0].all())
-    assert uncounted[stop_block] > 0 and uncounted[stop_block + 1] > 0
+    assert steps[0] == 4 and steps[1] > 8
+    assert [running[0] for _, running in oracle.steps] == [True] * 4 + [False] * (steps[1] - 4)
+    assert sum(over[0] and not running[0] for over, running in oracle.steps) > 0
     assert oracle.violations == violations > 0
-
-
-def masked_exhaustive_phase(oracle, x_start, eta_l, round_index):
-    """The step-by-step local_steps: inf loop that the block loop replaced:
-    each step masks the stopped rows out of the update and checks every row."""
-    N = oracle.problem.n_clients
-    X = np.tile(np.asarray(x_start, dtype=float), (N, 1))
-    gsum = np.zeros_like(X)
-    active = np.ones(N, dtype=bool)
-    running = active[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(engine._LOCAL_MAX_STEPS):
-            G = oracle.draw(X)
-            oracle.count_violations(G, active)
-            step = eta_l * G
-            np.subtract(X, step, out=X, where=running)
-            np.add(gsum, G, out=gsum, where=running)
-            engine._check_finite(X, round_index)
-            active &= norms(step) > engine._LOCAL_TOL
-            if not active.any():
-                return X, gsum
-    raise DivergenceError(
-        round_index, float(norms(step)[active].max()),
-        f"local phase still moving after {engine._LOCAL_MAX_STEPS} steps")
-
-
-@pytest.mark.parametrize("noise_mode", ["deterministic", "minibatch"])
-def test_block_phase_memory_stays_near_the_masked_loop(monkeypatch, noise_mode):
-    """On an 8-client, h = 32 MLP stack a block holds one step; a capped
-    local_steps: inf phase peaks within 10% of the masked loop's
-    tracemalloc peak, and ends in the same error."""
-    monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 12)
-    problem = build_mlp_synthetic_ensemble(hidden_width=32, N=8, samples_per_client=50,
-                                           heterogeneity=0.5, seed=3)
-    x = rngmod.stream(1, "mlp-memory").normal(0.0, 0.5, size=problem.dim)
-
-    def peak(phase):
-        oracle = StackedOracle(problem, noise_mode=noise_mode, batch_size=16,
-                               rngs=[rngmod.stream(2, "mlp-memory", i) for i in range(8)])
-        tracemalloc.start()
-        try:
-            with pytest.raises(DivergenceError, match="still moving") as err:
-                phase(oracle, x, 0.05, 0)
-            return tracemalloc.get_traced_memory()[1], err.value.norm
-        finally:
-            tracemalloc.stop()
-
-    def block_phase(oracle, x_start, eta_l, round_index):
-        return local_phase(oracle, x_start, Q_INF, eta_l, round_index)
-
-    peak(block_phase)  # the first call's one-time allocations are not measured
-    block, block_norm = peak(block_phase)
-    masked, masked_norm = peak(masked_exhaustive_phase)
-    assert block_norm == masked_norm
-    assert block <= 1.1 * masked, (block, masked)
 
 
 def test_mlp_replay_run_peaks_below_twice_one_full_batch_gradient():
@@ -1157,10 +1110,10 @@ def random_affine_problem(kind, seed):
                                         ("linear", 1), ("linear", 2),
                                         ("linear", 3), ("linear", 4),
                                         ("unequal", 1), ("unequal", 2)])
-def test_closed_form_phase_matches_the_block_loop(kind, seed):
+def test_closed_form_phase_matches_the_step_loop(kind, seed):
     """A deterministic local_steps: inf phase on affine clients draws
     nothing from its oracle and returns each client's minimizer nearest the
-    start, within the loop's stopping tolerance of where the block loop
+    start, within the loop's stopping tolerance of where the step loop
     stops; the part of the start in a client's null space stays."""
     problem = random_affine_problem(kind, seed)
     x = rngmod.stream(seed, "closed-form-x").normal(0.0, 2.0, size=problem.dim)
@@ -1211,7 +1164,7 @@ def test_rows_that_stop_on_their_first_step_take_that_step():
 
 
 def test_a_start_over_the_gradient_bound_takes_the_loop():
-    """One row starts with a gradient over G: the phase runs the block loop,
+    """One row starts with a gradient over G: the phase runs the step loop,
     bit for bit as each client's step loop, and counts its violations."""
     A = [np.array([[1.0, 0.0], [0.5, 1.0]]), np.array([[2.0, 0.3], [0.0, 0.7]])]
     b = [np.array([0.5, -0.2]), np.array([1.0, 0.4])]

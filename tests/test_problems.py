@@ -553,15 +553,19 @@ def test_builders_hold_the_client_data_once(monkeypatch):
     unequal = build_linear_regression_ensemble([g.normal(size=(n, 2)) for n in rows],
                                                [g.normal(size=n) for n in rows])
     assert stacks == [4, 3, 4]
-    assert [group[0].tolist() for group in unequal._stacked[1:]] == [[0, 2], [1], [3]]
+    # a group of consecutive clients is a slice, which indexes a stack as a view
+    assert [group[0] for group in unequal._stacked[2:]] == [slice(1, 2), slice(3, 4)]
+    assert lin._stacked[1][0] == slice(0, 3)
+    assert [np.arange(4)[group[0]].tolist()
+            for group in unequal._stacked[1:]] == [[0, 2], [1], [3]]
     for ens in (mlp, lin, unequal):
         kind, *groups = ens._stacked
         names = ("X", "y") if kind == "mlp" else ("A", "b")
         if kind == "mlp":
-            groups = [(range(ens.n_clients), *groups)]
+            groups = [(slice(None), *groups)]
         for members, *data in groups:
             for name, stack in zip(names, data):
-                for k, i in enumerate(members):
+                for k, i in enumerate(np.arange(ens.n_clients)[members]):
                     assert np.shares_memory(stack[k], getattr(ens.clients[i], name))
         assert dataclasses.replace(ens, sigma_l=0.5)._stacked is ens._stacked
     assert stacks == [4, 3, 4]
