@@ -601,6 +601,8 @@ def cmd_run(config_path, out=None, seed_override=None) -> int:
                  else [_parse_seed_override(seed_override)])
         # every seed is checked before the first run writes anything
         run_cfgs = [cfg.build_run_config(problem, seed=seed) for seed in seeds]
+    except MemoryError as exc:  # numpy's "Unable to allocate ..."
+        raise ConfigError(f"the problem is too large to allocate ({exc})") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     summaries = []

@@ -17,8 +17,7 @@ import numpy as np
 from .clipping import ClippingPolicy, clip_factor
 from .engine import Q_INF, RunConfig, run_experiment
 from .privacy import PrivacyConfig
-from .problems import (LinearRegressionObjective, ScalarQuadratic,
-                       build_linear_regression_ensemble, client_sum)
+from .problems import build_linear_regression_ensemble, client_sum
 
 
 class FixedPointError(RuntimeError):
@@ -69,15 +68,11 @@ def lambda_map_matrix(A, eta_l, Q):
 
 
 def _client_preconditioners(ensemble, eta_l, Q):
-    out = []
-    for obj in ensemble.clients:
-        if isinstance(obj, ScalarQuadratic):
-            out.append(lambda_map_matrix(np.eye(1), eta_l, Q))
-        elif isinstance(obj, LinearRegressionObjective):
-            out.append(lambda_map_matrix(obj.A, eta_l, Q))
-        else:
-            raise ValueError("closed-form map requires quadratic clients")
-    return out
+    if not ensemble.affine_grads:
+        raise ValueError("closed-form map requires quadratic clients")
+    if ensemble.kind == "quadratic":  # unit curvature: A = [[1]]
+        return [lambda_map_matrix(np.eye(1), eta_l, Q)] * ensemble.n_clients
+    return [lambda_map_matrix(obj.A, eta_l, Q) for obj in ensemble.clients]
 
 
 def difference_clip_map(x, ensemble, eta_l, Q, c):
@@ -110,10 +105,9 @@ def make_local_min_clip_map(ensemble, c, step=0.2):
     """Exhaustive-local-phase stationarity map: fixed points satisfy
     sum_i clip(x - x_i^*, c) = 0, with x_i^* the client minimizers.
     """
-    minimizers = [getattr(obj, "local_minimizer", None) for obj in ensemble.clients]
-    if any(m is None for m in minimizers):
+    if not ensemble.affine_grads:
         raise ValueError("all clients need closed-form local minimizers")
-    M = np.stack(minimizers)
+    M = np.stack([obj.local_minimizer for obj in ensemble.clients])
 
     def fn(x):
         return x - step * _clipped_sum(x - M, c) / ensemble.n_clients

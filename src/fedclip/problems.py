@@ -134,9 +134,6 @@ class ScalarQuadratic:
 
     b: float
 
-    # the gradient is affine in x (see ProblemInstance.affine_grads)
-    affine_grad = True
-
     def loss(self, x) -> float:
         return 0.5 * float((x[0] - self.b) ** 2)
 
@@ -157,8 +154,6 @@ class LinearRegressionObjective:
 
     A: np.ndarray
     b: np.ndarray
-
-    affine_grad = True
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -212,8 +207,6 @@ class MLPObjective:
     hidden: int
     n_classes: int
 
-    affine_grad = False
-
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=int)
@@ -257,8 +250,9 @@ def _stack_clients(clients):
     client indices, A as (G, n, d) and b as (G, n); or the MLPs' X as
     (N, n, in) and y as (N, n). A group of consecutive clients (every client,
     when all have n rows) has ``rows`` as a slice, so that indexing a client
-    stack with it makes a view, not a copy. A federation of mixed kinds, or
-    of MLPs of unequal data shapes, raises ValueError."""
+    stack with it makes a view, not a copy. A federation of mixed kinds, of
+    linear regressions of unequal column counts, or of MLPs of unequal data
+    shapes, raises ValueError."""
     kinds = {type(c) for c in clients}
     if len(kinds) > 1:
         raise ValueError("a federation holds clients of one kind, not of "
@@ -266,6 +260,8 @@ def _stack_clients(clients):
     if ScalarQuadratic in kinds:
         return "quadratic", np.array([[c.b] for c in clients])
     if LinearRegressionObjective in kinds:
+        if len({c.dim for c in clients}) > 1:
+            raise ValueError("all A_i must share the same column dimension")
         n = np.array([c.n_samples for c in clients])
         groups = []
         for rows in (np.flatnonzero(n == k) for k in dict.fromkeys(n.tolist())):
@@ -289,10 +285,14 @@ class ProblemInstance:
     ``L`` is the per-client gradient Lipschitz bound, ``G`` the declared
     stochastic-gradient norm bound, ``sigma_l`` the intra-client gradient
     noise level and ``sigma_g`` the inter-client gradient divergence bound.
+    The instance derives the federation's layout from its clients: their
+    ``kind`` and the dimension ``dim``, which is not an argument (1 for
+    quadratics, else the clients' own). It holds their data once, stacked on
+    a leading client axis, with every client rebuilt as a view of that stack.
     """
 
     clients: tuple
-    dim: int
+    dim: int = field(init=False)
     L: float
     G: float
     sigma_l: float
@@ -311,16 +311,36 @@ class ProblemInstance:
                                     compare=False)
 
     def __post_init__(self):
-        if len(self.clients) < 1 or self.dim < 1:
-            raise ValueError("need at least one client and one dimension")
+        if len(self.clients) < 1:
+            raise ValueError("need at least one client")
+        if self._stacked is None:
+            stacked = _stack_clients(self.clients)
+            kind, *groups = stacked
+            clients = list(self.clients)
+            if kind != "quadratic":
+                names = ("A", "b") if kind == "linear" else ("X", "y")
+                if kind == "mlp":  # one group of every client
+                    groups = [(slice(None), *groups)]
+                for rows, *data in groups:
+                    for i, *views in zip(np.arange(len(clients))[rows], *data):
+                        clients[i] = replace(clients[i], **dict(zip(names, views)))
+            object.__setattr__(self, "clients", tuple(clients))
+            object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "dim",
+                           1 if self.kind == "quadratic" else self.clients[0].dim)
+        if self.dim < 1:
+            raise ValueError("need at least one dimension")
         if self.L <= 0 or self.sigma_l < 0 or self.sigma_g < 0:
             raise ValueError("invalid constants: require L > 0, sigma_l >= 0, sigma_g >= 0")
         if not np.isfinite([self.L, self.G, self.sigma_l, self.sigma_g]).all():
             raise ValueError("invalid constants: L, G, sigma_l and sigma_g must be finite")
         if self.f_star is not None and not np.isfinite(self.f_star):
             raise ValueError("invalid constants: f_star must be finite")
-        if self._stacked is None:
-            object.__setattr__(self, "_stacked", _stack_clients(self.clients))
+
+    @property
+    def kind(self) -> str:
+        """The clients' kind: "quadratic", "linear" or "mlp"."""
+        return self._stacked[0]
 
     @property
     def n_clients(self) -> int:
@@ -335,7 +355,7 @@ class ProblemInstance:
         At local_steps: inf the expected endpoint is x_i^* = x + A_i^+ (b_i -
         A_i x), the noise-free endpoint: every step moves in A_i's row space,
         and a phase that converges stops where the full gradient is zero."""
-        return all(getattr(c, "affine_grad", False) for c in self.clients)
+        return self.kind != "mlp"
 
     def grad_stack(self, X, indices=None, out=None):
         """Gradient of client i at row i of the (N, d) stack ``X``, for all i.
@@ -503,8 +523,7 @@ class StackedOracle:
             raise ValueError(f"unknown noise mode {noise_mode!r}")
         if noise_mode != "deterministic" and rngs is None:
             raise ValueError("stochastic oracle needs one rng stream per client")
-        if noise_mode == "minibatch" and not all(hasattr(c, "grad_batch")
-                                                 for c in problem.clients):
+        if noise_mode == "minibatch" and problem.kind == "quadratic":
             raise ValueError("objective does not support minibatch sampling")
         self.problem = problem
         self.noise_mode = noise_mode
@@ -568,25 +587,6 @@ def _probe_constants(problem, pts):
     return gmax, divmax
 
 
-def _provisional(clients, dim, L=1.0):
-    """An instance to evaluate ``grad_stack`` on while a builder estimates its
-    constants; the builder fills them in with ``dataclasses.replace``, which
-    keeps the stacked client data. The clients are rebuilt as views of that
-    data, so the federation holds it once."""
-    stacked = _stack_clients(clients)
-    kind, *groups = stacked
-    if kind == "mlp":  # one group of every client
-        groups = [(slice(None), *groups)]
-    if kind != "quadratic":
-        names = ("A", "b") if kind == "linear" else ("X", "y")
-        clients = list(clients)
-        for rows, *data in groups:
-            for i, *views in zip(np.arange(len(clients))[rows], *data):
-                clients[i] = replace(clients[i], **dict(zip(names, views)))
-    return ProblemInstance(clients=tuple(clients), dim=dim, L=L, G=0.0, sigma_l=0.0,
-                           sigma_g=0.0, _stacked=stacked)
-
-
 # The builders of user-supplied data run without numpy's overflow and
 # invalid-value warnings: a constant that overflows comes out non-finite, and
 # ProblemInstance rejects it. The MLP builder generates its own data and runs
@@ -605,7 +605,7 @@ def build_quadratic_ensemble(b_values, g_bound=None, sigma_l=0.0) -> ProblemInst
     # gradient gaps are constant in x for unit-curvature quadratics
     sigma_g = float(np.max(np.abs(b - b.mean()))) if len(b) > 1 else 0.0
     radius = max(2.0, 2.0 * float(np.max(np.abs(b - b.mean()))) + 1.0)
-    prob = _provisional(clients, 1)
+    prob = ProblemInstance(clients=clients, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
     gmax, _ = _probe_constants(prob, _probe_grid(opt, radius, 1))
     methods = {"L": "max eigenvalue (exact, unit curvature)",
                "sigma_g": "closed form (constant gradient gaps)",
@@ -623,10 +623,9 @@ def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
     if len(A_list) != len(b_list) or len(A_list) == 0:
         raise ValueError("need matching nonempty A and b lists")
     clients = tuple(LinearRegressionObjective(A, b) for A, b in zip(A_list, b_list))
-    dim = clients[0].dim
-    if any(c.dim != dim for c in clients):
-        raise ValueError("all A_i must share the same column dimension")
-    L = max(c.lipschitz() for c in clients)
+    prob = ProblemInstance(clients=clients, L=max(c.lipschitz() for c in clients),
+                           G=0.0, sigma_l=0.0, sigma_g=0.0)
+    clients, dim = prob.clients, prob.dim
     M = sum(c.A.T @ c.A for c in clients)
     rhs = sum(c.A.T @ c.b for c in clients)
     opt = None
@@ -635,7 +634,6 @@ def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
     center = opt if opt is not None else np.zeros(dim)
     spans = [np.linalg.norm(c.local_minimizer - center) for c in clients]
     radius = max(2.0, 2.0 * max(spans) + 1.0)
-    prob = _provisional(clients, dim, L=L)
     gmax, divmax = _probe_constants(prob, _probe_grid(center, radius, dim))
     methods = {"L": "max eigenvalue of A_i^T A_i over clients",
                "sigma_g": "probe-grid estimate",
@@ -659,6 +657,8 @@ def build_mlp_synthetic_ensemble(hidden_width, N, samples_per_client,
     """
     if hidden_width < 1:
         raise ValueError("hidden width must be >= 1")
+    if n_classes < 2:  # one class makes every gradient zero
+        raise ValueError(f"problem.n_classes must be at least 2, got {n_classes}")
     if not 0.0 <= heterogeneity <= 1.0:
         raise ValueError("heterogeneity must lie in [0, 1]")
     g = rngmod.stream(seed, "mlp-data")
@@ -677,9 +677,8 @@ def build_mlp_synthetic_ensemble(hidden_width, N, samples_per_client,
         y = g.choice(n_classes, size=samples_per_client, p=p)
         X = means[y] + g.normal(0.0, 0.7, size=(samples_per_client, input_dim))
         clients.append(MLPObjective(X=X, y=y, hidden=hidden_width, n_classes=n_classes))
-    clients = tuple(clients)
-    dim = clients[0].dim
-    prob = _provisional(clients, dim)
+    prob = ProblemInstance(clients=tuple(clients), L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+    dim = prob.dim
     # sampled estimates: random pairs for L, random points for G / sigma_g
     est = rngmod.stream(seed, "mlp-constants")
     L = 0.0

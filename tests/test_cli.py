@@ -1104,6 +1104,9 @@ MLP_DATA = {"kind": "mlp", "hidden_width": 2, "n_clients": 2, "samples_per_clien
     ({"replicates": {"seeds": [1.0, 2.0]}}, "replicates.seeds: seed must be an integer, got 1.0"),
     ({"problem": {"b": [[1.0], [2.0, 3.0]]}}, "problem.b is ragged"),
     ({"problem": {"b": [[1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]]}}, "problem.b is ragged"),
+    # one MLP class makes every gradient zero: it exited 2 with "invalid
+    # constants: require L > 0", which names no key
+    ({"problem": {**MLP_DATA, "n_classes": 1}}, "problem.n_classes must be at least 2"),
 ])
 def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -1115,6 +1118,27 @@ def test_engine_config_errors_exit_2(tmp_path, capsys, overrides, message):
     assert code == 2
     assert err["error"] == "config" and message in err["message"]
     assert not (tmp_path / "out").exists()  # refused before any run writes
+
+
+def test_problem_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    """An MLP whose data cannot be allocated (samples_per_client or
+    hidden_width of 10**12) exited 1 with numpy's MemoryError. The real sizes
+    fail at once only under heuristic overcommit, so the build is made to
+    raise as numpy does."""
+    def too_large(**kw):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000, 2) and data type float64")
+
+    monkeypatch.setattr("fedclip.cli.build_mlp_synthetic_ensemble", too_large)
+    code, err = run_cli_error(tmp_path, capsys, {
+        "problem": {**MLP_DATA, "samples_per_client": 10**12},
+        "run": {"rounds": 1, "local_steps": 1, "sampled_per_round": 1,
+                "eta_l": 0.1, "eta_g": 1.0, "x0": 0.0}})
+    assert code == 2
+    assert err["error"] == "config"
+    assert err["message"].startswith("the problem is too large to allocate")
+    assert "Unable to allocate 7.28 TiB" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_gradient_bound_whose_square_overflows_writes_null_terms(tmp_path, capfd):

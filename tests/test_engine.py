@@ -145,22 +145,31 @@ def test_partial_participation_records_sampled_multiset():
 
 # three rows, two unknowns, no exact fit: from a point off every row's
 # hyperplane, a minibatch of one row never lets the step fall below the
-# stopping tolerance
+# stopping tolerance, so the step loop never stops there; at the default step
+# cap ``local_phase`` takes the closed form instead
 NO_FIT_A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 NO_FIT_B = [np.array([1.0, 2.0, 0.0]), np.array([0.0, 1.0, 3.0])]
 
 
 def test_local_phase_step_cap_is_a_divergence(monkeypatch):
+    # an MLP phase has no closed form, so local_steps: inf runs the step
+    # loop, and its minibatch steps stay far above the stopping tolerance
     monkeypatch.setattr("fedclip.engine._LOCAL_MAX_STEPS", 200)
-    ens = build_linear_regression_ensemble([NO_FIT_A, NO_FIT_A], NO_FIT_B)
-    oracle = StackedOracle(ens, noise_mode="minibatch", batch_size=1,
+    ens = build_mlp_synthetic_ensemble(hidden_width=2, N=2, samples_per_client=6, seed=1)
+    x = np.full(ens.dim, 0.5)
+    oracle = StackedOracle(ens, noise_mode="minibatch", batch_size=2,
                            rngs=[rngmod.stream(0, "cap", i) for i in range(2)])
     with pytest.raises(DivergenceError, match="still moving after 200 steps") as err:
-        local_phase(oracle, np.array([5.0, -5.0]), Q_INF, 0.1, 5)
+        local_phase(oracle, x, Q_INF, 0.1, 5)
     assert err.value.round_index == 5
-    # a phase that stops before the cap is unaffected
-    X, _ = local_phase(StackedOracle(ens), np.array([5.0, -5.0]), Q_INF, 0.3, 5)
-    assert np.isfinite(X).all()
+    # a loop whose steps fall below the tolerance within the cap is
+    # unaffected: a bound of 0 on the deterministic start keeps this affine
+    # phase out of the closed form, and its steps contract by 0.7 each
+    lin = build_linear_regression_ensemble([NO_FIT_A, NO_FIT_A], NO_FIT_B)
+    X, _ = local_phase(StackedOracle(lin, grad_bound=0.0), np.array([5.0, -5.0]),
+                       Q_INF, 0.3, 5)
+    minimizers, _ = lin.local_minimizers(np.array([5.0, -5.0]))
+    np.testing.assert_allclose(X, minimizers, atol=1e-10)
 
 
 def test_gaussian_noise_refuses_local_steps_inf():

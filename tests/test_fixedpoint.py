@@ -127,6 +127,13 @@ def test_local_min_map_requires_minimizers():
         make_local_min_clip_map(mlp, math.inf)
 
 
+def test_difference_map_requires_affine_clients():
+    mlp = build_mlp_synthetic_ensemble(hidden_width=2, N=2, samples_per_client=4,
+                                       heterogeneity=0.5, seed=0)
+    with pytest.raises(ValueError, match="requires quadratic clients"):
+        make_difference_clip_map(mlp, 0.1, 1, math.inf)
+
+
 def test_huberized_loss_branches():
     lam, A, b, c = 0.19, 2.0, 1.0, 0.3
     k = lam * A * A

@@ -432,8 +432,7 @@ def mlp_federation(N, n, hidden, seed, n_classes=3, input_dim=2):
                                  y=g.integers(0, n_classes, size=n),
                                  hidden=hidden, n_classes=n_classes)
                     for _ in range(N))
-    return ProblemInstance(clients=clients, dim=clients[0].dim, L=1.0, G=0.0,
-                           sigma_l=0.0, sigma_g=0.0)
+    return ProblemInstance(clients=clients, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
 
 
 def reference_stack(prob, W, idx=None):
@@ -528,8 +527,39 @@ def test_stacked_loss_mean_matches_per_client_sum(kind):
             ens = build_linear_regression_ensemble(
                 list(g.normal(0.0, scale, size=(N, n, d))), list(g.normal(size=(N, n))))
             x = g.normal(0.0, 2.0, size=d)
-        assert ens._stacked[0] == kind
+        assert ens.kind == kind
         assert ens.loss_mean(x) == sum(c.loss(x) for c in ens.clients) / N
+
+
+def assert_clients_view_the_stack(ens):
+    """Each client's data is a view of the stacked client data (of its
+    group's stack, for linear regressions of unequal row counts)."""
+    kind, *groups = ens._stacked
+    names = ("X", "y") if kind == "mlp" else ("A", "b")
+    if kind == "mlp":
+        groups = [(slice(None), *groups)]
+    for members, *data in groups:
+        for name, stack in zip(names, data):
+            for k, i in enumerate(np.arange(ens.n_clients)[members]):
+                assert np.shares_memory(stack[k], getattr(ens.clients[i], name))
+
+
+def test_a_directly_built_instance_holds_the_client_data_once():
+    """``ProblemInstance`` built from its clients, without a builder, also
+    rebuilds them as views of its stack, and takes its dimension from them."""
+    g = rngmod.stream(5, "test-direct-views")
+    rows = (5, 3, 5)
+    lin = ProblemInstance(
+        clients=tuple(LinearRegressionObjective(g.normal(size=(n, 2)), g.normal(size=n))
+                      for n in rows), L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+    mlp = mlp_federation(3, 4, 2, seed=5)
+    quad = ProblemInstance(clients=(ScalarQuadratic(1.0), ScalarQuadratic(-2.0)),
+                           L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+    for ens in (lin, mlp):
+        assert_clients_view_the_stack(ens)
+    assert (lin.kind, lin.dim) == ("linear", 2)
+    assert (mlp.kind, mlp.dim) == ("mlp", 15)  # W1 (2, 2), b1 (2), W2 (3, 2), b2 (3)
+    assert (quad.kind, quad.dim) == ("quadratic", 1)
 
 
 def test_builders_hold_the_client_data_once(monkeypatch):
@@ -559,14 +589,7 @@ def test_builders_hold_the_client_data_once(monkeypatch):
     assert [np.arange(4)[group[0]].tolist()
             for group in unequal._stacked[1:]] == [[0, 2], [1], [3]]
     for ens in (mlp, lin, unequal):
-        kind, *groups = ens._stacked
-        names = ("X", "y") if kind == "mlp" else ("A", "b")
-        if kind == "mlp":
-            groups = [(slice(None), *groups)]
-        for members, *data in groups:
-            for name, stack in zip(names, data):
-                for k, i in enumerate(np.arange(ens.n_clients)[members]):
-                    assert np.shares_memory(stack[k], getattr(ens.clients[i], name))
+        assert_clients_view_the_stack(ens)
         assert dataclasses.replace(ens, sigma_l=0.5)._stacked is ens._stacked
     assert stacks == [4, 3, 4]
 
@@ -577,10 +600,13 @@ def test_builders_hold_the_client_data_once(monkeypatch):
     ((MLPObjective(X=np.zeros((4, 2)), y=np.zeros(4), hidden=2, n_classes=2),
       MLPObjective(X=np.zeros((5, 2)), y=np.zeros(5), hidden=2, n_classes=2)),
      "one data shape"),
-], ids=["mixed-kinds", "mlp-data-shapes"])
+    ((LinearRegressionObjective(np.ones((2, 2)), np.ones(2)),
+      LinearRegressionObjective(np.ones((3, 1)), np.ones(3))),
+     "all A_i must share the same column dimension"),
+], ids=["mixed-kinds", "mlp-data-shapes", "linear-column-counts"])
 def test_a_federation_that_cannot_be_stacked_is_refused(clients, cause):
     with pytest.raises(ValueError, match=cause):
-        ProblemInstance(clients=clients, dim=1, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+        ProblemInstance(clients=clients, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
 
 
 def out_federation(kind):
