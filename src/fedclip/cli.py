@@ -409,9 +409,10 @@ class ExperimentConfig:
     def build_problem(self):
         """The federation the problem section describes. Its inline data
         (``b``; each client's entry of ``A`` and ``b_list``) may be lists or
-        the float64 arrays ``load_yaml`` makes of lists of plain floats; an
-        ``A`` or ``b_list`` that loaded as one stacked array is split into its
-        clients' arrays. Each entry is replaced by the float array
+        the float64 arrays ``load_yaml`` makes of lists of plain floats. An
+        ``A`` and a ``b_list`` that loaded as one (N, n, d) and one (N, n)
+        array become the problem's stack, read-only, so the data is held
+        once. Otherwise each entry is replaced by the float array
         ``_parse_floats`` makes of it, one client at a time, so an array is
         kept as it is and a list is freed at once. A message that quotes
         data quotes it as a list. From then on the config holds float64
@@ -431,6 +432,11 @@ class ExperimentConfig:
             p["b"] = b
             return build_quadratic_ensemble(b, **constants)
         if kind == "linear_regression":
+            A, b = p["A"], p["b_list"]
+            if (isinstance(A, np.ndarray) and isinstance(b, np.ndarray)
+                    and (A.ndim, b.ndim) == (3, 2)):  # one stack each
+                return build_linear_regression_ensemble(
+                    _parse_floats(A, "problem.A"), _parse_floats(b, "problem.b_list"), **constants)
             for key in ("A", "b_list"):
                 if isinstance(p[key], np.ndarray):  # its clients' equal-shape arrays
                     p[key] = list(p[key])

@@ -200,7 +200,8 @@ def local_update(objective, oracle, x_start, Q, eta_l):
     gradient sum.
 
     With Q = Q_INF, iterate until the step norm falls below 1e-12 (capped at
-    1e6 steps). For finite Q, x_final - x_start == -eta_l * grad_sum. The
+    1e6 steps), and, under a stochastic oracle, the full-batch step there
+    too. For finite Q, x_final - x_start == -eta_l * grad_sum. The
     engine runs all clients at once (``local_phase``); this single-client
     form is the reference that the batched one must match bit for bit,
     except where ``local_phase`` solves a Q_INF phase in closed form.
@@ -214,7 +215,9 @@ def local_update(objective, oracle, x_start, Q, eta_l):
             x -= step
             gsum += g
             _check_finite(x, -1)
-            if np.linalg.norm(step) <= _LOCAL_TOL:
+            if np.linalg.norm(step) <= _LOCAL_TOL and (
+                    oracle.noise_mode == "deterministic"
+                    or np.linalg.norm(eta_l * objective.grad(x)) <= _LOCAL_TOL):
                 break
     else:
         for _ in range(int(Q)):
@@ -319,7 +322,8 @@ def _closed_form_phase(oracle, x_start, eta_l, round_index):
 
 def _exhaustive_phase(oracle, x_start, eta_l, round_index):
     """Run every row from ``x_start`` until its own step norm falls to
-    1e-12; return the rows' iterates and gradient sums there, as (N, d)
+    1e-12, and, under a stochastic oracle, its full-batch step there too;
+    return the rows' iterates and gradient sums there, as (N, d)
     stacks, each row bit-identical to ``local_update``. ``local_phase`` runs
     it for the local_steps: inf phases that ``_closed_form_phase`` refuses:
     the MLP's, and those of affine clients whose noise-free loop would not
@@ -342,7 +346,12 @@ def _exhaustive_phase(oracle, x_start, eta_l, round_index):
         np.subtract(X, G, out=X, where=running)
         _check_finite(X, round_index)
         step_norms = clipping.norms(G)
-        active &= step_norms > _LOCAL_TOL  # False for NaN
+        stops = active & ~(step_norms > _LOCAL_TOL)
+        if stops.any() and oracle.noise_mode != "deterministic":
+            # a drawn step can be zero away from the minimizer: stop only where
+            # the full-batch step is small too (no draw: it counts no violation)
+            stops &= ~(clipping.norms(eta_l * oracle.problem.grad_stack(X)) > _LOCAL_TOL)
+        active &= ~stops
         if not active.any():
             return X, gsum
     raise DivergenceError(round_index, float(step_norms[active].max()),

@@ -11,6 +11,7 @@ client-by-client evaluation.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,23 @@ def mlp_grads(W, X, y, hidden, n_classes, idx=None, out=None):
     return out
 
 
+def mlp_dim(input_dim, hidden, n_classes) -> int:
+    """Parameter count of the MLP: W1 (h, in), b1 (h), W2 (C, h), b2 (C)."""
+    return hidden * input_dim + hidden + n_classes * hidden + n_classes
+
+
+def mlp_loss(x, X, y, hidden, n_classes) -> float:
+    """``MLPObjective.loss`` of one client's data ``X`` and labels ``y``."""
+    din, h, C = X.shape[1], hidden, n_classes
+    o1, o2, o3 = h * din, h * din + h, h * din + h + C * h
+    Z1 = X @ x[:o1].reshape(h, din).T + x[o1:o2]
+    logits = softplus(Z1) @ x[o2:o3].reshape(C, h).T + x[o3:]
+    logits = logits - logits.max(axis=1, keepdims=True)
+    logZ = np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    ll = logits[np.arange(len(y)), y] - logZ[:, 0]
+    return float(-ll.mean())
+
+
 @dataclass(frozen=True)
 class ScalarQuadratic:
     """Client loss 0.5 * (x - b)^2 on a one-dimensional iterate."""
@@ -217,22 +235,14 @@ class MLPObjective:
 
     @property
     def dim(self) -> int:
-        din = self.X.shape[1]
-        return self.hidden * din + self.hidden + self.n_classes * self.hidden + self.n_classes
+        return mlp_dim(self.X.shape[1], self.hidden, self.n_classes)
 
     @property
     def n_samples(self) -> int:
         return self.X.shape[0]
 
     def loss(self, x) -> float:
-        din, h, C = self.X.shape[1], self.hidden, self.n_classes
-        o1, o2, o3 = h * din, h * din + h, h * din + h + C * h
-        Z1 = self.X @ x[:o1].reshape(h, din).T + x[o1:o2]
-        logits = softplus(Z1) @ x[o2:o3].reshape(C, h).T + x[o3:]
-        logits = logits - logits.max(axis=1, keepdims=True)
-        logZ = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        ll = logits[np.arange(len(self.y)), self.y] - logZ[:, 0]
-        return float(-ll.mean())
+        return mlp_loss(x, self.X, self.y, self.hidden, self.n_classes)
 
     def grad(self, x):
         return mlp_grads(x[None], self.X[None], self.y[None], self.hidden,
@@ -244,15 +254,13 @@ class MLPObjective:
 
 
 def _stack_clients(clients):
-    """Client data on a leading client axis for ``ProblemInstance.grad_stack``:
-    the quadratics' b as (N, 1); the linear regressions as one group per row
-    count n, in order of first appearance, each (rows, A, b) with the group's
-    client indices, A as (G, n, d) and b as (G, n); or the MLPs' X as
-    (N, n, in) and y as (N, n). A group of consecutive clients (every client,
-    when all have n rows) has ``rows`` as a slice, so that indexing a client
-    stack with it makes a view, not a copy. A federation of mixed kinds, of
-    linear regressions of unequal column counts, or of MLPs of unequal data
-    shapes, raises ValueError."""
+    """The stack (``ProblemInstance.stack``) of the client objects
+    ``clients``: linear regressions in one group per row count, in order of
+    first appearance, a group of consecutive clients indexed by a slice (so
+    that indexing a stack with it makes a view). Mixed kinds, unequal column
+    counts or unequal MLP shapes raise ValueError."""
+    if not clients:
+        raise ValueError("need at least one client")
     kinds = {type(c) for c in clients}
     if len(kinds) > 1:
         raise ValueError("a federation holds clients of one kind, not of "
@@ -274,8 +282,28 @@ def _stack_clients(clients):
     if len({(c.X.shape, c.hidden, c.n_classes) for c in clients}) > 1:
         raise ValueError("MLP clients of a federation need one data shape, "
                          "hidden width and class count")
-    return ("mlp", np.stack([c.X for c in clients]),
-            np.stack([c.y for c in clients]))
+    c = clients[0]
+    return ("mlp", np.stack([c.X for c in clients]), np.stack([c.y for c in clients]),
+            c.hidden, c.n_classes)
+
+
+def _linear_clients(groups):
+    """Each client's (A_i, b_i), views of the linear ``groups``, in client order."""
+    pairs = [None] * sum(len(A) for _, A, _ in groups)
+    for rows, A, b in groups:
+        for i, pair in zip(np.arange(len(pairs))[rows].tolist(), zip(A, b)):
+            pairs[i] = pair
+    return pairs
+
+
+def _client_views(stack):
+    """The client objects of ``stack``, in client order, holding views of it."""
+    kind, *data = stack
+    if kind == "quadratic":
+        return tuple(map(ScalarQuadratic, data[0][:, 0].tolist()))
+    if kind == "mlp":
+        return tuple(MLPObjective(X, y, *data[2:]) for X, y in zip(*data[:2]))
+    return tuple(LinearRegressionObjective(A, b) for A, b in _linear_clients(data))
 
 
 @dataclass(frozen=True)
@@ -285,14 +313,18 @@ class ProblemInstance:
     ``L`` is the per-client gradient Lipschitz bound, ``G`` the declared
     stochastic-gradient norm bound, ``sigma_l`` the intra-client gradient
     noise level and ``sigma_g`` the inter-client gradient divergence bound.
-    The instance derives the federation's layout from its clients: their
-    ``kind`` and the dimension ``dim``, which is not an argument (1 for
-    quadratics, else the clients' own). It holds their data once, stacked on
-    a leading client axis, with every client rebuilt as a view of that stack.
+    The federation is its read-only ``stack``: ("quadratic", b (N, 1));
+    ("linear", *groups), one (rows, A (G, n, d), b (G, n)) per row count n,
+    rows the group's client indices; or ("mlp", X (N, n, in), y (N, n),
+    hidden, n_classes). The instance reads ``n_clients``, ``dim`` and each
+    client's row count ``n_samples`` from it once; the client objects
+    (``clients``) are views of it, built on first use.
     """
 
-    clients: tuple
+    stack: tuple = field(repr=False, compare=False)
+    n_clients: int = field(init=False)
     dim: int = field(init=False)
+    n_samples: tuple | None = field(init=False, repr=False, compare=False)  # None: quadratics
     L: float
     G: float
     sigma_l: float
@@ -300,36 +332,35 @@ class ProblemInstance:
     f_star: float | None = None
     global_optimum: np.ndarray | None = None
     constant_methods: dict = field(default_factory=dict)
-    # the client data on a leading client axis (``_stack_clients``), computed
-    # from ``clients`` when not given; ``dataclasses.replace`` carries it
-    # over, so a replaced instance must keep its clients
-    _stacked: tuple | None = field(default=None, repr=False, compare=False)
     # the linear kind's pseudo-inverses, one stack per group, and eigenvalue
     # stack (``local_minimizers``), computed on first use; an instance made
     # by ``dataclasses.replace`` starts without them
     _spectrum: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
+    @classmethod
+    def from_clients(cls, clients, **constants):
+        """The instance of the client objects ``clients``, stacked."""
+        return cls(_stack_clients(clients), **constants)
+
     def __post_init__(self):
-        if len(self.clients) < 1:
-            raise ValueError("need at least one client")
-        if self._stacked is None:
-            stacked = _stack_clients(self.clients)
-            kind, *groups = stacked
-            clients = list(self.clients)
-            if kind != "quadratic":
-                names = ("A", "b") if kind == "linear" else ("X", "y")
-                if kind == "mlp":  # one group of every client
-                    groups = [(slice(None), *groups)]
-                for rows, *data in groups:
-                    for i, *views in zip(np.arange(len(clients))[rows], *data):
-                        clients[i] = replace(clients[i], **dict(zip(names, views)))
-            object.__setattr__(self, "clients", tuple(clients))
-            object.__setattr__(self, "_stacked", stacked)
-        object.__setattr__(self, "dim",
-                           1 if self.kind == "quadratic" else self.clients[0].dim)
-        if self.dim < 1:
-            raise ValueError("need at least one dimension")
+        kind, *data = self.stack
+        if kind == "linear":
+            pairs = _linear_clients(data)
+            arrays = [v for _, *group in data for v in group]
+            facts = len(pairs), pairs[0][0].shape[1], tuple(len(A) for A, _ in pairs)
+        elif kind == "mlp":
+            X, y, hidden, n_classes = data
+            N, n, din = X.shape
+            arrays, facts = (X, y), (N, mlp_dim(din, hidden, n_classes), (n,) * N)
+        else:
+            arrays, facts = data, (len(data[0]), 1, None)
+        for v in arrays:
+            v.setflags(write=False)
+        for name, value in zip(("n_clients", "dim", "n_samples"), facts):
+            object.__setattr__(self, name, value)
+        if self.n_clients < 1 or self.dim < 1:
+            raise ValueError("need at least one client and one dimension")
         if self.L <= 0 or self.sigma_l < 0 or self.sigma_g < 0:
             raise ValueError("invalid constants: require L > 0, sigma_l >= 0, sigma_g >= 0")
         if not np.isfinite([self.L, self.G, self.sigma_l, self.sigma_g]).all():
@@ -340,11 +371,7 @@ class ProblemInstance:
     @property
     def kind(self) -> str:
         """The clients' kind: "quadratic", "linear" or "mlp"."""
-        return self._stacked[0]
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.clients)
+        return self.stack[0]
 
     @property
     def affine_grads(self) -> bool:
@@ -356,6 +383,12 @@ class ProblemInstance:
         A_i x), the noise-free endpoint: every step moves in A_i's row space,
         and a phase that converges stops where the full gradient is zero."""
         return self.kind != "mlp"
+
+    @cached_property
+    def clients(self) -> tuple:
+        """The client objects, views of ``stack`` (``_client_views``), built
+        on first use; nothing on the engine's round path reads them."""
+        return _client_views(self.stack)
 
     def grad_stack(self, X, indices=None, out=None):
         """Gradient of client i at row i of the (N, d) stack ``X``, for all i.
@@ -370,13 +403,12 @@ class ProblemInstance:
         into ``out`` (N, d) if it is given, else into a new array, which is
         returned; ``out`` must not overlap ``X``.
         """
-        stacked = self._stacked
+        stacked = self.stack
         kind = stacked[0]
         if kind == "quadratic":
             return np.subtract(X, stacked[1], out=out)
         if kind == "mlp":
-            c = self.clients[0]
-            return mlp_grads(X, *stacked[1:], c.hidden, c.n_classes, indices, out)
+            return mlp_grads(X, *stacked[1:], indices, out)
         if out is None:
             out = np.empty(X.shape)
         for rows, A, b in stacked[1:]:
@@ -409,7 +441,7 @@ class ProblemInstance:
         kind's pseudo-inverses, equal to ``np.linalg.pinv``'s, and eigenvalues
         come from one SVD per row count on the first call and are kept.
         """
-        kind, *groups = self._stacked
+        kind, *groups = self.stack
         if kind == "quadratic":
             return groups[0].copy(), np.ones((self.n_clients, 1))
         if kind != "linear":
@@ -443,9 +475,10 @@ class ProblemInstance:
     def loss_mean(self, x) -> float:
         """Mean client loss at ``x``. Quadratic clients are evaluated on the
         client stack, linear-regression clients on one stack per group of
-        equal row count, and MLP clients one by one; the losses are summed in
+        equal row count, and MLP clients one row of the stack at a time, so
+        that one client's activations are held; the losses are summed in
         client order, bit-identical to summing each ``loss``."""
-        stacked = self._stacked
+        stacked = self.stack
         kind = stacked[0]
         if kind == "quadratic":
             # float_power calls the C library's pow on every entry, as the
@@ -457,7 +490,9 @@ class ProblemInstance:
                 r = np.matmul(A, x) - b
                 losses[rows] = 0.5 * np.vecdot(r, r)
         else:
-            return sum(obj.loss(x) for obj in self.clients) / self.n_clients
+            X, y, hidden, n_classes = stacked[1:]
+            return sum(mlp_loss(x, *data, hidden, n_classes)
+                       for data in zip(X, y)) / self.n_clients
         return float(client_sum(losses)) / self.n_clients
 
 
@@ -538,8 +573,8 @@ class StackedOracle:
         violations (see ``count_violations``). The stack is written into
         ``out`` if it is given, as ``ProblemInstance.grad_stack`` writes."""
         if self.noise_mode == "minibatch":
-            idx = np.stack([rng.integers(0, c.n_samples, size=self.batch_size)
-                            for rng, c in zip(self.rngs, self.problem.clients)])
+            idx = np.stack([rng.integers(0, n, size=self.batch_size)
+                            for rng, n in zip(self.rngs, self.problem.n_samples)])
             return self.problem.grad_stack(X, idx, out)
         G = self.problem.grad_stack(X, out=out)
         if self.noise_mode == "gaussian" and self.sigma_l > 0:
@@ -599,13 +634,13 @@ def build_quadratic_ensemble(b_values, g_bound=None, sigma_l=0.0) -> ProblemInst
     """Ensemble of scalar quadratics 0.5 * (x - b_i)^2."""
     if len(b_values) == 0:
         raise ValueError("b_values must be nonempty")
-    b = np.asarray(b_values, dtype=float)
-    clients = tuple(ScalarQuadratic(float(bi)) for bi in b)
+    b = np.array(b_values, dtype=float)
     opt = np.array([b.mean()])
     # gradient gaps are constant in x for unit-curvature quadratics
     sigma_g = float(np.max(np.abs(b - b.mean()))) if len(b) > 1 else 0.0
     radius = max(2.0, 2.0 * float(np.max(np.abs(b - b.mean()))) + 1.0)
-    prob = ProblemInstance(clients=clients, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+    prob = ProblemInstance(("quadratic", b[:, None]), L=1.0, G=0.0, sigma_l=0.0,
+                           sigma_g=0.0)
     gmax, _ = _probe_constants(prob, _probe_grid(opt, radius, 1))
     methods = {"L": "max eigenvalue (exact, unit curvature)",
                "sigma_g": "closed form (constant gradient gaps)",
@@ -619,20 +654,32 @@ def build_quadratic_ensemble(b_values, g_bound=None, sigma_l=0.0) -> ProblemInst
 @_quiet_overflow
 def build_linear_regression_ensemble(A_list, b_list, g_bound=None,
                                      sigma_l=0.0) -> ProblemInstance:
-    """Ensemble of least-squares clients 0.5 * ||A_i x - b_i||^2."""
+    """Ensemble of least-squares clients 0.5 * ||A_i x - b_i||^2. An
+    (N, n, d) float64 ``A_list`` with an (N, n) ``b_list`` is the stack's one
+    group, not copied but made read-only; lists of the clients' arrays are
+    stacked by ``_stack_clients``. L comes from one batched ``eigvalsh`` per
+    group; the probe radius from each client's ``lstsq`` minimizer."""
     if len(A_list) != len(b_list) or len(A_list) == 0:
         raise ValueError("need matching nonempty A and b lists")
-    clients = tuple(LinearRegressionObjective(A, b) for A, b in zip(A_list, b_list))
-    prob = ProblemInstance(clients=clients, L=max(c.lipschitz() for c in clients),
-                           G=0.0, sigma_l=0.0, sigma_g=0.0)
-    clients, dim = prob.clients, prob.dim
-    M = sum(c.A.T @ c.A for c in clients)
-    rhs = sum(c.A.T @ c.b for c in clients)
+    if (isinstance(A_list, np.ndarray) and A_list.ndim == 3
+            and isinstance(b_list, np.ndarray) and b_list.shape == A_list.shape[:2]):
+        stack = ("linear", (slice(0, len(A_list)), np.ascontiguousarray(A_list, dtype=float),
+                            np.ascontiguousarray(b_list, dtype=float)))
+    else:
+        stack = _stack_clients([LinearRegressionObjective(A, b)
+                                for A, b in zip(A_list, b_list)])
+    L = max(float(np.linalg.eigvalsh(np.matmul(A.swapaxes(-1, -2), A))[:, -1].max())
+            for _, A, _ in stack[1:])
+    prob = ProblemInstance(stack, L=L, G=0.0, sigma_l=0.0, sigma_g=0.0)
+    clients, dim = _linear_clients(stack[1:]), prob.dim
+    M = sum(A.T @ A for A, _ in clients)
+    rhs = sum(A.T @ b for A, b in clients)
     opt = None
     if np.linalg.matrix_rank(M) == dim:
         opt = np.linalg.solve(M, rhs)
     center = opt if opt is not None else np.zeros(dim)
-    spans = [np.linalg.norm(c.local_minimizer - center) for c in clients]
+    spans = [np.linalg.norm(np.linalg.lstsq(A, b, rcond=None)[0] - center)
+             for A, b in clients]
     radius = max(2.0, 2.0 * max(spans) + 1.0)
     gmax, divmax = _probe_constants(prob, _probe_grid(center, radius, dim))
     methods = {"L": "max eigenvalue of A_i^T A_i over clients",
@@ -668,16 +715,17 @@ def build_mlp_synthetic_ensemble(hidden_width, N, samples_per_client,
     if input_dim > 2:
         means = np.hstack([means, np.zeros((n_classes, input_dim - 2))])
     means = means[:, :input_dim]
-    clients = []
+    X = np.empty((N, samples_per_client, input_dim))
+    y = np.empty((N, samples_per_client), dtype=int)
     uniform = np.full(n_classes, 1.0 / n_classes)
     for i in range(N):
         skew = np.zeros(n_classes)
         skew[i % n_classes] = 1.0
         p = (1.0 - heterogeneity) * uniform + heterogeneity * skew
-        y = g.choice(n_classes, size=samples_per_client, p=p)
-        X = means[y] + g.normal(0.0, 0.7, size=(samples_per_client, input_dim))
-        clients.append(MLPObjective(X=X, y=y, hidden=hidden_width, n_classes=n_classes))
-    prob = ProblemInstance(clients=tuple(clients), L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+        y[i] = g.choice(n_classes, size=samples_per_client, p=p)
+        X[i] = means[y[i]] + g.normal(0.0, 0.7, size=(samples_per_client, input_dim))
+    prob = ProblemInstance(("mlp", X, y, hidden_width, n_classes), L=1.0, G=0.0,
+                           sigma_l=0.0, sigma_g=0.0)
     dim = prob.dim
     # sampled estimates: random pairs for L, random points for G / sigma_g
     est = rngmod.stream(seed, "mlp-constants")

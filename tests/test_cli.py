@@ -790,11 +790,13 @@ def test_loading_inline_floats_peaks_below_16_bytes_per_number(tmp_path):
 
 def test_building_inline_data_holds_float64_not_python_floats(tmp_path):
     """Loading and building a linear regression of 66,000 inline numbers
-    (N = 20, n = 300, d = 10) peaks below 25 B per number and then holds
-    below 20 B: the loader builds the data as float64 arrays, which the
-    clients keep. Holding the lists through the build peaked at 60 B per
-    number and kept 50 B; turning them into arrays one client at a time
-    peaked at 43 B."""
+    (N = 20, n = 300, d = 10) peaks below 12 B per number and then holds
+    below 9.5 B: the loader builds the data as one (N, n, d) and one (N, n)
+    float64 array, which the problem takes as its stack, read-only, so the
+    data is held once. Holding the lists through the build peaked at 60 B
+    per number and kept 50 B; turning them into arrays one client at a time
+    peaked at 43 B; a problem that stacked a copy of the loaded arrays peaked
+    at 18.2 B and held 16.7 B."""
     g = np.random.default_rng(3)
     data = {"kind": "linear_regression", "A": g.normal(size=(20, 300, 10)).tolist(),
             "b_list": g.normal(size=(20, 300)).tolist()}
@@ -810,8 +812,13 @@ def test_building_inline_data_holds_float64_not_python_floats(tmp_path):
     finally:
         tracemalloc.stop()
     assert problem.n_clients == 20
-    assert peak / numbers < 25, peak / numbers
-    assert held / numbers < 20, held / numbers
+    assert peak / numbers < 12, peak / numbers
+    assert held / numbers < 9.5, held / numbers
+    (_, A, b), = problem.stack[1:]
+    assert A is cfg.problem["A"] and b is cfg.problem["b_list"]
+    assert not (A.flags.writeable or b.flags.writeable)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.problem["A"][0, 0, 0] = 1.0
 
 
 def _same_bits(a, b):
@@ -856,13 +863,13 @@ def test_build_leaves_float64_arrays_in_the_config_and_builds_again_the_same():
 def test_arrays_build_the_problem_that_lists_build(config):
     """The problem built from ``load_config``'s float64 arrays equals, bit
     for bit, the one built from ``yaml.load``'s lists: constants, their
-    methods, the clients and the stacked client data."""
+    methods and the stacked client data."""
     arrays = load_config(config).build_problem()
     lists = ExperimentConfig.from_dict(
         yaml.load(config.read_text(), Loader=yaml.SafeLoader)).build_problem()
     for name in ("L", "G", "sigma_g", "f_star", "constant_methods"):
         assert _same(getattr(arrays, name), getattr(lists, name)), name
-    assert _same_bits(arrays, lists)  # every field: clients, _stacked and all
+    assert _same_bits(arrays, lists)  # every field: the stack and all
 
 
 def test_replicates_hold_one_trace_at_a_time(tmp_path, monkeypatch):

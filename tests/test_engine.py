@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedclip import engine, fixedpoint, rng as rngmod
+from fedclip import engine, fixedpoint, problems, rng as rngmod
 from fedclip.cli import load_config
 from fedclip.clipping import ClippingPolicy, apply_policy, clip, clip_factor, norms
 from fedclip.engine import (ALPHA_TILDE_EXACT, DivergenceError, Q_INF, RunConfig,
@@ -794,6 +794,35 @@ def test_aggregate_equals_the_slot_by_slot_sum(case):
     assert repeats > 0 or case == "negative-zero-rows"
 
 
+def test_runs_build_no_client_objects(monkeypatch):
+    """The round path reads the problem's stack and the facts stored from
+    it, never its client objects: no ``run_experiment`` call builds a client
+    view, for a minibatch linear regression, an MLP run with replays and
+    each simulation of the table1 grid. Each run gets a copy of its problem
+    that has built none yet."""
+    views, runs = [], []
+    client_views, run = problems._client_views, engine.run_experiment
+
+    def counted_views(stack):
+        views.append(stack[0])
+        return client_views(stack)
+
+    def counted_run(config, problem):
+        before = len(views)
+        trace = run(config, dataclasses.replace(problem))
+        runs.append(len(views) - before)
+        return trace
+
+    monkeypatch.setattr(problems, "_client_views", counted_views)
+    monkeypatch.setattr(engine, "run_experiment", counted_run)
+    monkeypatch.setattr(fixedpoint, "run_experiment", counted_run)
+    for make in (linreg_minibatch_run, mlp_replays_run):
+        engine.run_experiment(*make())
+    fixedpoint.table1_grid()
+    assert runs == [0] * 6
+    assert views == ["linear"]  # fixedpoint's local-minimizer map, outside the runs
+
+
 def test_a_noise_free_round_makes_few_python_calls():
     """One noise-free round of the table1 grid's (Q = 1, c = 1) cell makes at
     most 50 Python-level calls (``sys.setprofile`` "call" events; numpy's
@@ -891,17 +920,35 @@ def test_exhaustive_local_phase_stops_each_row_on_its_own_step():
     assert len(steps) == 3 and max(steps) < 10 ** 6
 
 
+def zero_draw_federation():
+    """Two least-squares clients of three columns and the start x, for
+    minibatch (B = 1) step loops at eta_l = 0.25. A draw of client 0's row 0
+    or 1 sets x_1 = 2 or x_2 = 3 exactly, so a second draw of it is an exact
+    zero step. Client 0's minimizer is (2, 3, 0), where its rows 2 and 3 give
+    gradients of norm 16 that cancel in the full batch. Client 1 fits its
+    data exactly and runs for many steps."""
+    A0 = np.vstack([np.eye(3), [[0.0, 0.0, 1.0]]])
+    problem = build_linear_regression_ensemble(
+        [A0, np.eye(3)], [np.array([2.0, 3.0, 4.0, -4.0]), np.array([3.0, 2.0, 1.0])],
+        g_bound=1.0)
+    return problem, np.array([1.0, -1.0, 0.0])
+
+
+def client0_rows(seed, k):
+    """The rows of client 0's first k draws on the (seed, "grad", 0, 0) stream."""
+    g = rngmod.stream(seed, "grad", 0, 0)
+    return [int(g.integers(0, 4, size=1)[0]) for _ in range(k)]
+
+
 def test_stopped_rows_do_not_count_violations():
     """In the step loop, a row that stopped keeps drawing (unused)
     minibatches while others run; those draws must not count as violations.
-    Client 0 stops on its first step when it draws its zero-residual row 0;
-    its row 1 would give a gradient over the bound."""
-    x = np.array([1.0, -1.0])
-    A = np.eye(2)
-    problem = build_linear_regression_ensemble(
-        [A, A], [np.array([1.0, 9.0]), np.array([3.0, 2.0])], g_bound=1.0)
-    seed = next(s for s in range(100)
-                if rngmod.stream(s, "grad", 0, 0).integers(0, 2, size=1)[0] == 0)
+    Client 0 draws its rows 1 and 0, then a zero step at its minimizer,
+    where it stops on step 3; its rows 2 and 3 would give gradients over the
+    bound there."""
+    problem, x = zero_draw_federation()
+    seed = next(s for s in range(1000) if client0_rows(s, 3) in ([0, 1, 0], [0, 1, 1],
+                                                                  [1, 0, 0], [1, 0, 1]))
     keys = [(seed, "grad", 0, i) for i in range(2)]
     oracle = StackedOracle(problem, noise_mode="minibatch", batch_size=1,
                            rngs=[rngmod.stream(*k) for k in keys], grad_bound=1.0)
@@ -914,8 +961,33 @@ def test_stopped_rows_do_not_count_violations():
         np.testing.assert_array_equal(X[i], x_fin)
         violations += ref.violations
         if i == 0:
-            assert ref.steps == 1
+            assert ref.steps == 3 and x_fin.tolist() == [2.0, 3.0, 0.0]
     assert oracle.violations == violations
+
+
+def test_a_zero_draw_away_from_the_minimizer_does_not_stop_the_row():
+    """A minibatch step can be exactly zero away from the minimizer. An
+    oracle whose first draw for client 0 is an exact zero row: client 0 does
+    not stop there, since its full-batch step is not small, and then runs
+    the noise-free loop one step late, to the same iterate and gradient sum;
+    the full-batch gradient counts no violation."""
+    problem, x = zero_draw_federation()
+
+    class ZeroOnce(StackedOracle):
+        def draw(self, X, out=None):
+            G = self.problem.grad_stack(X, out=out)
+            G[0] *= self.draws > 0
+            self.draws += 1
+            return G
+
+    oracle = ZeroOnce(problem, grad_bound=0.0)
+    oracle.noise_mode, oracle.draws = "minibatch", 0
+    X, gsum = engine._exhaustive_phase(oracle, x, 0.25, 0)
+    noise_free = StackedOracle(problem, grad_bound=0.0)
+    ref_X, ref_gsum = engine._exhaustive_phase(noise_free, x, 0.25, 0)
+    assert X.tolist() == ref_X.tolist() and gsum.tolist() == ref_gsum.tolist()
+    assert np.linalg.norm(0.25 * problem.clients[0].grad(X[0])) <= 1e-12
+    assert oracle.violations == noise_free.violations
 
 
 class RecordingOracle(StackedOracle):
@@ -1009,14 +1081,16 @@ def test_rows_stopping_at_a_block_boundary_match_the_reference():
 
 
 def test_stopped_rows_over_the_bound_across_a_block_boundary_are_not_counted():
-    """In the step loop, client 0 stops on step 4 on a zero step (it draws
-    its zero-residual row 0); its later draws of row 1 are over the bound
-    but not counted. Client 1 runs on for many steps."""
-    x, eta_l = np.array([1.0, -1.0]), 0.25
-    A = np.eye(2)
-    problem = build_linear_regression_ensemble(
-        [A, A], [np.array([1.0, 9.0]), np.array([3.0, 2.0])], g_bound=1.0)
-    keys = [(11, "grad", 0, i) for i in range(2)]
+    """In the step loop, client 0 draws its row 1 twice, the second time an
+    exact zero step away from its minimizer, where it runs on; it draws row
+    0, then stops on step 4 on a zero step at its minimizer. Its later draws
+    of rows 2 and 3 are over the bound but not counted. Client 1 runs on for
+    many steps."""
+    problem, x = zero_draw_federation()
+    eta_l = 0.25
+    seed = next(s for s in range(1000) if client0_rows(s, 4) in ([0, 0, 1, 0], [0, 0, 1, 1],
+                                                                  [1, 1, 0, 0], [1, 1, 0, 1]))
+    keys = [(seed, "grad", 0, i) for i in range(2)]
     oracle = RecordingOracle(problem, noise_mode="minibatch", batch_size=1,
                              rngs=[rngmod.stream(*k) for k in keys], grad_bound=1.0)
     X, gsum = engine._exhaustive_phase(oracle, x, eta_l, 0)

@@ -432,7 +432,7 @@ def mlp_federation(N, n, hidden, seed, n_classes=3, input_dim=2):
                                  y=g.integers(0, n_classes, size=n),
                                  hidden=hidden, n_classes=n_classes)
                     for _ in range(N))
-    return ProblemInstance(clients=clients, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+    return ProblemInstance.from_clients(clients, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
 
 
 def reference_stack(prob, W, idx=None):
@@ -513,7 +513,7 @@ def test_stacked_quadratic_loss_rounds_as_the_client_loss(b):
     assert ens.loss_mean(x) == ens.clients[0].loss(x)
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "linear"])
+@pytest.mark.parametrize("kind", ["quadratic", "linear", "mlp"])
 def test_stacked_loss_mean_matches_per_client_sum(kind):
     g = rngmod.stream(11, "test-loss-mean", kind)
     for _ in range(60):
@@ -522,6 +522,10 @@ def test_stacked_loss_mean_matches_per_client_sum(kind):
         if kind == "quadratic":
             ens = build_quadratic_ensemble(g.normal(0.0, scale, size=N).tolist())
             x = g.normal(0.0, scale, size=1)
+        elif kind == "mlp":
+            ens = mlp_federation(N, int(g.integers(1, 30)), int(g.integers(1, 6)),
+                                 seed=int(g.integers(1000)), n_classes=int(g.integers(2, 5)))
+            x = g.normal(0.0, 2.0, size=ens.dim)
         else:
             n, d = int(g.integers(1, 30)), int(g.integers(1, 6))
             ens = build_linear_regression_ensemble(
@@ -534,7 +538,7 @@ def test_stacked_loss_mean_matches_per_client_sum(kind):
 def assert_clients_view_the_stack(ens):
     """Each client's data is a view of the stacked client data (of its
     group's stack, for linear regressions of unequal row counts)."""
-    kind, *groups = ens._stacked
+    kind, *groups = ens.stack
     names = ("X", "y") if kind == "mlp" else ("A", "b")
     if kind == "mlp":
         groups = [(slice(None), *groups)]
@@ -545,16 +549,17 @@ def assert_clients_view_the_stack(ens):
 
 
 def test_a_directly_built_instance_holds_the_client_data_once():
-    """``ProblemInstance`` built from its clients, without a builder, also
-    rebuilds them as views of its stack, and takes its dimension from them."""
+    """``ProblemInstance`` built from client objects, without a builder,
+    stacks their data and gives back clients that are views of its stack,
+    and takes its dimension from the stack."""
     g = rngmod.stream(5, "test-direct-views")
     rows = (5, 3, 5)
-    lin = ProblemInstance(
-        clients=tuple(LinearRegressionObjective(g.normal(size=(n, 2)), g.normal(size=n))
-                      for n in rows), L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+    lin = ProblemInstance.from_clients(
+        tuple(LinearRegressionObjective(g.normal(size=(n, 2)), g.normal(size=n))
+              for n in rows), L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
     mlp = mlp_federation(3, 4, 2, seed=5)
-    quad = ProblemInstance(clients=(ScalarQuadratic(1.0), ScalarQuadratic(-2.0)),
-                           L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+    quad = ProblemInstance.from_clients((ScalarQuadratic(1.0), ScalarQuadratic(-2.0)),
+                                        L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
     for ens in (lin, mlp):
         assert_clients_view_the_stack(ens)
     assert (lin.kind, lin.dim) == ("linear", 2)
@@ -563,17 +568,19 @@ def test_a_directly_built_instance_holds_the_client_data_once():
 
 
 def test_builders_hold_the_client_data_once(monkeypatch):
-    """Each client's data is a view of the stacked client data (of its
-    group's stack, for linear regressions of unequal row counts), which each
-    build stacks once and ``dataclasses.replace`` keeps."""
-    stacks = []
-    stack_clients = problems._stack_clients
+    """Each build stacks the client data once (one stack per row count, for
+    linear regressions of unequal row counts), and ``dataclasses.replace``
+    keeps the stack. The MLP builder writes its stack without client
+    objects, and an (N, n, d) array of A_i is the linear stack itself, not a
+    copy. The client objects, built on first use, are views of the stack."""
+    calls = []
 
-    def counted(clients):
-        stacks.append(len(clients))
-        return stack_clients(clients)
+    def counting(name):
+        f = getattr(problems, name)
+        return lambda *args: calls.append(name) or f(*args)
 
-    monkeypatch.setattr(problems, "_stack_clients", counted)
+    for name in ("_stack_clients", "_client_views"):
+        monkeypatch.setattr(problems, name, counting(name))
     mlp = build_mlp_synthetic_ensemble(hidden_width=3, N=4, samples_per_client=6,
                                        heterogeneity=0.5, seed=1)
     g = rngmod.stream(3, "test-stack-once")
@@ -582,16 +589,21 @@ def test_builders_hold_the_client_data_once(monkeypatch):
     rows = (5, 3, 5, 2)
     unequal = build_linear_regression_ensemble([g.normal(size=(n, 2)) for n in rows],
                                                [g.normal(size=n) for n in rows])
-    assert stacks == [4, 3, 4]
+    A, b = g.normal(size=(3, 5, 2)), g.normal(size=(3, 5))
+    stacked = build_linear_regression_ensemble(A, b)
+    assert calls == ["_stack_clients"] * 2  # the lists, not the MLP or the arrays
+    assert stacked.stack[1][1] is A and stacked.stack[1][2] is b
+    assert not (A.flags.writeable or b.flags.writeable)
     # a group of consecutive clients is a slice, which indexes a stack as a view
-    assert [group[0] for group in unequal._stacked[2:]] == [slice(1, 2), slice(3, 4)]
-    assert lin._stacked[1][0] == slice(0, 3)
+    assert [group[0] for group in unequal.stack[2:]] == [slice(1, 2), slice(3, 4)]
+    assert lin.stack[1][0] == slice(0, 3)
     assert [np.arange(4)[group[0]].tolist()
-            for group in unequal._stacked[1:]] == [[0, 2], [1], [3]]
-    for ens in (mlp, lin, unequal):
+            for group in unequal.stack[1:]] == [[0, 2], [1], [3]]
+    assert unequal.n_samples == rows and mlp.n_samples == (6,) * 4
+    for ens in (mlp, lin, unequal, stacked):
+        assert dataclasses.replace(ens, sigma_l=0.5).stack is ens.stack
         assert_clients_view_the_stack(ens)
-        assert dataclasses.replace(ens, sigma_l=0.5)._stacked is ens._stacked
-    assert stacks == [4, 3, 4]
+    assert calls == ["_stack_clients"] * 2 + ["_client_views"] * 4
 
 
 @pytest.mark.parametrize("clients, cause", [
@@ -606,7 +618,7 @@ def test_builders_hold_the_client_data_once(monkeypatch):
 ], ids=["mixed-kinds", "mlp-data-shapes", "linear-column-counts"])
 def test_a_federation_that_cannot_be_stacked_is_refused(clients, cause):
     with pytest.raises(ValueError, match=cause):
-        ProblemInstance(clients=clients, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
+        ProblemInstance.from_clients(clients, L=1.0, G=0.0, sigma_l=0.0, sigma_g=0.0)
 
 
 def out_federation(kind):
@@ -630,7 +642,7 @@ def test_grad_stack_writes_into_out(kind):
     """With ``out``, ``grad_stack`` returns ``out`` holding, bit for bit,
     what the allocating call returns, on all samples and on minibatches."""
     prob, n = out_federation(kind)
-    assert (len(prob._stacked) == 4) == (kind == "unequal")  # three groups
+    assert (len(prob.stack) == 4) == (kind == "unequal")  # three groups
     g = rngmod.stream(4, "test-out-x", kind)
     X = g.normal(size=(prob.n_clients, prob.dim))
     picks = [None] if n is None else [None, g.integers(0, n, size=(prob.n_clients, 5))]
